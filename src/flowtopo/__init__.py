@@ -4,8 +4,9 @@ edge-flow measurements.
 The pipeline learns the conservation relations from data by SVD, reduces
 them to a fundamental cutset matrix, canonicalizes it so branches are
 exactly the non-sink edges, and realizes the unique arborescence with
-that cutset structure.  A noisy lane adds covariance whitening and an
-eigenvalue-equality test for the number of conservation laws.
+that cutset structure.  A noisy lane adds covariance whitening, takes
+the relations from an eigendecomposition of the whitened sample
+covariance instead, and picks their number by an eigenvalue-equality test.
 """
 
 from .errors import (

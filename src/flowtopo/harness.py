@@ -71,6 +71,9 @@ class SweepConfig:
             raise ValueError("families, snr_list and z_list must be nonempty")
         if self.trials < 1 or self.networks_per_family < 1 or self.threads < 1:
             raise ValueError("trials, networks_per_family and threads must be >= 1")
+        if self.threads > 1 and self.cell_budget_s is not None:
+            # threaded trials run to completion; a budget could not stop them
+            raise ValueError("cell_budget_s needs threads = 1")
 
 
 @dataclass(frozen=True)

@@ -2,9 +2,11 @@
 end-to-end reconstruction pipelines.
 
 The noisy lane runs: Cholesky factor of the error covariance, whitening,
-SVD of the scaled samples, a sequential eigenvalue-equality test to pick
-the conservation-law count, back-transformation of the null basis, row
-reduction, snapping to signed units, canonicalization, and realization.
+one symmetric eigendecomposition of the e x e whitened sample covariance,
+a sequential eigenvalue-equality test on its spectrum to pick the
+conservation-law count, back-transformation of the eigenvectors of the
+smallest eigenvalues (the null basis), row reduction, snapping to signed
+units, canonicalization, and realization.
 The exact lane (``reconstruct_exact``) composes the noise-free modules the
 same way so callers get one entry point per measurement regime.
 """
@@ -13,7 +15,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any
 
 import numpy as np
@@ -102,6 +104,11 @@ class RankTestReport:
     Candidates are visited from the largest possible count downward; the
     chosen value is the first (hence largest) candidate not rejected at
     level alpha.
+
+    ``eigenvalues`` is the clipped spectrum of the whitened sample
+    covariance in descending order.  ``null_vectors`` holds, as e x m
+    columns, its orthonormal eigenvectors for the ``chosen_m`` smallest
+    eigenvalues: the estimated conservation laws in whitened coordinates.
     """
 
     candidates: tuple[int, ...]
@@ -110,6 +117,7 @@ class RankTestReport:
     chosen_m: int
     alpha: float
     eigenvalues: tuple[float, ...] = ()
+    null_vectors: np.ndarray | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "candidates", tuple(int(k) for k in self.candidates))
@@ -120,6 +128,12 @@ class RankTestReport:
             raise ValueError("per-candidate lists must have equal length")
         if self.chosen_m not in self.candidates:
             raise ValueError("chosen_m must be one of the tested candidates")
+        if self.null_vectors is not None:
+            vecs = np.asarray(self.null_vectors, dtype=np.float64)
+            vecs.setflags(write=False)
+            object.__setattr__(self, "null_vectors", vecs)
+            if vecs.ndim != 2 or vecs.shape[1] != self.chosen_m:
+                raise ValueError("null_vectors must have one column per conservation law")
 
 
 def _cholesky_lower(noise: NoiseModel) -> np.ndarray:
@@ -175,10 +189,12 @@ def _equality_p_value(lams: np.ndarray, n_s: int, lam_max: float) -> tuple[float
 def estimate_model_order(whitened: FlowDataMatrix, alpha: float = DEFAULT_ALPHA) -> RankTestReport:
     """Estimate how many conservation laws the whitened data supports.
 
-    Tests equality of the k smallest eigenvalues of the sample covariance
-    for k descending from e, via a Bartlett-type likelihood-ratio statistic
+    Takes one symmetric eigendecomposition of the e x e sample covariance
+    ``Y Y^T / n_s`` and tests equality of its k smallest eigenvalues for k
+    descending from e, via a Bartlett-type likelihood-ratio statistic
     against chi-square with (k-1)(k+2)/2 degrees of freedom; the chosen
-    count is the largest k not rejected.
+    count m is the largest k not rejected.  The report carries the
+    eigenvectors of the m smallest eigenvalues as the null basis.
 
     Raises:
         NoStableOrder: every candidate down to k = 2 is rejected.
@@ -193,7 +209,11 @@ def estimate_model_order(whitened: FlowDataMatrix, alpha: float = DEFAULT_ALPHA)
             stacklevel=2,
         )
     s_y = (whitened.entries @ whitened.entries.T) / n_s
-    lams = np.clip(np.linalg.eigvalsh(s_y), 0.0, None)  # ascending
+    # Forming s_y squares the condition number, which the exact lane's
+    # 1e-10 singular-value tolerance could not afford; here the null
+    # eigenvalues sit at the noise floor, far above rounding error.
+    lams, vecs = np.linalg.eigh(s_y)  # ascending
+    lams = np.clip(lams, 0.0, None)
     lam_max = float(lams[-1])
 
     candidates, stats, pvals = [], [], []
@@ -218,6 +238,7 @@ def estimate_model_order(whitened: FlowDataMatrix, alpha: float = DEFAULT_ALPHA)
         chosen_m=chosen,
         alpha=alpha,
         eigenvalues=tuple(float(v) for v in lams[::-1]),
+        null_vectors=vecs[:, :chosen],
     )
 
 
@@ -243,15 +264,12 @@ def reconstruct_noisy(
             realization structure is inconsistent with an arborescence.
     """
     whitened = whiten(data, noise)
-    e, n_s = whitened.edge_count, whitened.sample_count
-    u, s, _ = np.linalg.svd(whitened.entries / math.sqrt(n_s), full_matrices=True)
+    e = whitened.edge_count
     report = estimate_model_order(whitened, alpha)
-    m = report.chosen_m
 
     lower = _cholesky_lower(noise)
-    u2s = u[:, e - m:]
     # a_hat rows span the estimated conservation laws of the raw data
-    a_hat = sla.solve_triangular(lower, u2s, lower=True, trans="T").T
+    a_hat = sla.solve_triangular(lower, report.null_vectors, lower=True, trans="T").T
     reduced, pivots = rref(a_hat)
     snapped = snap_signed_units(reduced, snap_band, SnapFailure)
 
@@ -268,7 +286,8 @@ def reconstruct_noisy(
     result = realize_topology(canon, chain_policy=chain_policy)
     extra: dict[str, Any] = dict(result.diagnostics)
     extra["rank_test"] = report
-    extra["singular_values"] = tuple(float(v) for v in s)
+    # singular values of Y_s / sqrt(n_s), recovered from its Gram spectrum
+    extra["singular_values"] = tuple(math.sqrt(v) for v in report.eigenvalues)
     return ReconstructionResult(
         edges=result.edges, node_labels=result.node_labels, diagnostics=extra
     )

@@ -125,7 +125,8 @@ def estimate_null_basis(data: FlowDataMatrix, zero_tol: float = DEFAULT_ZERO_TOL
         raise ValueError("zero_tol must be positive")
     x = data.entries
     e = data.edge_count
-    u, s, _ = np.linalg.svd(x, full_matrices=True)
+    # the thin U is all of U unless there are fewer samples than edges
+    u, s, _ = np.linalg.svd(x, full_matrices=data.sample_count < e)
     sv = np.zeros(e)
     sv[: s.shape[0]] = s
     if sv[0] == 0.0:

@@ -44,6 +44,11 @@ class TestSweep:
         with pytest.raises(ValueError):
             harness.SweepConfig(trials=0)
 
+    def test_cell_budget_with_threads_rejected(self):
+        # the threaded trial loop cannot stop early, so the budget would be ignored
+        with pytest.raises(ValueError):
+            harness.SweepConfig(threads=2, cell_budget_s=1.0)
+
     def test_small_sweep_finds_min_z(self, tmp_path):
         config = harness.SweepConfig(
             families=("binary",),

@@ -1,11 +1,40 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from scipy import linalg as sla
 
 import flowtopo as ft
+from flowtopo.noise_pipeline import DEFAULT_ALPHA, DEFAULT_SNAP_BAND, _equality_p_value
+from flowtopo.nullspace import snap_signed_units
 
 
 def binary_net() -> ft.FlowNetwork:
     return ft.generate_arborescence(ft.ArborescenceSpec("binary", (3, 3), (2, 2), seed=1))
+
+
+def svd_reference(data: ft.FlowDataMatrix, noise: ft.NoiseModel) -> tuple[int, tuple]:
+    """Noisy lane computed from a thin SVD of the scaled whitened samples:
+    the order test on s**2 and the null basis u[:, e-m:]."""
+    whitened = ft.whiten(data, noise)
+    e, n_s = whitened.edge_count, whitened.sample_count
+    u, s, _ = np.linalg.svd(whitened.entries / np.sqrt(n_s), full_matrices=False)
+    lams = s[::-1] ** 2
+    m = next(
+        k for k in range(e, 1, -1)
+        if _equality_p_value(lams[:k], n_s, lams[-1])[1] >= DEFAULT_ALPHA
+    )
+    lower = np.linalg.cholesky(noise.covariance)
+    a_hat = sla.solve_triangular(lower, u[:, e - m:], lower=True, trans="T").T
+    reduced, pivots = ft.rref(a_hat)
+    snapped = snap_signed_units(reduced, DEFAULT_SNAP_BAND, ft.SnapFailure)
+    chords = [j for j in range(e) if j not in set(pivots)]
+    cutset = ft.CutsetMatrix(
+        entries=np.hstack([snapped[:, list(pivots)], snapped[:, chords]]),
+        branch_edges=tuple(data.edge_labels[j] for j in pivots),
+        chord_edges=tuple(data.edge_labels[j] for j in chords),
+    )
+    return m, ft.realize_topology(ft.canonicalize(cutset)).edges
 
 
 class TestNoiseModel:
@@ -170,6 +199,31 @@ class TestReconstructNoisy:
         assert model.kind == "heteroscedastic"
         result = ft.reconstruct_noisy(noisy, model)
         assert ft.verify_against_truth(result, net)
+
+    @pytest.mark.parametrize("family", ft.synth.FAMILIES)
+    def test_matches_thin_svd_reference(self, family):
+        children = (3, 7) if family == "fat_short" else None
+        for seed in (0, 1, 2):
+            net = ft.generate_within(family, seed, max_edges=40, children_range=children)
+            data = ft.sample_flows(net, ft.FlowSamplerConfig(n_s=50 * net.edge_count, seed=seed))
+            noisy, model = ft.add_noise(data, ft.SnrSetting(100.0), seed=seed + 100)
+            result = ft.reconstruct_noisy(noisy, model)
+            assert (result.diagnostics["rank_test"].chosen_m, result.edges) == svd_reference(
+                noisy, model
+            )
+
+    def test_memory_linear_in_data(self):
+        # no n_s x n_s intermediate: the peak stays a small multiple of the data
+        net = ft.binary_network_with_edges(62)
+        data = ft.sample_flows(net, ft.FlowSamplerConfig(n_s=50 * 62, seed=5))
+        noisy, model = ft.add_noise(data, ft.SnrSetting(100.0), seed=6)
+        tracemalloc.start()
+        try:
+            ft.reconstruct_noisy(noisy, model)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * noisy.entries.nbytes
 
     def test_structureless_data_rejected(self):
         rng = np.random.default_rng(40)

@@ -52,6 +52,14 @@ class TestEstimateNullBasis:
         assert len(sv) == 3
         assert all(a >= b for a, b in zip(sv, sv[1:]))
 
+    def test_fewer_samples_than_edges(self):
+        # one sample of three edges: two padded zero singular values
+        with pytest.warns(UserWarning):
+            data = ft.FlowDataMatrix(star_data().entries[:, :1], allow_undersampled=True)
+        basis = ft.estimate_null_basis(data)
+        assert basis.basis.shape == (2, 3)
+        assert np.allclose(basis.basis @ data.entries, 0.0, atol=1e-9)
+
     def test_unstructured_data_raises(self):
         rng = np.random.default_rng(3)
         with pytest.raises(ft.RankZero):
