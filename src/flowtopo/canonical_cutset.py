@@ -16,7 +16,7 @@ can creep in after snapping.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -121,22 +121,14 @@ def _swap_and_reduce(entries: np.ndarray, labels: list[int], k: int, l: int) -> 
         raise NotCanonicalizable("row operations left the {-1, 0, +1} range")
 
 
-def canonicalize(
-    cutset: CutsetMatrix,
-    strategy: str = "unique_sign",
-    flows: Mapping[int, float] | None = None,
-    normalize_labels: bool = True,
-) -> CanonicalCutsetMatrix:
+def canonicalize(cutset: CutsetMatrix, normalize_labels: bool = True) -> CanonicalCutsetMatrix:
     """Transform a valid cutset matrix so all branches are non-sink edges.
+
+    The interchange target of a row is found through its sign-unique
+    coefficient.
 
     Args:
         cutset: f-cutset matrix of an arborescence conservation graph.
-        strategy: "unique_sign" locates the interchange target through the
-            sign-unique coefficient.  "max_flow" instead treats the edge of
-            largest flow magnitude in each cutset as the lowest-level flow;
-            it needs ``flows`` (label -> magnitude) and can misfire on noisy
-            data, so it is opt-in.
-        flows: flow magnitudes per edge label, only used by "max_flow".
         normalize_labels: also repair rows whose branch label exceeds one of
             its negative chords.  Equal-flow chain segments (single-child
             paths) produce structurally identical columns that sign logic
@@ -148,11 +140,6 @@ def canonicalize(
         NotCanonicalizable: interchanges failed to converge, or the matrix
             violates cutset structure along the way.
     """
-    if strategy not in ("unique_sign", "max_flow"):
-        raise ValueError(f"unknown strategy {strategy!r}")
-    if strategy == "max_flow" and flows is None:
-        raise ValueError("max_flow strategy requires flow magnitudes")
-
     entries = cutset.entries.astype(np.int64, copy=True)
     labels = list(cutset.column_labels)
     m, e = cutset.m, cutset.edge_count
@@ -160,13 +147,7 @@ def canonicalize(
 
     def fix_row(k: int) -> bool:
         chords = entries[k, m:]
-        if strategy == "max_flow":
-            nz = [j for j in range(e) if entries[k, j] != 0]
-            target = max(nz, key=lambda j: abs(flows[labels[j]]))
-            if target == k:
-                return False
-            l = target
-        elif (chords > 0).any():
+        if (chords > 0).any():
             neg = np.flatnonzero(chords == -1)
             if neg.size != 1:
                 raise NotUnique(
@@ -185,14 +166,14 @@ def canonicalize(
         provenance.append((k, outgoing, incoming))
         return True
 
-    # one sweep is the textbook loop; repeated sweeps absorb the knock-on
-    # effects interchanges have on already-visited rows
+    # each pass rescans from the first row and stops at its first
+    # interchange, since an interchange can unsettle rows already visited
     max_swaps = 4 * m + 16
     for _ in range(max_swaps):
         if not any(fix_row(k) for k in range(m)):
             break
     else:
-        raise NotCanonicalizable(f"no fixed point after {max_swaps} sweeps")
+        raise NotCanonicalizable(f"no fixed point after {max_swaps} interchanges")
 
     inner = CutsetMatrix(
         entries=entries,

@@ -219,18 +219,21 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    config = harness.SweepConfig(
-        families=tuple(args.families),
-        networks_per_family=args.networks,
-        snr_list=tuple(args.snr),
-        z_list=tuple(range(1, args.z_max + 1)),
-        trials=args.trials,
-        alpha=args.alpha,
-        base_seed=args.seed,
-        max_edges=args.max_edges,
-        threads=args.threads,
-        cell_budget_s=args.cell_budget,
-    )
+    try:
+        config = harness.SweepConfig(
+            families=tuple(args.families),
+            networks_per_family=args.networks,
+            snr_list=tuple(args.snr),
+            z_list=tuple(range(1, args.z_max + 1)),
+            trials=args.trials,
+            alpha=args.alpha,
+            base_seed=args.seed,
+            max_edges=args.max_edges,
+            threads=args.threads,
+            cell_budget_s=args.cell_budget,
+        )
+    except ValueError as exc:
+        raise ParseError(f"sweep: {exc}") from None
     result = harness.run_sweep(config, out_path=args.out)
     print(f"wrote {len(result.rows)} sweep rows to {args.out}")
     return 0

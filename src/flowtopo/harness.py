@@ -22,7 +22,7 @@ from typing import Any, Callable
 import numpy as np
 
 from .canonical_cutset import canonicalize
-from .errors import FlowtopoError, ParseError
+from .errors import FlowtopoError, NonIntegerCutset, ParseError
 from .graph_model import FlowNetwork
 from .io import dump_result, load_data_csv, load_noise_model
 from .noise_pipeline import (
@@ -31,7 +31,7 @@ from .noise_pipeline import (
     reconstruct_exact,
     reconstruct_noisy,
 )
-from .nullspace import estimate_null_basis, find_valid_partition, to_fcutset_form
+from .nullspace import DEFAULT_ROUND_TOL, estimate_null_basis, reduce_to_cutset
 from .realize import ReconstructionResult, realize_topology, to_dot, verify_against_truth
 from .synth import (
     FAMILIES,
@@ -359,13 +359,11 @@ def run_scaling_bench(
         samples = {name: [] for name in stage_names}
         for _ in range(repeats):
             basis = estimate_null_basis(data)
-            partition = find_valid_partition(basis)
-            cutset = to_fcutset_form(basis, partition)
+            reduce = lambda: reduce_to_cutset(basis.basis, DEFAULT_ROUND_TOL, NonIntegerCutset)
+            cutset = reduce()
             canon = canonicalize(cutset)
             samples["svd"].append(_timed(lambda: estimate_null_basis(data)))
-            samples["reduce"].append(
-                _timed(lambda: to_fcutset_form(basis, find_valid_partition(basis)))
-            )
+            samples["reduce"].append(_timed(reduce))
             samples["alg1"].append(_timed(lambda: canonicalize(cutset)))
             samples["alg2"].append(_timed(lambda: realize_topology(canon)))
             samples["total"].append(_timed(lambda: reconstruct_exact(data)))

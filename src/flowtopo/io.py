@@ -112,12 +112,12 @@ def dump_data_csv(data: FlowDataMatrix, path: str | Path, transposed: bool = Fal
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         if transposed:
-            writer.writerow(str(lab) for lab in data.edge_labels)
+            writer.writerow(str(lab) for lab in range(1, data.edge_count + 1))
             for col in data.entries.T:
                 writer.writerow(f"{v:.12g}" for v in col)
         else:
             writer.writerow(["edge"] + [f"s{i}" for i in range(1, data.sample_count + 1)])
-            for lab, row in zip(data.edge_labels, data.entries):
+            for lab, row in enumerate(data.entries, start=1):
                 writer.writerow([str(lab)] + [f"{v:.12g}" for v in row])
 
 

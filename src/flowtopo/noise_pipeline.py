@@ -5,10 +5,12 @@ The noisy lane runs: Cholesky factor of the error covariance, whitening,
 one symmetric eigendecomposition of the e x e whitened sample covariance,
 a sequential eigenvalue-equality test on its spectrum to pick the
 conservation-law count, back-transformation of the eigenvectors of the
-smallest eigenvalues (the null basis), row reduction, snapping to signed
-units, canonicalization, and realization.
+smallest eigenvalues (the null basis), threshold-pivoted row reduction
+and snapping to signed units (``nullspace.reduce_to_cutset``),
+canonicalization, and realization.
 The exact lane (``reconstruct_exact``) composes the noise-free modules the
-same way so callers get one entry point per measurement regime.
+same way, through the same reduction, so callers get one entry point per
+measurement regime.
 """
 
 from __future__ import annotations
@@ -23,17 +25,13 @@ from scipy import linalg as sla
 from scipy.stats import chi2
 
 from .canonical_cutset import canonicalize
-from .errors import NoStableOrder, NotPositiveDefinite, SnapFailure
-from .graph_model import CutsetMatrix
+from .errors import NonIntegerCutset, NoStableOrder, NotPositiveDefinite, SnapFailure
 from .nullspace import (
     DEFAULT_ROUND_TOL,
     DEFAULT_ZERO_TOL,
     FlowDataMatrix,
     estimate_null_basis,
-    find_valid_partition,
-    rref,
-    snap_signed_units,
-    to_fcutset_form,
+    reduce_to_cutset,
 )
 from .realize import ReconstructionResult, realize_topology
 
@@ -164,7 +162,7 @@ def whiten(data: FlowDataMatrix, noise: NoiseModel) -> FlowDataMatrix:
         y = y - noise.mean[:, None]
     lower = _cholesky_lower(noise)
     y_s = sla.solve_triangular(lower, y, lower=True)
-    return FlowDataMatrix(y_s, data.edge_labels, allow_undersampled=data.allow_undersampled)
+    return FlowDataMatrix(y_s, allow_undersampled=data.allow_undersampled)
 
 
 def _equality_p_value(lams: np.ndarray, n_s: int, lam_max: float) -> tuple[float, float]:
@@ -259,29 +257,18 @@ def reconstruct_noisy(
     Raises:
         NotPositiveDefinite: bad covariance.
         NoStableOrder: the order test rejects every candidate.
+        NoValidPartition: the null basis has fewer pivot columns than rows.
         SnapFailure: a reduced coefficient falls outside the snap band.
         NotUnique, NotCanonicalizable, NotArborescence: canonical or
             realization structure is inconsistent with an arborescence.
     """
     whitened = whiten(data, noise)
-    e = whitened.edge_count
     report = estimate_model_order(whitened, alpha)
 
     lower = _cholesky_lower(noise)
     # a_hat rows span the estimated conservation laws of the raw data
     a_hat = sla.solve_triangular(lower, report.null_vectors, lower=True, trans="T").T
-    reduced, pivots = rref(a_hat)
-    snapped = snap_signed_units(reduced, snap_band, SnapFailure)
-
-    pivot_list = list(pivots)
-    pivot_set = set(pivot_list)
-    chord_cols = [j for j in range(e) if j not in pivot_set]
-    labels = whitened.edge_labels
-    cutset = CutsetMatrix(
-        entries=np.hstack([snapped[:, pivot_list], snapped[:, chord_cols]]),
-        branch_edges=tuple(labels[j] for j in pivot_list),
-        chord_edges=tuple(labels[j] for j in chord_cols),
-    )
+    cutset = reduce_to_cutset(a_hat, snap_band, SnapFailure)
     canon = canonicalize(cutset)
     result = realize_topology(canon, chain_policy=chain_policy)
     extra: dict[str, Any] = dict(result.diagnostics)
@@ -299,11 +286,10 @@ def reconstruct_exact(
     round_tol: float = DEFAULT_ROUND_TOL,
     chain_policy: str = "row_order",
 ) -> ReconstructionResult:
-    """Noise-free reconstruction: null basis, valid partition, cutset form,
-    canonicalization, realization."""
+    """Noise-free reconstruction: null basis, reduction to cutset form on
+    the pivot columns, canonicalization, realization."""
     basis = estimate_null_basis(data, zero_tol=zero_tol)
-    partition = find_valid_partition(basis)
-    cutset = to_fcutset_form(basis, partition, round_tol=round_tol)
+    cutset = reduce_to_cutset(basis.basis, round_tol, NonIntegerCutset)
     canon = canonicalize(cutset)
     result = realize_topology(canon, chain_policy=chain_policy)
     extra: dict[str, Any] = dict(result.diagnostics)

@@ -7,6 +7,10 @@ valid partition of the flow variables then reduces the learned basis to a
 fundamental-cutset matrix ``[I | R]``; the reduced matrix is the same for
 every basis of the subspace, which is what makes the approach usable on an
 SVD estimate rather than the true incidence matrix.
+
+Both lanes reduce through :func:`reduce_to_cutset`: a threshold-pivoted
+:func:`rref` whose pivot columns are the partition, then snapping to signed
+units.  :func:`to_fcutset_form` reduces on an explicitly given partition.
 """
 
 from __future__ import annotations
@@ -21,19 +25,24 @@ from .graph_model import CutsetMatrix
 
 DEFAULT_ZERO_TOL = 1e-10
 DEFAULT_ROUND_TOL = 0.1
-DEFAULT_COND_LIMIT = 1e8
+# rref takes a column as pivot only above this fraction of the largest
+# entry left to reduce (threshold pivoting, u = 0.1)
+PIVOT_THRESHOLD = 0.1
+# rref treats entries at or below this fraction of the input's largest
+# entry as zero
+RANK_TOL = 1e-9
 
 
 @dataclass(frozen=True)
 class FlowDataMatrix:
-    """Steady-state flow samples, one row per edge, one column per sample.
+    """Steady-state flow samples, one row per edge in label order (row i is
+    edge i + 1), one column per sample.
 
     ``n_s > e`` is required; pass ``allow_undersampled=True`` to downgrade
     the violation to a warning for degenerate studies.
     """
 
     entries: np.ndarray
-    edge_labels: tuple[int, ...] = ()
     allow_undersampled: bool = False
 
     def __post_init__(self):
@@ -43,10 +52,6 @@ class FlowDataMatrix:
         if entries.ndim != 2:
             raise ValueError("data matrix must be two-dimensional")
         e, n_s = entries.shape
-        labels = tuple(int(v) for v in self.edge_labels) or tuple(range(1, e + 1))
-        object.__setattr__(self, "edge_labels", labels)
-        if len(labels) != e or len(set(labels)) != e:
-            raise ValueError("edge_labels must assign one distinct label per row")
         if not np.isfinite(entries).all():
             raise ValueError("data matrix contains non-finite entries")
         if n_s <= e:
@@ -138,76 +143,52 @@ def estimate_null_basis(data: FlowDataMatrix, zero_tol: float = DEFAULT_ZERO_TOL
     return NullBasis(basis=basis, estimated_rank_deficiency=m, singular_values=sv)
 
 
-def _eliminate(work: np.ndarray, pivot_row: int, col: int, active: np.ndarray) -> None:
-    piv = work[pivot_row, col]
-    for r in np.flatnonzero(active):
-        if r != pivot_row and work[r, col] != 0.0:
-            work[r] -= (work[r, col] / piv) * work[pivot_row]
+def _full_rank_rref(rows: np.ndarray) -> tuple[np.ndarray, tuple[int, ...]]:
+    """:func:`rref` of a basis that must have one pivot column per row."""
+    reduced, pivots = rref(rows)
+    m = reduced.shape[0]
+    if m == 0 or len(pivots) < m:
+        raise NoValidPartition(
+            f"basis of shape {reduced.shape} has only {len(pivots)} pivot columns"
+        )
+    return reduced, pivots
 
 
-def _greedy_columns(basis: np.ndarray) -> list[int]:
-    """Column picks of elimination with greedy largest-pivot selection."""
-    m, e = basis.shape
-    work = basis.astype(np.float64, copy=True)
-    active = np.ones(m, dtype=bool)
-    free = np.ones(e, dtype=bool)
-    chosen: list[int] = []
-    for _ in range(m):
-        mag = np.abs(work)
-        mag[~active, :] = -1.0
-        mag[:, ~free] = -1.0
-        r, c = np.unravel_index(int(np.argmax(mag)), mag.shape)
-        if mag[r, c] <= 0.0:
-            break
-        _eliminate(work, r, c, active)
-        active[r] = False
-        free[c] = False
-        chosen.append(int(c))
-    return chosen
-
-def _leftmost_columns(basis: np.ndarray, tol: float) -> list[int]:
-    """Pivot columns of a left-to-right scan, the RREF column choice."""
-    m, e = basis.shape
-    work = basis.astype(np.float64, copy=True)
-    active = np.ones(m, dtype=bool)
-    scale = max(np.abs(basis).max(), 1e-300)
-    chosen: list[int] = []
-    for c in range(e):
-        if len(chosen) == m:
-            break
-        rows = np.flatnonzero(active)
-        r = rows[int(np.argmax(np.abs(work[rows, c])))]
-        if abs(work[r, c]) <= tol * scale:
-            continue
-        _eliminate(work, r, c, active)
-        active[r] = False
-        chosen.append(c)
-    return chosen
-
-
-def find_valid_partition(basis: NullBasis, cond_limit: float = DEFAULT_COND_LIMIT) -> Partition:
-    """Pick dependent columns by greedy largest-pivot elimination.
-
-    Falls back to the leftmost-pivot column set when the greedy pick is too
-    ill-conditioned, then gives up.
+def find_valid_partition(basis: NullBasis) -> Partition:
+    """Take the pivot columns of :func:`rref` as the dependent edges.
 
     Raises:
-        NoValidPartition: no nonsingular m-column subset was found.
+        NoValidPartition: the basis has fewer pivot columns than rows.
     """
-    b = basis.basis
-    m, e = b.shape
-    if m == 0 or m > e:
-        raise NoValidPartition(f"basis shape {b.shape} admits no partition")
-    for picker in (_greedy_columns, lambda mat: _leftmost_columns(mat, 1e-12)):
-        cols = picker(b)
-        if len(cols) < m:
-            continue
-        cols = sorted(cols)
-        if np.linalg.cond(b[:, cols]) <= cond_limit:
-            dep = tuple(c + 1 for c in cols)
-            indep = tuple(j for j in range(1, e + 1) if j not in set(dep))
-            return Partition(dependent_edges=dep, independent_edges=indep)
-    raise NoValidPartition("no column subset met the conditioning limit")
+    _, pivots = _full_rank_rref(basis.basis)
+    indep = sorted(set(range(basis.basis.shape[1])) - set(pivots))
+    return Partition(
+        dependent_edges=tuple(j + 1 for j in pivots),
+        independent_edges=tuple(j + 1 for j in indep),
+    )
+
+
+def reduce_to_cutset(rows: np.ndarray, band: float, error_cls: type) -> CutsetMatrix:
+    """Reduce a basis of conservation laws to ``[I | R]`` by :func:`rref`
+    and snap it to signed units.
+
+    This is the reduction both lanes use.  The branch edges are the pivot
+    columns, labelled ``j + 1``; the chords are the other columns in label
+    order.
+
+    Raises:
+        NoValidPartition: the basis has fewer pivot columns than rows.
+        error_cls: some reduced entry is farther than ``band`` from the
+            nearest of -1, 0, +1.
+    """
+    reduced, pivots = _full_rank_rref(rows)
+    snapped = snap_signed_units(reduced, band, error_cls)
+    chords = sorted(set(range(reduced.shape[1])) - set(pivots))
+    return CutsetMatrix(
+        entries=snapped[:, list(pivots) + chords],
+        branch_edges=tuple(j + 1 for j in pivots),
+        chord_edges=tuple(j + 1 for j in chords),
+    )
 
 
 def to_fcutset_form(
@@ -261,30 +242,34 @@ def snap_signed_units(values: np.ndarray, band: float, error_cls: type) -> np.nd
     return nearest.astype(np.int64)
 
 
-def rref(matrix: np.ndarray, tol: float = 1e-9) -> tuple[np.ndarray, tuple[int, ...]]:
-    """Reduced row echelon form with partial pivoting.
+def rref(matrix: np.ndarray) -> tuple[np.ndarray, tuple[int, ...]]:
+    """Reduced row echelon form with threshold partial pivoting.
 
     Returns the reduced matrix and the pivot column indices (0-based).
-    Columns whose remaining entries are all below ``tol`` relative to the
-    largest entry of the input are skipped as free columns.
+    Columns are scanned left to right.  A column becomes a pivot only if its
+    largest entry among the rows not yet pivoted exceeds ``PIVOT_THRESHOLD``
+    times the largest entry those rows hold in it and every later column;
+    otherwise it stays a free column, so no tiny pivot can blow up the
+    reduction of an approximate basis.  Entries at or below ``RANK_TOL``
+    times the input's largest entry never become pivots.
     """
     work = np.asarray(matrix, dtype=np.float64).copy()
     m, e = work.shape
-    scale = max(np.abs(work).max(), 1e-300)
+    floor = RANK_TOL * np.abs(work).max(initial=0.0)
     pivots: list[int] = []
     row = 0
     for col in range(e):
         if row == m:
             break
-        r = row + int(np.argmax(np.abs(work[row:, col])))
-        if abs(work[r, col]) <= tol * scale:
+        rest = np.abs(work[row:, col:])
+        r = int(np.argmax(rest[:, 0]))
+        if rest[r, 0] <= max(PIVOT_THRESHOLD * rest.max(), floor):
             continue
-        if r != row:
-            work[[row, r]] = work[[r, row]]
+        work[[row, row + r]] = work[[row + r, row]]
         work[row] /= work[row, col]
-        for other in range(m):
-            if other != row and work[other, col] != 0.0:
-                work[other] -= work[other, col] * work[row]
+        factors = work[:, col].copy()
+        factors[row] = 0.0
+        work -= np.outer(factors, work[row])
         pivots.append(col)
         row += 1
     return work, tuple(pivots)

@@ -274,7 +274,5 @@ def add_noise(
         per_edge = np.maximum(signal_var, 1e-12 * signal_var.max()) / snr.snr
         model = NoiseModel.per_edge(per_edge)
         noise = rng.normal(0.0, 1.0, size=data.entries.shape) * np.sqrt(per_edge)[:, None]
-    noisy = FlowDataMatrix(
-        data.entries + noise, data.edge_labels, allow_undersampled=data.allow_undersampled
-    )
+    noisy = FlowDataMatrix(data.entries + noise, allow_undersampled=data.allow_undersampled)
     return noisy, model

@@ -71,22 +71,6 @@ class TestCanonicalize:
         assert canon.provenance == ()
         assert canon.branch_edges == (1,)
 
-    def test_unknown_strategy(self):
-        with pytest.raises(ValueError):
-            ft.canonicalize(demo_reduced_cutset(), strategy="guess")
-
-    def test_max_flow_needs_flows(self):
-        with pytest.raises(ValueError):
-            ft.canonicalize(demo_reduced_cutset(), strategy="max_flow")
-
-    def test_max_flow_strategy_agrees_on_demo(self):
-        from conftest import DEMO_TABLE
-
-        flows = {lab: float(DEMO_TABLE[lab - 1].mean()) for lab in range(1, 9)}
-        canon = ft.canonicalize(demo_reduced_cutset(), strategy="max_flow", flows=flows)
-        assert np.array_equal(canon.entries, DEMO_CANONICAL)
-        assert canon.branch_edges == (1, 2, 6)
-
     def test_constructor_rejects_positive_chord(self):
         inner = ft.CutsetMatrix(
             entries=np.array([[1, 0, 1]]), branch_edges=(1,), chord_edges=(2, 3)

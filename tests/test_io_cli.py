@@ -58,7 +58,6 @@ class TestDataCsv:
         ftio.dump_data_csv(data, path)
         back = ftio.load_data_csv(path)
         assert np.allclose(back.entries, data.entries)
-        assert back.edge_labels == data.edge_labels
 
     def test_transposed_round_trip(self, tmp_path):
         net = small_net()
@@ -222,6 +221,13 @@ class TestCli:
         rows = list(csv.reader(out.open()))
         assert rows[0][0] == "family"
         assert len(rows) > 1
+
+    @pytest.mark.parametrize("bad", [["--trials", "0"], ["--threads", "2", "--cell-budget", "5"]])
+    def test_sweep_config_rejection_exits_two(self, tmp_path, bad):
+        out = tmp_path / "sweep.csv"
+        argv = ["sweep", "--families", "binary", "--out", str(out)] + bad
+        assert main(argv) == 2
+        assert not out.exists()
 
     def test_bench_smoke(self, tmp_path):
         out = tmp_path / "bench.json"

@@ -31,8 +31,8 @@ def svd_reference(data: ft.FlowDataMatrix, noise: ft.NoiseModel) -> tuple[int, t
     chords = [j for j in range(e) if j not in set(pivots)]
     cutset = ft.CutsetMatrix(
         entries=np.hstack([snapped[:, list(pivots)], snapped[:, chords]]),
-        branch_edges=tuple(data.edge_labels[j] for j in pivots),
-        chord_edges=tuple(data.edge_labels[j] for j in chords),
+        branch_edges=tuple(j + 1 for j in pivots),
+        chord_edges=tuple(j + 1 for j in chords),
     )
     return m, ft.realize_topology(ft.canonicalize(cutset)).edges
 

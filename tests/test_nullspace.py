@@ -4,7 +4,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import flowtopo as ft
-from flowtopo.nullspace import DEFAULT_ZERO_TOL, snap_signed_units
+from flowtopo.nullspace import (
+    DEFAULT_ZERO_TOL,
+    PIVOT_THRESHOLD,
+    RANK_TOL,
+    reduce_to_cutset,
+    snap_signed_units,
+)
 
 from conftest import (
     DEMO_EDGES,
@@ -13,6 +19,31 @@ from conftest import (
     DEMO_ZERO_TOL,
     nonsingular_partitions,
 )
+
+
+def rref_by_rows(matrix: np.ndarray) -> tuple[np.ndarray, tuple[int, ...]]:
+    """Row-at-a-time elimination with rref's pivot rule: the reference for
+    its vectorized update, which does the same arithmetic."""
+    work = np.asarray(matrix, dtype=np.float64).copy()
+    m, e = work.shape
+    floor = RANK_TOL * np.abs(work).max(initial=0.0)
+    pivots, row = [], 0
+    for col in range(e):
+        if row == m:
+            break
+        rest = np.abs(work[row:, col:])
+        r = row + int(np.argmax(rest[:, 0]))
+        if abs(work[r, col]) <= max(PIVOT_THRESHOLD * rest.max(), floor):
+            continue
+        if r != row:
+            work[[row, r]] = work[[r, row]]
+        work[row] /= work[row, col]
+        for other in range(m):
+            if other != row and work[other, col] != 0.0:
+                work[other] -= work[other, col] * work[row]
+        pivots.append(col)
+        row += 1
+    return work, tuple(pivots)
 
 
 def star_data(n_s: int = 8, seed: int = 0) -> ft.FlowDataMatrix:
@@ -33,7 +64,6 @@ class TestFlowDataMatrix:
 
     def test_default_labels(self):
         d = ft.FlowDataMatrix(np.ones((2, 5)))
-        assert d.edge_labels == (1, 2)
         assert d.edge_count == 2
         assert d.sample_count == 5
 
@@ -149,6 +179,33 @@ class TestPartition:
             )
 
 
+class TestReduceToCutset:
+    def test_demo_basis_reduces_to_canonical_branches(self, demo_flows):
+        basis = ft.estimate_null_basis(demo_flows, zero_tol=DEMO_ZERO_TOL)
+        cut = reduce_to_cutset(basis.basis, 0.1, ft.NonIntegerCutset)
+        assert cut.branch_edges == (1, 2, 6)
+        assert cut.chord_edges == (3, 4, 5, 7, 8)
+        canon = ft.canonicalize(cut)
+        assert canon.provenance == ()
+        assert set(ft.realize_topology(canon).edges) == DEMO_EDGES
+
+    def test_partition_is_the_pivot_columns(self, demo_flows):
+        basis = ft.estimate_null_basis(demo_flows, zero_tol=DEMO_ZERO_TOL)
+        part = ft.find_valid_partition(basis)
+        cut = reduce_to_cutset(basis.basis, 0.1, ft.NonIntegerCutset)
+        assert part.dependent_edges == cut.branch_edges
+        assert part.independent_edges == cut.chord_edges
+
+    def test_rank_deficient_rows_rejected(self):
+        rows = np.array([[1.0, -1.0, 0.0], [2.0, -2.0, 0.0]])
+        with pytest.raises(ft.NoValidPartition):
+            reduce_to_cutset(rows, 0.1, ft.NonIntegerCutset)
+
+    def test_snap_error_class_forwarded(self):
+        with pytest.raises(ft.SnapFailure):
+            reduce_to_cutset(np.array([[1.0, 0.5]]), 0.35, ft.SnapFailure)
+
+
 class TestSnapAndRref:
     def test_snap_within_band(self):
         vals = np.array([[0.97, -0.02, -1.12], [0.0, 1.0, -1.0]])
@@ -174,6 +231,28 @@ class TestSnapAndRref:
         red, pivots = ft.rref(mat)
         assert pivots == (0, 2)
         assert np.allclose(red[:, 1], [2.0, 0.0])
+
+    def test_rref_skips_small_pivot_on_demo_basis(self, demo_flows):
+        # column 3 is nearly dependent on columns 1-2 in the quantized basis;
+        # pivoting on it would amplify the rounding noise past any snap band
+        basis = ft.estimate_null_basis(demo_flows, zero_tol=DEMO_ZERO_TOL)
+        red, pivots = ft.rref(basis.basis)
+        assert pivots == (0, 1, 5)
+        assert np.abs(red).max() < 1.5
+
+    @given(st.integers(0, 2 ** 31 - 1))
+    @settings(max_examples=10, deadline=None)
+    def test_rref_matches_row_loop_reference(self, seed):
+        rng = np.random.default_rng(seed)
+        net = ft.generate_within(ft.synth.FAMILIES[seed % 3], seed, max_edges=120)
+        exact = ft.estimate_null_basis(
+            ft.sample_flows(net, ft.FlowSamplerConfig(n_s=2 * net.edge_count, seed=seed))
+        ).basis
+        for mat in (exact, rng.standard_normal((4, 9)), rng.integers(-1, 2, (3, 6))):
+            red, pivots = ft.rref(mat)
+            ref, ref_pivots = rref_by_rows(mat)
+            assert pivots == ref_pivots
+            assert np.array_equal(red, ref)
 
     @given(st.integers(0, 2 ** 31 - 1))
     @settings(max_examples=25, deadline=None)
