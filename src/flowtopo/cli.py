@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
+import re
 import sys
 from pathlib import Path
 
@@ -78,6 +80,29 @@ def _exit_code(exc: FlowtopoError) -> int:
     return _EXIT_PARSE
 
 
+# SweepConfig field -> the sweep flag that sets it
+_SWEEP_FLAGS = {
+    "families": "--families",
+    "snr_list": "--snr",
+    "z_list": "--z-max",
+    "trials": "--trials",
+    "networks_per_family": "--networks",
+    "threads": "--threads",
+    "cell_budget_s": "--cell-budget",
+}
+
+
+def _level(text: str) -> float:
+    """Test level for --alpha: a number strictly between 0 and 1."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0 < value < 1:
+        raise argparse.ArgumentTypeError(f"must be a number in (0, 1), got {text!r}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="flowtopo",
@@ -111,7 +136,7 @@ def _build_parser() -> argparse.ArgumentParser:
     rec.add_argument("--mode", choices=("exact", "noisy"), default="exact")
     rec.add_argument("--noise", type=Path, help="noise-model JSON (noisy mode)")
     rec.add_argument("--sigma2", type=float, help="shared noise variance (noisy mode)")
-    rec.add_argument("--alpha", type=float, default=DEFAULT_ALPHA)
+    rec.add_argument("--alpha", type=_level, default=DEFAULT_ALPHA)
     rec.add_argument("--zero-tol", type=float, help="singular-value zero threshold")
     rec.add_argument("--transposed", action="store_true")
     rec.add_argument("--allow-undersampled", action="store_true")
@@ -128,7 +153,7 @@ def _build_parser() -> argparse.ArgumentParser:
     swp.add_argument("--snr", type=float, nargs="+", default=list(harness.DEFAULT_SNR_LIST))
     swp.add_argument("--z-max", type=int, default=50)
     swp.add_argument("--trials", type=int, default=100)
-    swp.add_argument("--alpha", type=float, default=DEFAULT_ALPHA)
+    swp.add_argument("--alpha", type=_level, default=DEFAULT_ALPHA)
     swp.add_argument("--seed", type=int, default=0)
     swp.add_argument("--threads", type=int, default=1)
     swp.add_argument("--max-edges", type=int, default=300)
@@ -233,7 +258,8 @@ def _cmd_sweep(args) -> int:
             cell_budget_s=args.cell_budget,
         )
     except ValueError as exc:
-        raise ParseError(f"sweep: {exc}") from None
+        flags = [flag for name, flag in _SWEEP_FLAGS.items() if re.search(rf"\b{name}\b", str(exc))]
+        raise ParseError(f"sweep: {', '.join(flags)}: {exc}") from None
     result = harness.run_sweep(config, out_path=args.out)
     print(f"wrote {len(result.rows)} sweep rows to {args.out}")
     return 0

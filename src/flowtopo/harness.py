@@ -67,10 +67,13 @@ class SweepConfig:
     cell_budget_s: float | None = None
 
     def __post_init__(self):
-        if not self.families or not self.snr_list or not self.z_list:
-            raise ValueError("families, snr_list and z_list must be nonempty")
-        if self.trials < 1 or self.networks_per_family < 1 or self.threads < 1:
-            raise ValueError("trials, networks_per_family and threads must be >= 1")
+        # each message names the fields it is about, so the CLI can name flags
+        for name in ("families", "snr_list", "z_list"):
+            if not getattr(self, name):
+                raise ValueError(f"{name} must be nonempty")
+        for name in ("trials", "networks_per_family", "threads"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.threads > 1 and self.cell_budget_s is not None:
             # threaded trials run to completion; a budget could not stop them
             raise ValueError("cell_budget_s needs threads = 1")

@@ -124,7 +124,8 @@ def dump_data_csv(data: FlowDataMatrix, path: str | Path, transposed: bool = Fal
 def load_noise_model(path: str | Path, edge_count: int | None = None) -> NoiseModel:
     """Noise JSON: {"kind": ..., "sigma2": v} for shared variance, or
     {"kind": "hetero", "cov_csv": file} with a covariance grid resolved
-    relative to the JSON file."""
+    relative to the JSON file; optional "mean".  When ``edge_count`` is
+    given, the covariance and the mean must have that many edges."""
     doc = _read_json(path)
     kind = _KIND_ALIASES.get(str(doc.get("kind", "")).lower())
     if kind is None:
@@ -144,11 +145,18 @@ def load_noise_model(path: str | Path, edge_count: int | None = None) -> NoiseMo
         else:
             cov_file = Path(path).parent / str(doc["cov_csv"])
             cov = np.loadtxt(cov_file, delimiter=",", ndmin=2)
-        return NoiseModel(kind=kind, covariance=cov, mean=mean)
+        model = NoiseModel(kind=kind, covariance=cov, mean=mean)
     except KeyError as exc:
         raise ParseError(f"{path}: missing field {exc}") from exc
     except (OSError, ValueError) as exc:
         raise ParseError(f"{path}: {exc}") from exc
+    # NoiseModel already ties the mean's length to the covariance
+    if edge_count is not None and model.edge_count != edge_count:
+        raise ParseError(
+            f"{path}: covariance is {model.edge_count}x{model.edge_count} "
+            f"but the data has {edge_count} edges"
+        )
+    return model
 
 
 def dump_noise_model(model: NoiseModel, path: str | Path) -> None:

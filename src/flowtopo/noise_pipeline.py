@@ -1,13 +1,15 @@
 """Measurement-noise lane: whitening, model-order testing, and the
 end-to-end reconstruction pipelines.
 
-The noisy lane runs: Cholesky factor of the error covariance, whitening,
-one symmetric eigendecomposition of the e x e whitened sample covariance,
-a sequential eigenvalue-equality test on its spectrum to pick the
-conservation-law count, back-transformation of the eigenvectors of the
-smallest eigenvalues (the null basis), threshold-pivoted row reduction
-and snapping to signed units (``nullspace.reduce_to_cutset``),
-canonicalization, and realization.
+The noisy lane reads the samples once, into the e x e Gram matrix, and
+works in e x e space from there: one Cholesky factor of the error
+covariance whitens the Gram matrix from both sides, one symmetric
+eigendecomposition of that whitened sample covariance feeds a sequential
+eigenvalue-equality test, vectorized over all candidates, that picks the
+conservation-law count, and the same factor back-transforms the
+eigenvectors of the smallest eigenvalues (the null basis).  Then come
+threshold-pivoted row reduction and snapping to signed units
+(``nullspace.reduce_to_cutset``), canonicalization, and realization.
 The exact lane (``reconstruct_exact``) composes the noise-free modules the
 same way, through the same reduction, so callers get one entry point per
 measurement regime.
@@ -22,7 +24,7 @@ from typing import Any
 
 import numpy as np
 from scipy import linalg as sla
-from scipy.stats import chi2
+from scipy.special import chdtrc
 
 from .canonical_cutset import canonicalize
 from .errors import NonIntegerCutset, NoStableOrder, NotPositiveDefinite, SnapFailure
@@ -141,6 +143,29 @@ def _cholesky_lower(noise: NoiseModel) -> np.ndarray:
         raise NotPositiveDefinite(f"covariance is not positive definite: {exc}") from exc
 
 
+def _centred_samples(data: FlowDataMatrix, noise: NoiseModel) -> np.ndarray:
+    """The raw samples after a dimension check, less a declared nonzero
+    error mean (with a warning), since the conservation model itself is
+    offset-free."""
+    if noise.edge_count != data.edge_count:
+        raise ValueError(
+            f"covariance is {noise.edge_count}x{noise.edge_count} "
+            f"but data has {data.edge_count} edges"
+        )
+    y = data.entries
+    if noise.mean is not None and np.any(noise.mean != 0):
+        warnings.warn("subtracting declared nonzero error mean", stacklevel=3)
+        y = y - noise.mean[:, None]
+    return y
+
+
+def _gram(y: np.ndarray) -> np.ndarray:
+    # Forming the Gram matrix squares the condition number, which the exact
+    # lane's 1e-10 singular-value tolerance could not afford; here the null
+    # eigenvalues sit at the noise floor, far above rounding error.
+    return (y @ y.T) / y.shape[1]
+
+
 def whiten(data: FlowDataMatrix, noise: NoiseModel) -> FlowDataMatrix:
     """Premultiply the data by the inverse Cholesky factor of the error
     covariance so whitened errors share unit variance.
@@ -151,37 +176,63 @@ def whiten(data: FlowDataMatrix, noise: NoiseModel) -> FlowDataMatrix:
     Raises:
         NotPositiveDefinite: the covariance admits no Cholesky factor.
     """
-    if noise.edge_count != data.edge_count:
-        raise ValueError(
-            f"covariance is {noise.edge_count}x{noise.edge_count} "
-            f"but data has {data.edge_count} edges"
-        )
-    y = data.entries
-    if noise.mean is not None and np.any(noise.mean != 0):
-        warnings.warn("subtracting declared nonzero error mean", stacklevel=2)
-        y = y - noise.mean[:, None]
-    lower = _cholesky_lower(noise)
-    y_s = sla.solve_triangular(lower, y, lower=True)
+    y = _centred_samples(data, noise)
+    y_s = sla.solve_triangular(_cholesky_lower(noise), y, lower=True)
     return FlowDataMatrix(y_s, allow_undersampled=data.allow_undersampled)
 
 
-def _equality_p_value(lams: np.ndarray, n_s: int, lam_max: float) -> tuple[float, float]:
-    """Statistic and p-value for 'these k eigenvalues are equal'.
+def _order_test(s_y: np.ndarray, n_s: int, alpha: float) -> RankTestReport:
+    """Sequential eigenvalue-equality test on the whitened sample covariance
+    ``s_y`` (e x e, lower triangle read), all candidates at once.
 
-    Exact numerical zeros short-circuit the likelihood-ratio form: a block
-    of all-zero eigenvalues is perfectly equal, a mixed block cannot be.
+    The statistic for the k smallest eigenvalues is
+    ``n_s (k log mean - sum log)``, read off cumulative sums of the ascending
+    spectrum and of its logs.  Exact numerical zeros short-circuit the
+    likelihood-ratio form: a block of all-zero eigenvalues is perfectly
+    equal (statistic 0, p 1), a mixed block cannot be (inf, p 0).  As the
+    spectrum ascends, the zero eigenvalues form a prefix.
     """
-    k = lams.size
-    floor = ZERO_EIGENVALUE_RATIO * lam_max
-    near_zero = lams <= floor
-    if near_zero.all():
-        return 0.0, 1.0
-    if near_zero.any():
-        return math.inf, 0.0
-    stat = n_s * (k * math.log(lams.mean()) - float(np.log(lams).sum()))
-    stat = max(stat, 0.0)
-    dof = (k - 1) * (k + 2) // 2
-    return stat, float(chi2.sf(stat, dof))
+    if not 0 < alpha < 1:
+        raise ValueError("alpha must lie in (0, 1)")
+    e = s_y.shape[0]
+    if n_s < UNDERSAMPLE_WARN_FACTOR * e:
+        warnings.warn(
+            f"{n_s} samples for {e} edges is below the {UNDERSAMPLE_WARN_FACTOR}x "
+            "guideline; the order test loses power",
+            stacklevel=3,
+        )
+    lams, vecs = np.linalg.eigh(s_y)  # ascending
+    lams = np.clip(lams, 0.0, None)
+    zeros = int(np.count_nonzero(lams <= ZERO_EIGENVALUE_RATIO * lams[-1]))
+
+    ks = np.arange(e, 1, -1)
+    if zeros:
+        all_zero = ks <= zeros
+        stats = np.where(all_zero, 0.0, math.inf)
+        pvals = np.where(all_zero, 1.0, 0.0)
+    else:
+        mean = np.cumsum(lams)[ks - 1] / ks
+        log_sum = np.cumsum(np.log(lams))[ks - 1]
+        stats = np.maximum(n_s * (ks * np.log(mean) - log_sum), 0.0)
+        pvals = chdtrc((ks - 1) * (ks + 2) // 2, stats)
+
+    accepted = np.flatnonzero(pvals >= alpha)
+    if accepted.size == 0:
+        raise NoStableOrder(
+            "no candidate eigenvalue block accepted as equal down to k = 2 "
+            f"(alpha = {alpha}); the noise level is too high for a stable answer"
+        )
+    last = int(accepted[0]) + 1
+    chosen = int(ks[last - 1])
+    return RankTestReport(
+        candidates=tuple(ks[:last]),
+        statistics=tuple(stats[:last]),
+        p_values=tuple(pvals[:last]),
+        chosen_m=chosen,
+        alpha=alpha,
+        eigenvalues=tuple(lams[::-1]),
+        null_vectors=vecs[:, :chosen],
+    )
 
 
 def estimate_model_order(whitened: FlowDataMatrix, alpha: float = DEFAULT_ALPHA) -> RankTestReport:
@@ -191,53 +242,14 @@ def estimate_model_order(whitened: FlowDataMatrix, alpha: float = DEFAULT_ALPHA)
     ``Y Y^T / n_s`` and tests equality of its k smallest eigenvalues for k
     descending from e, via a Bartlett-type likelihood-ratio statistic
     against chi-square with (k-1)(k+2)/2 degrees of freedom; the chosen
-    count m is the largest k not rejected.  The report carries the
-    eigenvectors of the m smallest eigenvalues as the null basis.
+    count m is the largest k not rejected.  The report lists the candidates
+    up to m and carries the eigenvectors of the m smallest eigenvalues as
+    the null basis.
 
     Raises:
         NoStableOrder: every candidate down to k = 2 is rejected.
     """
-    if not 0 < alpha < 1:
-        raise ValueError("alpha must lie in (0, 1)")
-    e, n_s = whitened.edge_count, whitened.sample_count
-    if n_s < UNDERSAMPLE_WARN_FACTOR * e:
-        warnings.warn(
-            f"{n_s} samples for {e} edges is below the {UNDERSAMPLE_WARN_FACTOR}x "
-            "guideline; the order test loses power",
-            stacklevel=2,
-        )
-    s_y = (whitened.entries @ whitened.entries.T) / n_s
-    # Forming s_y squares the condition number, which the exact lane's
-    # 1e-10 singular-value tolerance could not afford; here the null
-    # eigenvalues sit at the noise floor, far above rounding error.
-    lams, vecs = np.linalg.eigh(s_y)  # ascending
-    lams = np.clip(lams, 0.0, None)
-    lam_max = float(lams[-1])
-
-    candidates, stats, pvals = [], [], []
-    chosen = 0
-    for k in range(e, 1, -1):
-        stat, p = _equality_p_value(lams[:k], n_s, lam_max)
-        candidates.append(k)
-        stats.append(stat)
-        pvals.append(p)
-        if p >= alpha:
-            chosen = k
-            break
-    if chosen == 0:
-        raise NoStableOrder(
-            "no candidate eigenvalue block accepted as equal down to k = 2 "
-            f"(alpha = {alpha}); the noise level is too high for a stable answer"
-        )
-    return RankTestReport(
-        candidates=tuple(candidates),
-        statistics=tuple(stats),
-        p_values=tuple(pvals),
-        chosen_m=chosen,
-        alpha=alpha,
-        eigenvalues=tuple(float(v) for v in lams[::-1]),
-        null_vectors=vecs[:, :chosen],
-    )
+    return _order_test(_gram(whitened.entries), whitened.sample_count, alpha)
 
 
 def reconstruct_noisy(
@@ -249,10 +261,14 @@ def reconstruct_noisy(
 ) -> ReconstructionResult:
     """Full noisy-measurement reconstruction.
 
-    Whitens the samples, estimates the conservation-law count, maps the
-    noisy null basis back through the inverse Cholesky factor, row-reduces,
-    snaps coefficients to {-1, 0, +1}, canonicalizes, and realizes the
-    arborescence.
+    Reads the samples once, into the e x e Gram matrix ``G = Y Y^T / n_s``
+    (less any declared mean, as in ``whiten``), and whitens that with the
+    one Cholesky factor ``L`` of the error covariance:
+    ``L^-1 G L^-T`` equals ``estimate_model_order``'s covariance of
+    ``whiten(data, noise)`` without forming the e x n_s whitened samples.
+    Then estimates the conservation-law count, maps the noisy null basis
+    back through ``L^-T``, row-reduces, snaps coefficients to
+    {-1, 0, +1}, canonicalizes, and realizes the arborescence.
 
     Raises:
         NotPositiveDefinite: bad covariance.
@@ -262,10 +278,12 @@ def reconstruct_noisy(
         NotUnique, NotCanonicalizable, NotArborescence: canonical or
             realization structure is inconsistent with an arborescence.
     """
-    whitened = whiten(data, noise)
-    report = estimate_model_order(whitened, alpha)
-
+    gram = _gram(_centred_samples(data, noise))
     lower = _cholesky_lower(noise)
+    # whitened sample covariance L^-1 G L^-T, by two e x e triangular solves
+    half = sla.solve_triangular(lower, gram, lower=True)
+    s_y = sla.solve_triangular(lower, half.T, lower=True)
+    report = _order_test(s_y, data.sample_count, alpha)
     # a_hat rows span the estimated conservation laws of the raw data
     a_hat = sla.solve_triangular(lower, report.null_vectors, lower=True, trans="T").T
     cutset = reduce_to_cutset(a_hat, snap_band, SnapFailure)

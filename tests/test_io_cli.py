@@ -111,6 +111,23 @@ class TestNoiseModelJson:
         assert back.kind == "heteroscedastic"
         assert np.allclose(back.covariance, model.covariance)
 
+    def test_covariance_size_checked_against_edge_count(self, tmp_path):
+        path = tmp_path / "noise.json"
+        ftio.dump_noise_model(ft.NoiseModel.per_edge(np.array([1.0, 2.0, 3.0])), path)
+        assert ftio.load_noise_model(path, edge_count=3).edge_count == 3
+        with pytest.raises(ft.ParseError, match="3x3 but the data has 4 edges"):
+            ftio.load_noise_model(path, edge_count=4)
+
+    @pytest.mark.parametrize("doc", [
+        {"kind": "homo", "sigma2": 1.0, "mean": [0.0, 0.0]},
+        {"kind": "homo", "sigma2": 1.0, "mean": [0.0, 0.0, 0.0, 0.0]},
+    ])
+    def test_mean_length_checked_against_edge_count(self, tmp_path, doc):
+        path = tmp_path / "noise.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ft.ParseError, match="mean"):
+            ftio.load_noise_model(path, edge_count=3)
+
     def test_unknown_kind(self, tmp_path):
         path = tmp_path / "noise.json"
         path.write_text(json.dumps({"kind": "pink", "sigma2": 1.0}))
@@ -222,12 +239,47 @@ class TestCli:
         assert rows[0][0] == "family"
         assert len(rows) > 1
 
-    @pytest.mark.parametrize("bad", [["--trials", "0"], ["--threads", "2", "--cell-budget", "5"]])
-    def test_sweep_config_rejection_exits_two(self, tmp_path, bad):
+    @pytest.mark.parametrize("bad", [
+        ["--trials", "0"],
+        ["--threads", "2", "--cell-budget", "5"],
+        ["--z-max", "0"],
+        ["--networks", "0"],
+    ])
+    def test_sweep_config_rejection_exits_two(self, tmp_path, capsys, bad):
         out = tmp_path / "sweep.csv"
         argv = ["sweep", "--families", "binary", "--out", str(out)] + bad
         assert main(argv) == 2
         assert not out.exists()
+        err = capsys.readouterr().err
+        for flag in bad[::2]:
+            assert flag in err
+
+    @pytest.mark.parametrize("command", [
+        ["reconstruct", "--data", "run.csv"],
+        ["sweep", "--families", "binary", "--out", "sweep.csv"],
+    ])
+    @pytest.mark.parametrize("alpha", ["1.5", "0", "nan", "x"])
+    def test_alpha_outside_unit_interval_exits_two(self, tmp_path, capsys, command, alpha):
+        argv = [str(tmp_path / a) if a.endswith(".csv") else a for a in command]
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--alpha", alpha])
+        assert exc.value.code == 2
+        assert "--alpha" in capsys.readouterr().err
+        assert not (tmp_path / "sweep.csv").exists()
+
+    def test_noise_model_size_mismatch_exits_two(self, tmp_path, capsys):
+        net_path = tmp_path / "net.json"
+        self.run_ok(["generate", "--family", "binary", "--seed", "4",
+                     "--layers", "3", "3", "--out", str(net_path)])
+        self.run_ok(["sample", "--network", str(net_path), "--z", "50",
+                     "--seed", "2", "--snr", "1000", "--out", str(tmp_path / "run")])
+        edges = ftio.load_network(net_path).edge_count
+        ftio.dump_noise_model(
+            ft.NoiseModel.per_edge(np.ones(edges + 1)), tmp_path / "wrong.noise.json"
+        )
+        assert main(["reconstruct", "--data", str(tmp_path / "run.csv"),
+                     "--noise", str(tmp_path / "wrong.noise.json")]) == 2
+        assert f"but the data has {edges} edges" in capsys.readouterr().err
 
     def test_bench_smoke(self, tmp_path):
         out = tmp_path / "bench.json"

@@ -1,16 +1,82 @@
+import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import linalg as sla
+from scipy.stats import chi2
 
 import flowtopo as ft
-from flowtopo.noise_pipeline import DEFAULT_ALPHA, DEFAULT_SNAP_BAND, _equality_p_value
-from flowtopo.nullspace import snap_signed_units
+from flowtopo.noise_pipeline import (
+    DEFAULT_ALPHA,
+    DEFAULT_SNAP_BAND,
+    ZERO_EIGENVALUE_RATIO,
+    _order_test,
+)
+from flowtopo.nullspace import reduce_to_cutset, snap_signed_units
 
 
 def binary_net() -> ft.FlowNetwork:
     return ft.generate_arborescence(ft.ArborescenceSpec("binary", (3, 3), (2, 2), seed=1))
+
+
+def equality_reference(lams: np.ndarray, n_s: int, lam_max: float) -> tuple[float, float]:
+    """Statistic and p-value for 'these k eigenvalues are equal', one block
+    at a time, with the chi-square tail from scipy.stats."""
+    k = lams.size
+    near_zero = lams <= ZERO_EIGENVALUE_RATIO * lam_max
+    if near_zero.all():
+        return 0.0, 1.0
+    if near_zero.any():
+        return math.inf, 0.0
+    stat = max(n_s * (k * math.log(lams.mean()) - float(np.log(lams).sum())), 0.0)
+    return stat, float(chi2.sf(stat, (k - 1) * (k + 2) // 2))
+
+
+def order_reference(lams: np.ndarray, n_s: int, alpha: float = DEFAULT_ALPHA):
+    """Scalar loop over k = e..2 on an ascending spectrum: candidates,
+    statistics and p-values up to the first accepted k, and that k (0 when
+    every candidate is rejected)."""
+    candidates, stats, pvals = [], [], []
+    for k in range(lams.size, 1, -1):
+        stat, p = equality_reference(lams[:k], n_s, lams[-1])
+        candidates.append(k)
+        stats.append(stat)
+        pvals.append(p)
+        if p >= alpha:
+            return candidates, stats, pvals, k
+    return candidates, stats, pvals, 0
+
+
+def assert_matches_reference(report: ft.RankTestReport, lams: np.ndarray, n_s: int) -> None:
+    candidates, stats, pvals, chosen = order_reference(lams, n_s, report.alpha)
+    assert report.candidates == tuple(candidates)
+    assert report.chosen_m == chosen
+    np.testing.assert_allclose(report.statistics, stats, rtol=1e-9, atol=0)
+    np.testing.assert_allclose(report.p_values, pvals, rtol=1e-9, atol=0)
+
+
+def whitened_reference(data: ft.FlowDataMatrix, noise: ft.NoiseModel):
+    """Noisy lane through the public stages: whitened samples, their order
+    test, and the null basis back-transformed and reduced."""
+    report = ft.estimate_model_order(ft.whiten(data, noise))
+    lower = np.linalg.cholesky(noise.covariance)
+    a_hat = sla.solve_triangular(lower, report.null_vectors, lower=True, trans="T").T
+    cutset = reduce_to_cutset(a_hat, DEFAULT_SNAP_BAND, ft.SnapFailure)
+    return report, ft.realize_topology(ft.canonicalize(cutset)).edges
+
+
+def distinct_spectrum_data() -> ft.FlowDataMatrix:
+    # sample covariance with eigenvalues exactly 10, 20, ..., 60
+    rng = np.random.default_rng(5)
+    e, n_s = 6, 240
+    q, _ = np.linalg.qr(rng.standard_normal((n_s, e)))
+    scales = np.sqrt(n_s * np.arange(1.0, e + 1.0) * 10.0)
+    return ft.FlowDataMatrix((q * scales).T)
 
 
 def svd_reference(data: ft.FlowDataMatrix, noise: ft.NoiseModel) -> tuple[int, tuple]:
@@ -22,7 +88,7 @@ def svd_reference(data: ft.FlowDataMatrix, noise: ft.NoiseModel) -> tuple[int, t
     lams = s[::-1] ** 2
     m = next(
         k for k in range(e, 1, -1)
-        if _equality_p_value(lams[:k], n_s, lams[-1])[1] >= DEFAULT_ALPHA
+        if equality_reference(lams[:k], n_s, lams[-1])[1] >= DEFAULT_ALPHA
     )
     lower = np.linalg.cholesky(noise.covariance)
     a_hat = sla.solve_triangular(lower, u[:, e - m:], lower=True, trans="T").T
@@ -154,19 +220,53 @@ class TestModelOrder:
         assert report.p_values[report.candidates.index(m)] == 1.0
 
     def test_distinct_spectrum_has_no_stable_order(self):
-        rng = np.random.default_rng(5)
-        e, n_s = 6, 240
-        q, _ = np.linalg.qr(rng.standard_normal((n_s, e)))
-        scales = np.sqrt(n_s * np.arange(1.0, e + 1.0) * 10.0)
-        y = (q * scales).T
         with pytest.raises(ft.NoStableOrder):
-            ft.estimate_model_order(ft.FlowDataMatrix(y))
+            ft.estimate_model_order(distinct_spectrum_data())
 
     def test_undersampled_warns(self):
         net = binary_net()
         data = ft.sample_flows(net, ft.FlowSamplerConfig(n_s=2 * net.edge_count, seed=9))
         with pytest.warns(UserWarning):
             ft.estimate_model_order(data)
+
+
+class TestOrderTestMatchesScalarLoop:
+    """The vectorized order test against a per-candidate loop built on
+    scipy.stats.chi2.sf."""
+
+    def test_noisy_data(self):
+        net = binary_net()
+        e = net.edge_count
+        data = ft.sample_flows(net, ft.FlowSamplerConfig(n_s=50 * e, seed=3))
+        noisy, model = ft.add_noise(data, ft.SnrSetting(10.0), seed=4)
+        whitened = ft.whiten(noisy, model)
+        report = ft.estimate_model_order(whitened)
+        # rejections by the chi-square tail, not only by underflow to 0
+        assert sum(0.0 < p < report.alpha for p in report.p_values) >= 3
+        assert_matches_reference(report, np.array(report.eigenvalues[::-1]), whitened.sample_count)
+
+    def test_noise_free_data(self):
+        net = binary_net()
+        e = net.edge_count
+        data = ft.sample_flows(net, ft.FlowSamplerConfig(n_s=5 * e, seed=9))
+        report = ft.estimate_model_order(data)
+        assert report.statistics[0] == math.inf and report.p_values[0] == 0.0
+        assert report.statistics[-1] == 0.0 and report.p_values[-1] == 1.0
+        assert_matches_reference(report, np.array(report.eigenvalues[::-1]), data.sample_count)
+
+    def test_distinct_spectrum(self):
+        data = distinct_spectrum_data()
+        lams = np.clip(np.linalg.eigvalsh(data.entries @ data.entries.T / data.sample_count), 0, None)
+        candidates, _, pvals, chosen = order_reference(lams, data.sample_count)
+        assert chosen == 0 and candidates == [6, 5, 4, 3, 2]
+        with pytest.raises(ft.NoStableOrder):
+            _order_test(data.entries @ data.entries.T / data.sample_count, data.sample_count, DEFAULT_ALPHA)
+        # at a level just below the last p-value the whole trace is reported
+        report = _order_test(
+            data.entries @ data.entries.T / data.sample_count, data.sample_count, pvals[-1] / 2
+        )
+        assert report.chosen_m == 2
+        assert_matches_reference(report, lams, data.sample_count)
 
 
 class TestReconstructNoisy:
@@ -225,6 +325,58 @@ class TestReconstructNoisy:
             tracemalloc.stop()
         assert peak <= 4 * noisy.entries.nbytes
 
+    def test_full_covariance_matches_whitened_samples(self):
+        # whitening the Gram matrix equals the order test on whitened samples
+        net = binary_net()
+        e = net.edge_count
+        data = ft.sample_flows(net, ft.FlowSamplerConfig(n_s=50 * e, seed=31))
+        rng = np.random.default_rng(42)
+        a = rng.standard_normal((e, e))
+        cov = a @ a.T + e * np.eye(e)
+        # SNR 100 against the mean per-edge variance, as add_noise defines it;
+        # both paths round the spectrum at eps times its largest eigenvalue
+        cov *= data.entries.var(axis=1).mean() / (100.0 * np.diag(cov).mean())
+        noise = np.linalg.cholesky(cov) @ rng.standard_normal((e, data.sample_count))
+        noisy = ft.FlowDataMatrix(data.entries + noise)
+        model = ft.NoiseModel(kind="heteroscedastic", covariance=cov)
+        assert np.count_nonzero(cov - np.diag(np.diag(cov))) == e * (e - 1)
+        result = ft.reconstruct_noisy(noisy, model)
+        report, edges = whitened_reference(noisy, model)
+        got = result.diagnostics["rank_test"]
+        assert got.chosen_m == report.chosen_m == len(net.internal_nodes)
+        np.testing.assert_allclose(got.eigenvalues, report.eigenvalues, rtol=1e-9)
+        assert result.edges == edges
+        assert ft.verify_against_truth(result, net)
+
+    def test_declared_mean_matches_whitened_samples(self):
+        net = binary_net()
+        e = net.edge_count
+        data = ft.sample_flows(net, ft.FlowSamplerConfig(n_s=50 * e, seed=51))
+        noisy, model = ft.add_noise(data, ft.SnrSetting(1000.0), seed=52)
+        mean = np.linspace(0.5, 2.0, e)
+        offset = ft.FlowDataMatrix(noisy.entries + mean[:, None])
+        model = ft.NoiseModel(kind=model.kind, covariance=model.covariance, mean=mean)
+        with pytest.warns(UserWarning, match="nonzero error mean"):
+            result = ft.reconstruct_noisy(offset, model)
+        with pytest.warns(UserWarning, match="nonzero error mean"):
+            report, edges = whitened_reference(offset, model)
+        got = result.diagnostics["rank_test"]
+        assert got.chosen_m == report.chosen_m
+        np.testing.assert_allclose(got.eigenvalues, report.eigenvalues, rtol=1e-9)
+        assert result.edges == edges
+        assert ft.verify_against_truth(result, net)
+
+    def test_degenerate_covariance(self):
+        data = ft.FlowDataMatrix(np.ones((2, 5)), allow_undersampled=True)
+        model = ft.NoiseModel(kind="homoscedastic", covariance=np.ones((2, 2)))
+        with pytest.raises(ft.NotPositiveDefinite):
+            ft.reconstruct_noisy(data, model)
+
+    def test_dimension_mismatch(self):
+        data = ft.FlowDataMatrix(np.ones((2, 5)))
+        with pytest.raises(ValueError, match="2 edges"):
+            ft.reconstruct_noisy(data, ft.NoiseModel.isotropic(1.0, 3))
+
     def test_structureless_data_rejected(self):
         rng = np.random.default_rng(40)
         data = ft.FlowDataMatrix(rng.standard_normal((6, 300)))
@@ -245,3 +397,15 @@ class TestReconstructExact:
         data = ft.sample_flows(net, ft.FlowSamplerConfig(n_s=10, seed=2))
         with pytest.raises(ft.AmbiguousParent):
             ft.reconstruct_exact(data, chain_policy="strict")
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    # scipy.stats costs about 0.4 s and 40 MB at import; the order test
+    # takes its chi-square tail from scipy.special instead
+    src = str(Path(ft.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, flowtopo; print('scipy.stats' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    assert out.stdout.strip() == "False"
