@@ -1,8 +1,9 @@
 """flowtopo: reconstruct conserved-network topology from steady-state
 edge-flow measurements.
 
-The pipeline learns the conservation relations from data by SVD, reduces
-them to a fundamental cutset matrix, canonicalizes it so branches are
+The pipeline learns the conservation relations from data by QR of the
+samples, then SVD of the e x e triangular factor, reduces them to a
+fundamental cutset matrix, canonicalizes it so branches are
 exactly the non-sink edges, and realizes the unique arborescence with
 that cutset structure.  A noisy lane adds covariance whitening, takes
 the relations from an eigendecomposition of the whitened sample
@@ -15,6 +16,7 @@ from .errors import (
     EmptySpec,
     FlowtopoError,
     FullDeficiency,
+    InvalidArgument,
     LabelMismatch,
     NoInternalNodes,
     NonIntegerCutset,
@@ -103,6 +105,7 @@ __all__ = [
     "FlowtopoError",
     "FullDeficiency",
     "IncidenceMatrix",
+    "InvalidArgument",
     "LabelMismatch",
     "NoInternalNodes",
     "NoiseModel",

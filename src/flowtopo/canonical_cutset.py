@@ -142,36 +142,36 @@ def canonicalize(cutset: CutsetMatrix, normalize_labels: bool = True) -> Canonic
     """
     entries = cutset.entries.astype(np.int64, copy=True)
     labels = list(cutset.column_labels)
-    m, e = cutset.m, cutset.edge_count
+    m = cutset.m
     provenance: list[tuple[int, int, int]] = []
 
-    def fix_row(k: int) -> bool:
-        chords = entries[k, m:]
-        if (chords > 0).any():
-            neg = np.flatnonzero(chords == -1)
+    # each pass acts on the first unsettled row, one with a positive chord
+    # or, under normalize_labels, a -1 chord labelled below its branch, and
+    # makes one interchange, since that can unsettle rows already visited
+    max_swaps = 4 * m + 16
+    for _ in range(max_swaps):
+        chords = entries[:, m:]
+        lab = np.asarray(labels)
+        negative = chords == -1
+        unsettled = (chords > 0).any(axis=1)
+        if normalize_labels:
+            unsettled |= (negative & (lab[m:] < lab[:m, None])).any(axis=1)
+        if not unsettled.any():
+            break
+        k = int(np.argmax(unsettled))
+        if (chords[k] > 0).any():
+            neg = np.flatnonzero(negative[k])
             if neg.size != 1:
                 raise NotUnique(
                     f"row {k} has {neg.size} negative chords alongside positive ones"
                 )
             l = m + int(neg[0])
-        elif normalize_labels:
-            below = [j for j in range(m, e) if entries[k, j] == -1 and labels[j] < labels[k]]
-            if not below:
-                return False
-            l = min(below, key=lambda j: labels[j])
         else:
-            return False
+            below = np.flatnonzero(negative[k] & (lab[m:] < lab[k]))
+            l = m + int(below[np.argmin(lab[m:][below])])
         outgoing, incoming = labels[k], labels[l]
         _swap_and_reduce(entries, labels, k, l)
         provenance.append((k, outgoing, incoming))
-        return True
-
-    # each pass rescans from the first row and stops at its first
-    # interchange, since an interchange can unsettle rows already visited
-    max_swaps = 4 * m + 16
-    for _ in range(max_swaps):
-        if not any(fix_row(k) for k in range(m)):
-            break
     else:
         raise NotCanonicalizable(f"no fixed point after {max_swaps} interchanges")
 

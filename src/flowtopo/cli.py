@@ -12,6 +12,7 @@ import math
 import re
 import sys
 from pathlib import Path
+from typing import Callable
 
 from . import harness, io
 from .errors import (
@@ -103,6 +104,22 @@ def _level(text: str) -> float:
     return value
 
 
+def _positive(kind: type) -> Callable[[str], float]:
+    """Argument type for a flag that takes a finite ``kind`` value above 0."""
+    noun = "integer" if kind is int else "number"
+
+    def parse(text: str) -> float:
+        try:
+            value = kind(text)
+        except ValueError:
+            value = math.nan
+        if not (math.isfinite(value) and value > 0):
+            raise argparse.ArgumentTypeError(f"must be a positive {noun}, got {text!r}")
+        return value
+
+    return parse
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="flowtopo",
@@ -122,9 +139,9 @@ def _build_parser() -> argparse.ArgumentParser:
     smp.add_argument("--network", type=Path, required=True)
     smp.add_argument("--seed", type=int, default=0)
     group = smp.add_mutually_exclusive_group(required=True)
-    group.add_argument("--n-s", type=int, help="sample count")
-    group.add_argument("--z", type=int, help="sample count as a multiple of e")
-    smp.add_argument("--snr", type=float, help="add noise at this ratio")
+    group.add_argument("--n-s", type=_positive(int), help="sample count")
+    group.add_argument("--z", type=_positive(int), help="sample count as a multiple of e")
+    smp.add_argument("--snr", type=_positive(float), help="add noise at this ratio")
     smp.add_argument(
         "--noise-kind", choices=("homoscedastic", "heteroscedastic"),
         default="homoscedastic",
@@ -135,9 +152,9 @@ def _build_parser() -> argparse.ArgumentParser:
     rec.add_argument("--data", type=Path, required=True)
     rec.add_argument("--mode", choices=("exact", "noisy"), default="exact")
     rec.add_argument("--noise", type=Path, help="noise-model JSON (noisy mode)")
-    rec.add_argument("--sigma2", type=float, help="shared noise variance (noisy mode)")
+    rec.add_argument("--sigma2", type=_positive(float), help="shared noise variance (noisy mode)")
     rec.add_argument("--alpha", type=_level, default=DEFAULT_ALPHA)
-    rec.add_argument("--zero-tol", type=float, help="singular-value zero threshold")
+    rec.add_argument("--zero-tol", type=_positive(float), help="singular-value zero threshold")
     rec.add_argument("--transposed", action="store_true")
     rec.add_argument("--allow-undersampled", action="store_true")
     rec.add_argument("--out", type=Path, help="output prefix for JSON + DOT")
@@ -150,7 +167,9 @@ def _build_parser() -> argparse.ArgumentParser:
     swp = sub.add_parser("sweep", help="accuracy sweep over SNR and sample size")
     swp.add_argument("--families", nargs="+", choices=FAMILIES, default=list(FAMILIES))
     swp.add_argument("--networks", type=int, default=8)
-    swp.add_argument("--snr", type=float, nargs="+", default=list(harness.DEFAULT_SNR_LIST))
+    swp.add_argument(
+        "--snr", type=_positive(float), nargs="+", default=list(harness.DEFAULT_SNR_LIST)
+    )
     swp.add_argument("--z-max", type=int, default=50)
     swp.add_argument("--trials", type=int, default=100)
     swp.add_argument("--alpha", type=_level, default=DEFAULT_ALPHA)
@@ -162,8 +181,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     ben = sub.add_parser("bench", help="runtime scaling over edge counts")
     ben.add_argument("--sizes", type=int, nargs="+", default=[32, 64, 128, 256])
-    ben.add_argument("--repeats", type=int, default=3)
-    ben.add_argument("--z", type=int, default=2)
+    ben.add_argument("--repeats", type=_positive(int), default=3)
+    ben.add_argument("--z", type=_positive(int), default=2)
     ben.add_argument("--seed", type=int, default=0)
     ben.add_argument("--out", type=Path, help="bench JSON path")
     return parser

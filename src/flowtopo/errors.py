@@ -16,6 +16,11 @@ class ParseError(FlowtopoError):
     """An input file could not be parsed or failed format validation."""
 
 
+class InvalidArgument(FlowtopoError, ValueError):
+    """An argument lies outside its range or does not fit the data.  Also a
+    ``ValueError``, the class such checks raised before."""
+
+
 # ---------------------------------------------------------------------------
 # graph construction
 

@@ -27,7 +27,13 @@ from scipy import linalg as sla
 from scipy.special import chdtrc
 
 from .canonical_cutset import canonicalize
-from .errors import NonIntegerCutset, NoStableOrder, NotPositiveDefinite, SnapFailure
+from .errors import (
+    InvalidArgument,
+    NonIntegerCutset,
+    NoStableOrder,
+    NotPositiveDefinite,
+    SnapFailure,
+)
 from .nullspace import (
     DEFAULT_ROUND_TOL,
     DEFAULT_ZERO_TOL,
@@ -148,7 +154,7 @@ def _centred_samples(data: FlowDataMatrix, noise: NoiseModel) -> np.ndarray:
     error mean (with a warning), since the conservation model itself is
     offset-free."""
     if noise.edge_count != data.edge_count:
-        raise ValueError(
+        raise InvalidArgument(
             f"covariance is {noise.edge_count}x{noise.edge_count} "
             f"but data has {data.edge_count} edges"
         )
@@ -193,7 +199,7 @@ def _order_test(s_y: np.ndarray, n_s: int, alpha: float) -> RankTestReport:
     spectrum ascends, the zero eigenvalues form a prefix.
     """
     if not 0 < alpha < 1:
-        raise ValueError("alpha must lie in (0, 1)")
+        raise InvalidArgument("alpha must lie in (0, 1)")
     e = s_y.shape[0]
     if n_s < UNDERSAMPLE_WARN_FACTOR * e:
         warnings.warn(

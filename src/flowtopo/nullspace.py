@@ -2,11 +2,13 @@
 
 The samples of a conserved network lie in the null space of its incidence
 matrix, so the left singular vectors of the data matrix that belong to zero
-singular values span exactly the row space of that incidence matrix.  Any
+singular values span exactly the row space of that incidence matrix.  They
+are found by QR of the samples, then SVD of the e x e triangular factor,
+which has the data's singular values and left singular vectors.  Any
 valid partition of the flow variables then reduces the learned basis to a
 fundamental-cutset matrix ``[I | R]``; the reduced matrix is the same for
 every basis of the subspace, which is what makes the approach usable on an
-SVD estimate rather than the true incidence matrix.
+estimate rather than the true incidence matrix.
 
 Both lanes reduce through :func:`reduce_to_cutset`: a threshold-pivoted
 :func:`rref` whose pivot columns are the partition, then snapping to signed
@@ -20,7 +22,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FullDeficiency, NonIntegerCutset, NoValidPartition, RankZero
+from .errors import (
+    FullDeficiency,
+    InvalidArgument,
+    NonIntegerCutset,
+    NoValidPartition,
+    RankZero,
+)
 from .graph_model import CutsetMatrix
 
 DEFAULT_ZERO_TOL = 1e-10
@@ -115,7 +123,8 @@ class Partition:
 
 
 def estimate_null_basis(data: FlowDataMatrix, zero_tol: float = DEFAULT_ZERO_TOL) -> NullBasis:
-    """Estimate the left-null-space basis of the data by SVD.
+    """Estimate the left-null-space basis of the data by QR of the samples,
+    then SVD of the e x e triangular factor.
 
     The rank deficiency m is the number of singular values at or below
     ``zero_tol`` relative to the largest one.  The default is tuned for
@@ -127,11 +136,12 @@ def estimate_null_basis(data: FlowDataMatrix, zero_tol: float = DEFAULT_ZERO_TOL
         FullDeficiency: the data matrix is identically zero.
     """
     if zero_tol <= 0:
-        raise ValueError("zero_tol must be positive")
-    x = data.entries
+        raise InvalidArgument("zero_tol must be positive")
     e = data.edge_count
-    # the thin U is all of U unless there are fewer samples than edges
-    u, s, _ = np.linalg.svd(x, full_matrices=data.sample_count < e)
+    # X = R^T Q^T, so X's singular values are R's and X's left singular
+    # vectors are R's right ones; neither Q nor an n_s-long factor is formed
+    r = np.linalg.qr(data.entries.T, mode="r")
+    _, s, vt = np.linalg.svd(r)
     sv = np.zeros(e)
     sv[: s.shape[0]] = s
     if sv[0] == 0.0:
@@ -139,7 +149,7 @@ def estimate_null_basis(data: FlowDataMatrix, zero_tol: float = DEFAULT_ZERO_TOL
     m = int(np.count_nonzero(sv <= zero_tol * sv[0]))
     if m == 0:
         raise RankZero("no conservation relation found at the given tolerance")
-    basis = u[:, e - m :].T
+    basis = vt[e - m :]
     return NullBasis(basis=basis, estimated_rank_deficiency=m, singular_values=sv)
 
 

@@ -71,8 +71,8 @@ def realize_topology(
     Raises:
         NotArborescence: chord sets are not nested the way an arborescence
             requires, or the realized graph fails validation.
-        AmbiguousParent: under ``chain_policy="strict"``, two candidate
-            parents have identical chord sets.
+        AmbiguousParent: under ``chain_policy="strict"``, a branch has the
+            same chord set as its candidate parent.
     """
     if chain_policy not in ("row_order", "strict"):
         raise ValueError(f"unknown chain_policy {chain_policy!r}")
@@ -80,61 +80,57 @@ def realize_topology(
     if m == 0 or e == m:
         raise NotArborescence("need at least one branch and one chord")
 
-    entries = canon.entries
-    chord_labels = canon.chord_edges
-    chord_sets = []
-    for k in range(m):
-        cols = np.flatnonzero(entries[k, m:] == -1)
-        chord_sets.append(frozenset(chord_labels[int(c)] for c in cols))
-
-    order = sorted(range(m), key=lambda k: (-len(chord_sets[k]), canon.branch_edges[k]))
+    # chord membership, rows sorted by descending size then branch label
+    member = canon.entries[:, m:] == -1
+    sizes = member.sum(axis=1)
+    order = np.lexsort((canon.branch_edges, -sizes))
+    member, size = member[order], sizes[order]
     branches = [canon.branch_edges[k] for k in order]
-    sets = [chord_sets[k] for k in order]
-    sorted_entries = entries[order]
-
-    if not sets[0]:
+    if size[0] == 0:
         raise NotArborescence("largest cutset row carries no sink edge")
 
-    # x_e: labels in realized column order, branches first
-    x_e = branches + list(chord_labels)
-    src = [0] * e
-    src[0] = e + 1
-    for k in range(1, m):
-        if not sets[k]:
-            raise NotArborescence(f"branch {branches[k]} carries no sink edge")
-        parent = -1
-        for p in range(k - 1, -1, -1):
-            if sets[k] <= sets[p]:
-                parent = p
-                break
-            if sets[k] & sets[p]:
-                raise NotArborescence(
-                    f"chord sets of branches {branches[k]} and {branches[p]} "
-                    "intersect without containment"
-                )
-        if parent < 0:
-            # disjoint from every placed row: another top-level branch
-            src[k] = e + 1
-            continue
-        if chain_policy == "strict":
-            if sets[k] == sets[parent]:
-                raise AmbiguousParent(
-                    f"branches {branches[k]} and {branches[parent]} carry identical "
-                    "chord sets; their stacking order is not identifiable"
-                )
-            twins = [p for p in range(k) if p != parent and sets[p] == sets[parent]]
-            if twins:
-                raise AmbiguousParent(
-                    f"rows {twins + [parent]} offer identical chord sets for "
-                    f"branch {branches[k]}"
-                )
-        src[k] = x_e[parent]
+    # overlap[k, p] = |set k ∩ set p| (float, so the product runs in BLAS;
+    # counts stay exact); a row's parent is the last earlier row it meets,
+    # which must contain it
+    counts = member.astype(np.float64)
+    overlap = counts @ counts.T
+    earlier = np.tril(overlap > 0, -1)
+    has_parent = earlier.any(axis=1)
+    parent = m - 1 - np.argmax(earlier[:, ::-1], axis=1)
+    bad = (size == 0) | (has_parent & (overlap[np.arange(m), parent] != size))
+    first_bad = int(np.argmax(bad)) if bad.any() else m
 
-    for j in range(m, e):
-        carriers = np.flatnonzero(sorted_entries[:, j] == -1)
-        if carriers.size == 0:
-            raise NotArborescence(f"sink edge {x_e[j]} appears in no cutset")
-        src[j] = x_e[int(carriers.max())]
+    if chain_policy == "strict":
+        # a contained set of equal size is the same set; rows with equal sets
+        # are adjacent in the sorted order, so every such pair shows up here
+        same = np.flatnonzero(has_parent[:first_bad] & (size[parent] == size)[:first_bad])
+        if same.size:
+            k = int(same[0])
+            raise AmbiguousParent(
+                f"branches {branches[k]} and {branches[parent[k]]} carry identical "
+                "chord sets; their stacking order is not identifiable"
+            )
+    if first_bad < m:
+        k = first_bad
+        if size[k] == 0:
+            raise NotArborescence(f"branch {branches[k]} carries no sink edge")
+        raise NotArborescence(
+            f"chord sets of branches {branches[k]} and {branches[parent[k]]} "
+            "intersect without containment"
+        )
+
+    carried = member.any(axis=0)
+    if not carried.all():
+        j = int(np.argmin(carried))
+        raise NotArborescence(f"sink edge {canon.chord_edges[j]} appears in no cutset")
+    # a sink hangs off the last (deepest) row carrying it
+    sink_parent = m - 1 - np.argmax(member[::-1], axis=0)
+
+    # x_e: labels in realized column order, branches first; rows without
+    # an earlier row meeting them are top-level branches out of the source
+    x_e = branches + list(canon.chord_edges)
+    src = [branches[p] if h else e + 1 for p, h in zip(parent.tolist(), has_parent.tolist())]
+    src += [branches[p] for p in sink_parent.tolist()]
 
     edges = tuple((src[i], x_e[i]) for i in range(e))
     result = ReconstructionResult(

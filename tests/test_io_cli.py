@@ -267,6 +267,21 @@ class TestCli:
         assert "--alpha" in capsys.readouterr().err
         assert not (tmp_path / "sweep.csv").exists()
 
+    @pytest.mark.parametrize("argv, flag", [
+        (["reconstruct", "--data", "run.csv", "--mode", "noisy", "--sigma2", "-1"], "--sigma2"),
+        (["reconstruct", "--data", "run.csv", "--zero-tol", "-1"], "--zero-tol"),
+        (["sample", "--network", "net.json", "--n-s", "0", "--out", "run"], "--n-s"),
+        (["sweep", "--snr", "-5", "--out", "sweep.csv"], "--snr"),
+        (["bench", "--sizes", "8", "--z", "0"], "--z"),
+        (["bench", "--sizes", "8", "--repeats", "0"], "--repeats"),
+    ])
+    def test_nonpositive_number_exits_two(self, tmp_path, capsys, argv, flag):
+        with pytest.raises(SystemExit) as exc:
+            main([str(tmp_path / a) if "." in a or a == "run" else a for a in argv])
+        assert exc.value.code == 2
+        assert f"argument {flag}: must be a positive" in capsys.readouterr().err
+        assert not (tmp_path / "sweep.csv").exists()
+
     def test_noise_model_size_mismatch_exits_two(self, tmp_path, capsys):
         net_path = tmp_path / "net.json"
         self.run_ok(["generate", "--family", "binary", "--seed", "4",

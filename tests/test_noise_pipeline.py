@@ -398,6 +398,37 @@ class TestReconstructExact:
         with pytest.raises(ft.AmbiguousParent):
             ft.reconstruct_exact(data, chain_policy="strict")
 
+    def test_memory_linear_in_data(self):
+        # no factor with an n_s-long side beyond the QR work copy: the peak
+        # stays a small multiple of the data
+        net = ft.binary_network_with_edges(254)
+        data = ft.sample_flows(net, ft.FlowSamplerConfig(n_s=2 * 254, seed=5))
+        tracemalloc.start()
+        try:
+            ft.reconstruct_exact(data)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * data.entries.nbytes
+
+
+@pytest.mark.parametrize("call", [
+    lambda: ft.whiten(ft.FlowDataMatrix(np.ones((2, 5))), ft.NoiseModel.isotropic(1.0, 3)),
+    lambda: ft.reconstruct_noisy(ft.FlowDataMatrix(np.ones((2, 5))), ft.NoiseModel.isotropic(1.0, 3)),
+    lambda: ft.estimate_model_order(
+        ft.FlowDataMatrix(np.random.default_rng(0).standard_normal((3, 30))), alpha=1.0
+    ),
+    lambda: ft.reconstruct_exact(
+        ft.FlowDataMatrix(np.random.default_rng(0).standard_normal((3, 30))), zero_tol=-1.0
+    ),
+], ids=["whiten-size", "reconstruct-size", "alpha", "zero-tol"])
+def test_argument_errors_are_typed(call):
+    # still a ValueError for callers that catch that, and a FlowtopoError
+    with pytest.raises(ft.InvalidArgument) as exc:
+        call()
+    assert isinstance(exc.value, ft.FlowtopoError)
+    assert isinstance(exc.value, ValueError)
+
 
 def test_import_leaves_scipy_stats_unloaded():
     # scipy.stats costs about 0.4 s and 40 MB at import; the order test

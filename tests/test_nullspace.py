@@ -46,6 +46,29 @@ def rref_by_rows(matrix: np.ndarray) -> tuple[np.ndarray, tuple[int, ...]]:
     return work, tuple(pivots)
 
 
+def thin_svd_basis(data: ft.FlowDataMatrix, zero_tol: float = DEFAULT_ZERO_TOL):
+    """The estimate from a thin SVD of the samples themselves, with the same
+    rank rule: the reference for the QR-first route's m, singular values and
+    null space."""
+    e = data.edge_count
+    u, s, _ = np.linalg.svd(data.entries, full_matrices=data.sample_count < e)
+    sv = np.zeros(e)
+    sv[: s.shape[0]] = s
+    m = int(np.count_nonzero(sv <= zero_tol * sv[0]))
+    return u[:, e - m :].T, sv
+
+
+def assert_matches_thin_svd(data: ft.FlowDataMatrix) -> None:
+    reference, ref_sv = thin_svd_basis(data)
+    basis = ft.estimate_null_basis(data)
+    assert basis.m == reference.shape[0]
+    np.testing.assert_allclose(basis.singular_values, ref_sv, rtol=0, atol=1e-10 * ref_sv[0])
+    # the bases may differ by a rotation; their projectors may not
+    np.testing.assert_allclose(
+        basis.basis.T @ basis.basis, reference.T @ reference, rtol=0, atol=1e-10
+    )
+
+
 def star_data(n_s: int = 8, seed: int = 0) -> ft.FlowDataMatrix:
     rng = np.random.default_rng(seed)
     x2 = rng.uniform(5.0, 15.0, n_s)
@@ -89,6 +112,20 @@ class TestEstimateNullBasis:
         basis = ft.estimate_null_basis(data)
         assert basis.basis.shape == (2, 3)
         assert np.allclose(basis.basis @ data.entries, 0.0, atol=1e-9)
+
+    @pytest.mark.parametrize("family", ft.synth.FAMILIES)
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_matches_thin_svd(self, family, seed):
+        net = ft.generate_within(family, 700 + seed, max_edges=150)
+        data = ft.sample_flows(net, ft.FlowSamplerConfig(n_s=2 * net.edge_count, seed=seed))
+        assert_matches_thin_svd(data)
+
+    def test_matches_thin_svd_with_fewer_samples_than_edges(self):
+        net = ft.generate_within("binary", 701, max_edges=150)
+        cfg = ft.FlowSamplerConfig(n_s=net.edge_count // 3, seed=2)
+        with pytest.warns(UserWarning):
+            data = ft.sample_flows(net, cfg, allow_undersampled=True)
+        assert_matches_thin_svd(data)
 
     def test_unstructured_data_raises(self):
         rng = np.random.default_rng(3)

@@ -13,6 +13,80 @@ def canon_from(entries, branches, chords) -> ft.CanonicalCutsetMatrix:
     return ft.CanonicalCutsetMatrix(inner=inner)
 
 
+def realize_by_row_loop(canon: ft.CanonicalCutsetMatrix, chain_policy: str = "row_order"):
+    """Set-by-set nesting search: the reference for realize_topology's
+    vectorized one.  Returns the edge tuple."""
+    m, e = canon.m, canon.edge_count
+    if m == 0 or e == m:
+        raise ft.NotArborescence("need at least one branch and one chord")
+    entries = canon.entries
+    chord_labels = canon.chord_edges
+    chord_sets = [
+        frozenset(chord_labels[int(c)] for c in np.flatnonzero(entries[k, m:] == -1))
+        for k in range(m)
+    ]
+    order = sorted(range(m), key=lambda k: (-len(chord_sets[k]), canon.branch_edges[k]))
+    branches = [canon.branch_edges[k] for k in order]
+    sets = [chord_sets[k] for k in order]
+    sorted_entries = entries[order]
+    if not sets[0]:
+        raise ft.NotArborescence("largest cutset row carries no sink edge")
+    x_e = branches + list(chord_labels)
+    src = [e + 1] * e
+    for k in range(1, m):
+        if not sets[k]:
+            raise ft.NotArborescence(f"branch {branches[k]} carries no sink edge")
+        parent = -1
+        for p in range(k - 1, -1, -1):
+            if sets[k] <= sets[p]:
+                parent = p
+                break
+            if sets[k] & sets[p]:
+                raise ft.NotArborescence(
+                    f"chord sets of branches {branches[k]} and {branches[p]} "
+                    "intersect without containment"
+                )
+        if parent < 0:
+            continue
+        if chain_policy == "strict":
+            if sets[k] == sets[parent]:
+                raise ft.AmbiguousParent(
+                    f"branches {branches[k]} and {branches[parent]} carry identical "
+                    "chord sets; their stacking order is not identifiable"
+                )
+            twins = [p for p in range(k) if p != parent and sets[p] == sets[parent]]
+            if twins:
+                raise ft.AmbiguousParent(
+                    f"rows {twins + [parent]} offer identical chord sets for "
+                    f"branch {branches[k]}"
+                )
+        src[k] = x_e[parent]
+    for j in range(m, e):
+        carriers = np.flatnonzero(sorted_entries[:, j] == -1)
+        if carriers.size == 0:
+            raise ft.NotArborescence(f"sink edge {x_e[j]} appears in no cutset")
+        src[j] = x_e[int(carriers.max())]
+    edges = tuple((src[i], x_e[i]) for i in range(e))
+    if not ft.is_arborescence(ft.ReconstructionResult(edges=edges).as_network()):
+        raise ft.NotArborescence("realized edge list failed arborescence validation")
+    return edges
+
+
+def realize_outcome(fn, canon, chain_policy):
+    """The edges, or the error class and message."""
+    try:
+        out = fn(canon, chain_policy)
+    except ft.FlowtopoError as exc:
+        return type(exc), str(exc)
+    return out if isinstance(out, tuple) else out.edges
+
+
+def assert_matches_row_loop(canon, chain_policy="row_order"):
+    got = realize_outcome(ft.realize_topology, canon, chain_policy)
+    assert got == realize_outcome(realize_by_row_loop, canon, chain_policy)
+    return got
+
+
 def demo_canon() -> ft.CanonicalCutsetMatrix:
     return canon_from(DEMO_CANONICAL, (1, 2, 6), (5, 3, 4, 7, 8))
 
@@ -74,6 +148,51 @@ class TestRealizeTopology:
         entries = [[1, 0, -1, 0], [0, 1, -1, 0]]
         with pytest.raises(ft.NotArborescence):
             ft.realize_topology(canon_from(entries, (1, 2), (3, 4)))
+
+
+class TestNestingMatchesRowLoop:
+    @pytest.mark.parametrize("family", ft.synth.FAMILIES)
+    def test_generated_corpus(self, family):
+        for seed in range(8):
+            net = ft.generate_within(family, 300 + seed, max_edges=160)
+            data = ft.sample_flows(net, ft.FlowSamplerConfig(n_s=2 * net.edge_count, seed=seed))
+            canon = ft.reconstruct_exact(data).diagnostics["canonical"]
+            assert_matches_row_loop(canon, "strict")
+            assert set(assert_matches_row_loop(canon)) == set(net.edges)
+
+    @pytest.mark.parametrize("entries, branches, chords, policy, message", [
+        ([[1, 0, -1, -1, 0], [0, 1, 0, -1, -1]], (1, 2), (3, 4, 5), "row_order",
+         "intersect without containment"),
+        ([[1, 0, -1, 0], [0, 1, -1, 0]], (1, 2), (3, 4), "row_order",
+         "sink edge 4 appears in no cutset"),
+        ([[1, 0, -1], [0, 1, 0]], (1, 2), (3,), "row_order", "branch 2 carries no sink edge"),
+        ([[1, 0, -1], [0, 1, -1]], (1, 2), (3,), "strict", "identical chord sets"),
+        # chain 1 -> 2 above a branching node 4: the chain pair trips first
+        ([[1, 0, 0, -1, -1, -1], [0, 1, 0, -1, -1, -1], [0, 0, 1, 0, -1, -1]],
+         (1, 2, 4), (3, 5, 6), "strict", "branches 2 and 1 carry identical"),
+    ])
+    def test_errors(self, entries, branches, chords, policy, message):
+        got = assert_matches_row_loop(canon_from(entries, branches, chords), policy)
+        assert got[0] in (ft.NotArborescence, ft.AmbiguousParent)
+        assert message in got[1]
+
+    def test_random_chord_blocks(self):
+        # small random blocks, half of them nested, cover every branch of
+        # both policies, errors included
+        rng = np.random.default_rng(0)
+        seen = set()
+        for _ in range(600):
+            m, c = (int(v) for v in rng.integers(1, 6, size=2))
+            block = -(rng.random((m, c)) < rng.uniform(0.1, 0.9)).astype(int)
+            if rng.random() < 0.5:
+                for k in range(1, m):
+                    block[k] = block[int(rng.integers(0, k))] * (rng.random(c) < 0.7)
+            labels = tuple(int(v) for v in rng.permutation(m + c) + 1)
+            canon = canon_from(np.hstack([np.eye(m, dtype=int), block]), labels[:m], labels[m:])
+            for policy in ("row_order", "strict"):
+                got = assert_matches_row_loop(canon, policy)
+                seen.add(got[0] if isinstance(got[0], type) else "edges")
+        assert seen == {"edges", ft.NotArborescence, ft.AmbiguousParent}
 
 
 class TestVerifyAgainstTruth:
