@@ -11,8 +11,10 @@ every basis of the subspace, which is what makes the approach usable on an
 estimate rather than the true incidence matrix.
 
 Both lanes reduce through :func:`reduce_to_cutset`: a threshold-pivoted
-:func:`rref` whose pivot columns are the partition, then snapping to signed
-units.  :func:`to_fcutset_form` reduces on an explicitly given partition.
+:func:`rref` whose pivot columns are the partition (rows its scan leaves
+are finished by complete pivoting over the skipped columns), then snapping
+to signed units.  :func:`to_fcutset_form` reduces on an explicitly given
+partition.
 """
 
 from __future__ import annotations
@@ -154,9 +156,18 @@ def estimate_null_basis(data: FlowDataMatrix, zero_tol: float = DEFAULT_ZERO_TOL
 
 
 def _full_rank_rref(rows: np.ndarray) -> tuple[np.ndarray, tuple[int, ...]]:
-    """:func:`rref` of a basis that must have one pivot column per row."""
+    """:func:`rref` of a basis that must have one pivot column per row.
+
+    rref's left-to-right scan never returns to a column it skipped under the
+    threshold, so a full-rank basis can come out short of pivots.  Rows left
+    over then lie wholly in the skipped columns; each is finished on the
+    largest entry that remains among them (complete pivoting), and the rows
+    are put back in pivot-column order.
+    """
     reduced, pivots = rref(rows)
     m = reduced.shape[0]
+    if len(pivots) < m:
+        reduced, pivots = _close_pivots(reduced, pivots, RANK_TOL * np.abs(rows).max())
     if m == 0 or len(pivots) < m:
         raise NoValidPartition(
             f"basis of shape {reduced.shape} has only {len(pivots)} pivot columns"
@@ -164,11 +175,35 @@ def _full_rank_rref(rows: np.ndarray) -> tuple[np.ndarray, tuple[int, ...]]:
     return reduced, pivots
 
 
+def _close_pivots(
+    work: np.ndarray, pivots: tuple[int, ...], floor: float
+) -> tuple[np.ndarray, tuple[int, ...]]:
+    """Finish a short :func:`rref` by complete pivoting over the skipped
+    columns of the rows left over; entries at or below ``floor`` never
+    become pivots."""
+    m = work.shape[0]
+    free = sorted(set(range(work.shape[1])) - set(pivots))
+    pivots = list(pivots)
+    row = len(pivots)
+    while row < m and free:
+        rest = np.abs(work[row:, free])
+        r, k = np.unravel_index(int(np.argmax(rest)), rest.shape)
+        if rest[r, k] <= floor:
+            break
+        col = free.pop(k)
+        _pivot_on(work, row, row + r, col)
+        pivots.append(col)
+        row += 1
+    order = np.argsort(pivots[:row])
+    work[:row] = work[:row][order]
+    return work, tuple(int(pivots[i]) for i in order)
+
+
 def find_valid_partition(basis: NullBasis) -> Partition:
     """Take the pivot columns of :func:`rref` as the dependent edges.
 
     Raises:
-        NoValidPartition: the basis has fewer pivot columns than rows.
+        NoValidPartition: the basis is rank deficient.
     """
     _, pivots = _full_rank_rref(basis.basis)
     indep = sorted(set(range(basis.basis.shape[1])) - set(pivots))
@@ -187,7 +222,7 @@ def reduce_to_cutset(rows: np.ndarray, band: float, error_cls: type) -> CutsetMa
     order.
 
     Raises:
-        NoValidPartition: the basis has fewer pivot columns than rows.
+        NoValidPartition: the basis is rank deficient.
         error_cls: some reduced entry is farther than ``band`` from the
             nearest of -1, 0, +1.
     """
@@ -275,11 +310,17 @@ def rref(matrix: np.ndarray) -> tuple[np.ndarray, tuple[int, ...]]:
         r = int(np.argmax(rest[:, 0]))
         if rest[r, 0] <= max(PIVOT_THRESHOLD * rest.max(), floor):
             continue
-        work[[row, row + r]] = work[[row + r, row]]
-        work[row] /= work[row, col]
-        factors = work[:, col].copy()
-        factors[row] = 0.0
-        work -= np.outer(factors, work[row])
+        _pivot_on(work, row, row + r, col)
         pivots.append(col)
         row += 1
     return work, tuple(pivots)
+
+
+def _pivot_on(work: np.ndarray, row: int, source: int, col: int) -> None:
+    """Move row ``source`` to ``row``, scale it to 1 in ``col`` and clear
+    ``col`` from every other row, in place."""
+    work[[row, source]] = work[[source, row]]
+    work[row] /= work[row, col]
+    factors = work[:, col].copy()
+    factors[row] = 0.0
+    work -= np.outer(factors, work[row])

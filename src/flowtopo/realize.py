@@ -101,8 +101,10 @@ def realize_topology(
     first_bad = int(np.argmax(bad)) if bad.any() else m
 
     if chain_policy == "strict":
-        # a contained set of equal size is the same set; rows with equal sets
-        # are adjacent in the sorted order, so every such pair shows up here
+        # a containing parent of equal size holds the same set.  An earlier
+        # twin of row k meets it, so k's parent (the last earlier row meeting
+        # k) lies at or after the twin; sizes descend, so the parent has k's
+        # size and, if it contains k, is a twin itself: no pair escapes
         same = np.flatnonzero(has_parent[:first_bad] & (size[parent] == size)[:first_bad])
         if same.size:
             k = int(same[0])

@@ -399,8 +399,10 @@ class TestReconstructExact:
             ft.reconstruct_exact(data, chain_policy="strict")
 
     def test_memory_linear_in_data(self):
-        # no factor with an n_s-long side beyond the QR work copy: the peak
-        # stays a small multiple of the data
+        # tracemalloc sees numpy-array allocations only, not the buffers
+        # numpy's linalg routines take from malloc for LAPACK (for the QR, a
+        # second copy of the samples and its workspace), so this bounds the
+        # arrays the exact lane builds, not its whole footprint
         net = ft.binary_network_with_edges(254)
         data = ft.sample_flows(net, ft.FlowSamplerConfig(n_s=2 * 254, seed=5))
         tracemalloc.start()

@@ -238,6 +238,18 @@ class TestReduceToCutset:
         with pytest.raises(ft.NoValidPartition):
             reduce_to_cutset(rows, 0.1, ft.NonIntegerCutset)
 
+    def test_column_skipped_under_threshold_is_revisited(self):
+        # column 1 sits under the threshold when the scan passes it, and
+        # after column 2 is pivoted the second row lives only in column 1
+        rows = np.array([[0.05, 1.0, 1.0], [0.1, 1.0, 1.0]])
+        assert ft.rref(rows)[1] == (1,)
+        cut = reduce_to_cutset(rows, 0.1, ft.NonIntegerCutset)
+        assert cut.branch_edges == (1, 2)
+        assert cut.chord_edges == (3,)
+        assert cut.entries.tolist() == [[1, 0, 0], [0, 1, 1]]
+        part = ft.find_valid_partition(ft.NullBasis(rows, 2, np.ones(3)))
+        assert part.dependent_edges == (1, 2)
+
     def test_snap_error_class_forwarded(self):
         with pytest.raises(ft.SnapFailure):
             reduce_to_cutset(np.array([[1.0, 0.5]]), 0.35, ft.SnapFailure)
