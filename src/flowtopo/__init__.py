@@ -8,6 +8,8 @@ exactly the non-sink edges, and realizes the unique arborescence with
 that cutset structure.  A noisy lane adds covariance whitening, takes
 the relations from an eigendecomposition of the whitened sample
 covariance instead, and picks their number by an eigenvalue-equality test.
+``reconstruct(data, noise=None)`` runs either lane: passing a noise model
+picks the noisy one.
 """
 
 from .errors import (
@@ -33,10 +35,8 @@ from .errors import (
 )
 from .graph_model import (
     ENVIRONMENT,
-    ConservationGraph,
     CutsetMatrix,
     FlowNetwork,
-    IncidenceMatrix,
     build_conservation_graph,
     fcutset_matrix,
     is_arborescence,
@@ -52,7 +52,7 @@ from .nullspace import (
     rref,
     to_fcutset_form,
 )
-from .canonical_cutset import CanonicalCutsetMatrix, canonicalize, unique_sign_edge
+from .canonical_cutset import CanonicalCutsetMatrix, canonicalize
 from .realize import (
     ReconstructionResult,
     realize_topology,
@@ -63,6 +63,7 @@ from .noise_pipeline import (
     NoiseModel,
     RankTestReport,
     estimate_model_order,
+    reconstruct,
     reconstruct_exact,
     reconstruct_noisy,
     whiten,
@@ -78,15 +79,7 @@ from .synth import (
     generate_within,
     sample_flows,
 )
-from .harness import (
-    ScalingBench,
-    SweepConfig,
-    SweepResult,
-    find_min_z,
-    run_pipeline,
-    run_scaling_bench,
-    run_sweep,
-)
+from .harness import SweepConfig, find_min_z, run_scaling_bench, run_sweep
 
 __version__ = "0.1.0"
 
@@ -94,7 +87,6 @@ __all__ = [
     "AmbiguousParent",
     "ArborescenceSpec",
     "CanonicalCutsetMatrix",
-    "ConservationGraph",
     "CutsetMatrix",
     "DisconnectedNetwork",
     "EmptySpec",
@@ -104,7 +96,6 @@ __all__ = [
     "FlowSamplerConfig",
     "FlowtopoError",
     "FullDeficiency",
-    "IncidenceMatrix",
     "InvalidArgument",
     "LabelMismatch",
     "NoInternalNodes",
@@ -123,11 +114,9 @@ __all__ = [
     "RankTestReport",
     "RankZero",
     "ReconstructionResult",
-    "ScalingBench",
     "SnapFailure",
     "SnrSetting",
     "SweepConfig",
-    "SweepResult",
     "add_noise",
     "binary_network_with_edges",
     "build_conservation_graph",
@@ -142,18 +131,17 @@ __all__ = [
     "generate_within",
     "is_arborescence",
     "realize_topology",
+    "reconstruct",
     "reconstruct_exact",
     "reconstruct_noisy",
     "reduced_incidence_matrix",
     "rref",
-    "run_pipeline",
     "run_scaling_bench",
     "run_sweep",
     "sample_flows",
     "to_dot",
     "to_fcutset_form",
     "to_label_convention",
-    "unique_sign_edge",
     "verify_against_truth",
     "whiten",
 ]

@@ -16,8 +16,6 @@ can creep in after snapping.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
-
 import numpy as np
 
 from .errors import NotCanonicalizable, NotUnique
@@ -67,42 +65,6 @@ class CanonicalCutsetMatrix:
     @property
     def edge_count(self) -> int:
         return self.inner.edge_count
-
-
-def unique_sign_edge(row: Sequence[int], labels: Sequence[int] | None = None) -> int:
-    """Label of the single coefficient whose sign differs from all others.
-
-    For a cutset row of an arborescence conservation graph this edge is the
-    lowest-level non-sink flow in the cutset.  A two-entry row has both
-    signs occurring once; there the ordered labeling convention applies and
-    the smaller label, which belongs to the shallower edge, is returned.
-
-    Raises:
-        NotUnique: no coefficient is sign-unique (corrupted row or a
-            non-arborescence network).
-    """
-    values = np.asarray(row, dtype=np.int64)
-    if labels is None:
-        labels = range(1, values.shape[0] + 1)
-    labels = tuple(int(v) for v in labels)
-    if values.shape[0] != len(labels):
-        raise ValueError("row length and label count differ")
-    if not np.isin(values, (-1, 0, 1)).all():
-        raise ValueError("row entries must be in {-1, 0, +1}")
-    pos = [lab for lab, v in zip(labels, values) if v == 1]
-    neg = [lab for lab, v in zip(labels, values) if v == -1]
-    if not pos and not neg:
-        raise NotUnique("row has no nonzero entry")
-    if len(pos) + len(neg) == 1:
-        return (pos or neg)[0]
-    candidates = []
-    if len(pos) == 1:
-        candidates.append(pos[0])
-    if len(neg) == 1:
-        candidates.append(neg[0])
-    if not candidates:
-        raise NotUnique(f"no sign-unique coefficient among {len(pos)} positive, {len(neg)} negative")
-    return min(candidates)
 
 
 def _swap_and_reduce(entries: np.ndarray, labels: list[int], k: int, l: int) -> None:

@@ -21,6 +21,7 @@ from .errors import (
     EmptySpec,
     FlowtopoError,
     FullDeficiency,
+    InvalidArgument,
     LabelMismatch,
     NoInternalNodes,
     NonIntegerCutset,
@@ -35,7 +36,7 @@ from .errors import (
     RankZero,
     SnapFailure,
 )
-from .noise_pipeline import DEFAULT_ALPHA
+from .noise_pipeline import DEFAULT_ALPHA, NoiseModel, reconstruct
 from .realize import to_dot, verify_against_truth
 from .synth import (
     FAMILIES,
@@ -150,11 +151,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     rec = sub.add_parser("reconstruct", help="infer topology from a sample CSV")
     rec.add_argument("--data", type=Path, required=True)
-    rec.add_argument("--mode", choices=("exact", "noisy"), default="exact")
-    rec.add_argument("--noise", type=Path, help="noise-model JSON (noisy mode)")
-    rec.add_argument("--sigma2", type=_positive(float), help="shared noise variance (noisy mode)")
-    rec.add_argument("--alpha", type=_level, default=DEFAULT_ALPHA)
-    rec.add_argument("--zero-tol", type=_positive(float), help="singular-value zero threshold")
+    rec.add_argument(
+        "--mode", choices=("exact", "noisy"), help="assert the lane the noise flags pick"
+    )
+    source = rec.add_mutually_exclusive_group()
+    source.add_argument("--noise", type=Path, help="noise-model JSON")
+    source.add_argument("--sigma2", type=_positive(float), help="shared noise variance")
+    rec.add_argument("--alpha", type=_level, help=f"noisy-lane test level, default {DEFAULT_ALPHA}")
+    rec.add_argument("--zero-tol", type=_positive(float), help="exact-lane zero threshold")
     rec.add_argument("--transposed", action="store_true")
     rec.add_argument("--allow-undersampled", action="store_true")
     rec.add_argument("--out", type=Path, help="output prefix for JSON + DOT")
@@ -228,20 +232,29 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_reconstruct(args) -> int:
-    mode = args.mode
-    if mode == "exact" and (args.noise or args.sigma2 is not None):
-        mode = "noisy"
-    result = harness.run_pipeline(
-        args.data,
-        mode=mode,
-        noise_file=args.noise,
-        sigma2=args.sigma2,
-        alpha=args.alpha,
-        transposed=args.transposed,
-        allow_undersampled=args.allow_undersampled,
-        zero_tol=args.zero_tol,
-        out_prefix=args.out,
+    # a noise source picks the noisy lane; a flag for the other lane is an error
+    noisy = args.noise is not None or args.sigma2 is not None
+    source = "--noise" if args.noise is not None else "--sigma2"
+    if noisy and args.mode == "exact":
+        raise ParseError(f"reconstruct: --mode exact conflicts with {source}")
+    if noisy and args.zero_tol is not None:
+        raise ParseError(f"reconstruct: --zero-tol (exact lane) conflicts with {source}")
+    if not noisy and args.mode == "noisy":
+        raise ParseError("reconstruct: --mode noisy needs --noise or --sigma2")
+    if not noisy and args.alpha is not None:
+        raise ParseError("reconstruct: --alpha (noisy lane) needs --noise or --sigma2")
+    data = io.load_data_csv(
+        args.data, transposed=args.transposed, allow_undersampled=args.allow_undersampled
     )
+    noise = None
+    if args.noise is not None:
+        noise = io.load_noise_model(args.noise, data.edge_count)
+    elif args.sigma2 is not None:
+        noise = NoiseModel.isotropic(args.sigma2, data.edge_count)
+    result = reconstruct(data, noise, alpha=args.alpha, zero_tol=args.zero_tol)
+    if args.out is not None:
+        io.dump_result(result, args.out.with_suffix(".json"))
+        args.out.with_suffix(".dot").write_text(to_dot(result) + "\n", encoding="utf-8")
     if args.format == "dot":
         print(to_dot(result))
     elif args.format == "csv":
@@ -276,7 +289,7 @@ def _cmd_sweep(args) -> int:
             threads=args.threads,
             cell_budget_s=args.cell_budget,
         )
-    except ValueError as exc:
+    except InvalidArgument as exc:
         flags = [flag for name, flag in _SWEEP_FLAGS.items() if re.search(rf"\b{name}\b", str(exc))]
         raise ParseError(f"sweep: {', '.join(flags)}: {exc}") from None
     result = harness.run_sweep(config, out_path=args.out)

@@ -1,5 +1,5 @@
-"""Experiment harness: single end-to-end runs, the SNR-by-sample-size
-sweep, and polynomial-runtime scaling checks.
+"""Experiment harness: seeded draw-and-reconstruct trials, the
+SNR-by-sample-size sweep, and polynomial-runtime scaling checks.
 
 Every trial derives its own random seed from the base seed and the trial
 coordinates, so results are independent of execution order and identical
@@ -22,17 +22,11 @@ from typing import Any, Callable
 import numpy as np
 
 from .canonical_cutset import canonicalize
-from .errors import FlowtopoError, NonIntegerCutset, ParseError
+from .errors import FlowtopoError, InvalidArgument, NonIntegerCutset
 from .graph_model import FlowNetwork
-from .io import dump_result, load_data_csv, load_noise_model
-from .noise_pipeline import (
-    DEFAULT_ALPHA,
-    NoiseModel,
-    reconstruct_exact,
-    reconstruct_noisy,
-)
+from .noise_pipeline import DEFAULT_ALPHA, reconstruct_exact, reconstruct_noisy
 from .nullspace import DEFAULT_ROUND_TOL, estimate_null_basis, reduce_to_cutset
-from .realize import ReconstructionResult, realize_topology, to_dot, verify_against_truth
+from .realize import realize_topology, verify_against_truth
 from .synth import (
     FAMILIES,
     FlowSamplerConfig,
@@ -70,13 +64,13 @@ class SweepConfig:
         # each message names the fields it is about, so the CLI can name flags
         for name in ("families", "snr_list", "z_list"):
             if not getattr(self, name):
-                raise ValueError(f"{name} must be nonempty")
+                raise InvalidArgument(f"{name} must be nonempty")
         for name in ("trials", "networks_per_family", "threads"):
             if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+                raise InvalidArgument(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.threads > 1 and self.cell_budget_s is not None:
             # threaded trials run to completion; a budget could not stop them
-            raise ValueError("cell_budget_s needs threads = 1")
+            raise InvalidArgument("cell_budget_s needs threads = 1")
 
 
 @dataclass(frozen=True)
@@ -274,39 +268,6 @@ def run_sweep(config: SweepConfig, out_path: str | Path | None = None) -> SweepR
     return SweepResult(rows=tuple(rows), config=config)
 
 
-def run_pipeline(
-    data_file: str | Path,
-    mode: str = "exact",
-    noise_file: str | Path | None = None,
-    sigma2: float | None = None,
-    alpha: float = DEFAULT_ALPHA,
-    transposed: bool = False,
-    allow_undersampled: bool = False,
-    zero_tol: float | None = None,
-    out_prefix: str | Path | None = None,
-) -> ReconstructionResult:
-    """Load a sample CSV, reconstruct, optionally write result JSON + DOT."""
-    data = load_data_csv(data_file, transposed=transposed, allow_undersampled=allow_undersampled)
-    if mode == "exact":
-        kwargs = {} if zero_tol is None else {"zero_tol": zero_tol}
-        result = reconstruct_exact(data, **kwargs)
-    elif mode == "noisy":
-        if noise_file is not None:
-            model = load_noise_model(noise_file, data.edge_count)
-        elif sigma2 is not None:
-            model = NoiseModel.isotropic(sigma2, data.edge_count)
-        else:
-            raise ParseError("noisy mode needs a noise-model file or sigma2")
-        result = reconstruct_noisy(data, model, alpha=alpha)
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-    if out_prefix is not None:
-        prefix = Path(out_prefix)
-        dump_result(result, prefix.with_suffix(".json"))
-        prefix.with_suffix(".dot").write_text(to_dot(result) + "\n", encoding="utf-8")
-    return result
-
-
 @dataclass(frozen=True)
 class ScalingBench:
     sizes: tuple[int, ...]
@@ -349,7 +310,7 @@ def run_scaling_bench(
     """Time the noise-free pipeline stages on benchmark networks of exact
     edge counts and fit log-log growth slopes."""
     if list(sizes) != sorted(sizes):
-        raise ValueError("sizes must be ascending")
+        raise InvalidArgument("sizes must be ascending")
     stage_names = ("svd", "reduce", "alg1", "alg2", "total")
     per_stage: dict[str, list[float]] = {name: [] for name in stage_names}
     m_values: list[int] = []

@@ -15,7 +15,6 @@ from typing import Any
 
 import numpy as np
 
-from .canonical_cutset import CanonicalCutsetMatrix
 from .errors import ParseError
 from .graph_model import FlowNetwork
 from .noise_pipeline import NoiseModel, RankTestReport
@@ -223,13 +222,3 @@ def report_to_json(report: RankTestReport) -> dict[str, Any]:
         "eigenvalues": list(report.eigenvalues),
     }
 
-
-def dump_provenance(canon: CanonicalCutsetMatrix, path: str | Path) -> None:
-    doc = {
-        "branches": list(canon.branch_edges),
-        "chords": list(canon.chord_edges),
-        "interchanges": [list(step) for step in canon.provenance],
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")

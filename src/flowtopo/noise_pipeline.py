@@ -1,26 +1,27 @@
-"""Measurement-noise lane: whitening, model-order testing, and the
-end-to-end reconstruction pipelines.
+"""Measurement-noise lane: whitening, model-order testing, and the one
+end-to-end entry point, ``reconstruct``.
 
-The noisy lane reads the samples once, into the e x e Gram matrix, and
-works in e x e space from there: one Cholesky factor of the error
-covariance whitens the Gram matrix from both sides, one symmetric
-eigendecomposition of that whitened sample covariance feeds a sequential
-eigenvalue-equality test, vectorized over all candidates, that picks the
-conservation-law count, and the same factor back-transforms the
-eigenvectors of the smallest eigenvalues (the null basis).  Then come
-threshold-pivoted row reduction and snapping to signed units
+The two lanes differ only in where the conservation laws come from.  The
+exact lane takes them from the null space of the data.  The noisy lane
+reads the samples once, into the e x e Gram matrix, and works in e x e
+space from there: one Cholesky factor of the error covariance whitens the
+Gram matrix from both sides, one symmetric eigendecomposition of that
+whitened sample covariance feeds a sequential eigenvalue-equality test,
+vectorized over all candidates, that picks the conservation-law count,
+and the same factor back-transforms the eigenvectors of the smallest
+eigenvalues (the null basis).  From the laws on, both lanes share one
+tail: threshold-pivoted row reduction and snapping to signed units
 (``nullspace.reduce_to_cutset``), canonicalization, and realization.
-The exact lane (``reconstruct_exact``) composes the noise-free modules the
-same way, through the same reduction, so callers get one entry point per
-measurement regime.
+``reconstruct_exact`` and ``reconstruct_noisy`` call ``reconstruct`` for
+one lane each.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 import warnings
-from dataclasses import dataclass, field
-from typing import Any
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy import linalg as sla
@@ -66,24 +67,24 @@ class NoiseModel:
 
     def __post_init__(self):
         if self.kind not in ("homoscedastic", "heteroscedastic"):
-            raise ValueError(f"unknown noise kind {self.kind!r}")
+            raise InvalidArgument(f"unknown noise kind {self.kind!r}")
         cov = np.asarray(self.covariance, dtype=np.float64)
         cov.setflags(write=False)
         object.__setattr__(self, "covariance", cov)
         if cov.ndim != 2 or cov.shape[0] != cov.shape[1]:
-            raise ValueError("covariance must be a square matrix")
+            raise InvalidArgument("covariance must be a square matrix")
         if not np.isfinite(cov).all():
-            raise ValueError("covariance contains non-finite entries")
+            raise InvalidArgument("covariance contains non-finite entries")
         if not np.allclose(cov, cov.T, rtol=1e-8, atol=1e-12):
-            raise ValueError("covariance must be symmetric")
+            raise InvalidArgument("covariance must be symmetric")
         if self.mean is not None:
             mu = np.asarray(self.mean, dtype=np.float64)
             mu.setflags(write=False)
             object.__setattr__(self, "mean", mu)
             if mu.shape != (cov.shape[0],):
-                raise ValueError("mean length must match covariance dimension")
+                raise InvalidArgument("mean length must match covariance dimension")
             if not np.isfinite(mu).all():
-                raise ValueError("mean contains non-finite entries")
+                raise InvalidArgument("mean contains non-finite entries")
 
     @property
     def edge_count(self) -> int:
@@ -92,14 +93,14 @@ class NoiseModel:
     @classmethod
     def isotropic(cls, sigma2: float, edge_count: int) -> "NoiseModel":
         if sigma2 <= 0:
-            raise ValueError("sigma2 must be positive")
+            raise InvalidArgument("sigma2 must be positive")
         return cls(kind="homoscedastic", covariance=sigma2 * np.eye(edge_count))
 
     @classmethod
     def per_edge(cls, variances: np.ndarray) -> "NoiseModel":
         var = np.asarray(variances, dtype=np.float64)
         if var.ndim != 1 or np.any(var <= 0):
-            raise ValueError("need a vector of positive per-edge variances")
+            raise InvalidArgument("need a vector of positive per-edge variances")
         return cls(kind="heteroscedastic", covariance=np.diag(var))
 
 
@@ -149,6 +150,15 @@ def _cholesky_lower(noise: NoiseModel) -> np.ndarray:
         raise NotPositiveDefinite(f"covariance is not positive definite: {exc}") from exc
 
 
+def _warn(message: str) -> None:
+    """Warn at the first frame outside this module, so that the warning
+    names the caller's line through whichever entry point it came."""
+    level, frame = 2, sys._getframe(1)
+    while frame.f_globals.get("__name__") == __name__:
+        level, frame = level + 1, frame.f_back
+    warnings.warn(message, stacklevel=level)
+
+
 def _centred_samples(data: FlowDataMatrix, noise: NoiseModel) -> np.ndarray:
     """The raw samples after a dimension check, less a declared nonzero
     error mean (with a warning), since the conservation model itself is
@@ -160,7 +170,7 @@ def _centred_samples(data: FlowDataMatrix, noise: NoiseModel) -> np.ndarray:
         )
     y = data.entries
     if noise.mean is not None and np.any(noise.mean != 0):
-        warnings.warn("subtracting declared nonzero error mean", stacklevel=3)
+        _warn("subtracting declared nonzero error mean")
         y = y - noise.mean[:, None]
     return y
 
@@ -202,10 +212,9 @@ def _order_test(s_y: np.ndarray, n_s: int, alpha: float) -> RankTestReport:
         raise InvalidArgument("alpha must lie in (0, 1)")
     e = s_y.shape[0]
     if n_s < UNDERSAMPLE_WARN_FACTOR * e:
-        warnings.warn(
+        _warn(
             f"{n_s} samples for {e} edges is below the {UNDERSAMPLE_WARN_FACTOR}x "
-            "guideline; the order test loses power",
-            stacklevel=3,
+            "guideline; the order test loses power"
         )
     lams, vecs = np.linalg.eigh(s_y)  # ascending
     lams = np.clip(lams, 0.0, None)
@@ -258,66 +267,86 @@ def estimate_model_order(whitened: FlowDataMatrix, alpha: float = DEFAULT_ALPHA)
     return _order_test(_gram(whitened.entries), whitened.sample_count, alpha)
 
 
+def reconstruct(
+    data: FlowDataMatrix,
+    noise: NoiseModel | None = None,
+    *,
+    alpha: float | None = None,
+    zero_tol: float | None = None,
+    chain_policy: str = "row_order",
+) -> ReconstructionResult:
+    """Reconstruct the arborescence behind the samples.
+
+    ``noise`` picks the lane; the lanes differ only in where the
+    conservation laws come from.  Without a noise model, the laws span the
+    null space of the data (``estimate_null_basis``, rank cutoff
+    ``zero_tol``).  With one, the samples are read once, into the e x e
+    Gram matrix ``G = Y Y^T / n_s`` (less any declared mean, as in
+    ``whiten``), which the one Cholesky factor ``L`` of the error
+    covariance whitens from both sides: ``L^-1 G L^-T`` equals
+    ``estimate_model_order``'s covariance of ``whiten(data, noise)``
+    without forming the e x n_s whitened samples.  The order test at level
+    ``alpha`` picks the law count, and ``L^-T`` maps its null basis back to
+    the raw edges.  Either way the laws are then row-reduced and snapped
+    to {-1, 0, +1}, canonicalized, and realized; ``diagnostics`` adds
+    ``singular_values`` (and, with noise, the order test's ``rank_test``).
+
+    Raises:
+        InvalidArgument: ``alpha`` without a noise model, ``zero_tol``
+            with one, or a covariance whose size differs from the data's.
+        RankZero, FullDeficiency: the exact lane finds no usable rank.
+        NotPositiveDefinite: bad covariance.
+        NoStableOrder: the order test rejects every candidate.
+        NoValidPartition: the null basis has fewer pivot columns than rows.
+        NonIntegerCutset, SnapFailure: a reduced coefficient falls outside
+            the exact or the noisy lane's snap band.
+        NotUnique, NotCanonicalizable, NotArborescence, AmbiguousParent:
+            canonical or realization structure is inconsistent with an
+            arborescence.
+    """
+    if noise is None:
+        if alpha is not None:
+            raise InvalidArgument("alpha is the noisy lane's test level; it needs a noise model")
+        zero_tol = DEFAULT_ZERO_TOL if zero_tol is None else zero_tol
+        basis = estimate_null_basis(data, zero_tol=zero_tol)
+        laws, band, error_cls = basis.basis, DEFAULT_ROUND_TOL, NonIntegerCutset
+        extra = {"singular_values": basis.singular_values}
+    else:
+        if zero_tol is not None:
+            raise InvalidArgument("zero_tol is the exact lane's cutoff; it takes no noise model")
+        gram = _gram(_centred_samples(data, noise))
+        lower = _cholesky_lower(noise)
+        # whitened sample covariance L^-1 G L^-T, by two e x e triangular solves
+        half = sla.solve_triangular(lower, gram, lower=True)
+        s_y = sla.solve_triangular(lower, half.T, lower=True)
+        report = _order_test(s_y, data.sample_count, DEFAULT_ALPHA if alpha is None else alpha)
+        # rows span the estimated conservation laws of the raw data
+        laws = sla.solve_triangular(lower, report.null_vectors, lower=True, trans="T").T
+        band, error_cls = DEFAULT_SNAP_BAND, SnapFailure
+        # singular values of Y_s / sqrt(n_s), recovered from its Gram spectrum
+        extra = {
+            "rank_test": report,
+            "singular_values": tuple(math.sqrt(v) for v in report.eigenvalues),
+        }
+    canon = canonicalize(reduce_to_cutset(laws, band, error_cls))
+    result = realize_topology(canon, chain_policy=chain_policy)
+    return replace(result, diagnostics={**result.diagnostics, **extra})
+
+
 def reconstruct_noisy(
     data: FlowDataMatrix,
     noise: NoiseModel,
     alpha: float = DEFAULT_ALPHA,
-    snap_band: float = DEFAULT_SNAP_BAND,
     chain_policy: str = "row_order",
 ) -> ReconstructionResult:
-    """Full noisy-measurement reconstruction.
-
-    Reads the samples once, into the e x e Gram matrix ``G = Y Y^T / n_s``
-    (less any declared mean, as in ``whiten``), and whitens that with the
-    one Cholesky factor ``L`` of the error covariance:
-    ``L^-1 G L^-T`` equals ``estimate_model_order``'s covariance of
-    ``whiten(data, noise)`` without forming the e x n_s whitened samples.
-    Then estimates the conservation-law count, maps the noisy null basis
-    back through ``L^-T``, row-reduces, snaps coefficients to
-    {-1, 0, +1}, canonicalizes, and realizes the arborescence.
-
-    Raises:
-        NotPositiveDefinite: bad covariance.
-        NoStableOrder: the order test rejects every candidate.
-        NoValidPartition: the null basis has fewer pivot columns than rows.
-        SnapFailure: a reduced coefficient falls outside the snap band.
-        NotUnique, NotCanonicalizable, NotArborescence: canonical or
-            realization structure is inconsistent with an arborescence.
-    """
-    gram = _gram(_centred_samples(data, noise))
-    lower = _cholesky_lower(noise)
-    # whitened sample covariance L^-1 G L^-T, by two e x e triangular solves
-    half = sla.solve_triangular(lower, gram, lower=True)
-    s_y = sla.solve_triangular(lower, half.T, lower=True)
-    report = _order_test(s_y, data.sample_count, alpha)
-    # a_hat rows span the estimated conservation laws of the raw data
-    a_hat = sla.solve_triangular(lower, report.null_vectors, lower=True, trans="T").T
-    cutset = reduce_to_cutset(a_hat, snap_band, SnapFailure)
-    canon = canonicalize(cutset)
-    result = realize_topology(canon, chain_policy=chain_policy)
-    extra: dict[str, Any] = dict(result.diagnostics)
-    extra["rank_test"] = report
-    # singular values of Y_s / sqrt(n_s), recovered from its Gram spectrum
-    extra["singular_values"] = tuple(math.sqrt(v) for v in report.eigenvalues)
-    return ReconstructionResult(
-        edges=result.edges, node_labels=result.node_labels, diagnostics=extra
-    )
+    """The noisy lane of :func:`reconstruct`."""
+    return reconstruct(data, noise, alpha=alpha, chain_policy=chain_policy)
 
 
 def reconstruct_exact(
     data: FlowDataMatrix,
     zero_tol: float = DEFAULT_ZERO_TOL,
-    round_tol: float = DEFAULT_ROUND_TOL,
     chain_policy: str = "row_order",
 ) -> ReconstructionResult:
-    """Noise-free reconstruction: null basis, reduction to cutset form on
-    the pivot columns, canonicalization, realization."""
-    basis = estimate_null_basis(data, zero_tol=zero_tol)
-    cutset = reduce_to_cutset(basis.basis, round_tol, NonIntegerCutset)
-    canon = canonicalize(cutset)
-    result = realize_topology(canon, chain_policy=chain_policy)
-    extra: dict[str, Any] = dict(result.diagnostics)
-    extra["singular_values"] = basis.singular_values
-    return ReconstructionResult(
-        edges=result.edges, node_labels=result.node_labels, diagnostics=extra
-    )
+    """The exact (noise-free) lane of :func:`reconstruct`."""
+    return reconstruct(data, zero_tol=zero_tol, chain_policy=chain_policy)

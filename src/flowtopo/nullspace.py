@@ -60,15 +60,15 @@ class FlowDataMatrix:
         entries.setflags(write=False)
         object.__setattr__(self, "entries", entries)
         if entries.ndim != 2:
-            raise ValueError("data matrix must be two-dimensional")
+            raise InvalidArgument("data matrix must be two-dimensional")
         e, n_s = entries.shape
         if not np.isfinite(entries).all():
-            raise ValueError("data matrix contains non-finite entries")
+            raise InvalidArgument("data matrix contains non-finite entries")
         if n_s <= e:
             if self.allow_undersampled:
                 warnings.warn(f"only {n_s} samples for {e} edges", stacklevel=2)
             else:
-                raise ValueError(f"need more samples than edges, got {n_s} <= {e}")
+                raise InvalidArgument(f"need more samples than edges, got {n_s} <= {e}")
 
     @property
     def edge_count(self) -> int:

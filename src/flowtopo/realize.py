@@ -23,7 +23,7 @@ from typing import Any, Mapping
 import numpy as np
 
 from .canonical_cutset import CanonicalCutsetMatrix
-from .errors import AmbiguousParent, LabelMismatch, NotArborescence
+from .errors import AmbiguousParent, InvalidArgument, LabelMismatch, NotArborescence
 from .graph_model import FlowNetwork, is_arborescence
 
 
@@ -75,7 +75,7 @@ def realize_topology(
             same chord set as its candidate parent.
     """
     if chain_policy not in ("row_order", "strict"):
-        raise ValueError(f"unknown chain_policy {chain_policy!r}")
+        raise InvalidArgument(f"unknown chain_policy {chain_policy!r}")
     m, e = canon.m, canon.edge_count
     if m == 0 or e == m:
         raise NotArborescence("need at least one branch and one chord")

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptySpec, NotArborescence
+from .errors import EmptySpec, InvalidArgument, NotArborescence
 from .graph_model import FlowNetwork, is_arborescence
 from .noise_pipeline import NoiseModel
 from .nullspace import FlowDataMatrix
@@ -51,17 +51,17 @@ class ArborescenceSpec:
 
     def __post_init__(self):
         if self.family not in FAMILIES:
-            raise ValueError(f"unknown family {self.family!r}")
+            raise InvalidArgument(f"unknown family {self.family!r}")
         lr = (int(self.layer_range[0]), int(self.layer_range[1]))
         cr = (int(self.children_range[0]), int(self.children_range[1]))
         object.__setattr__(self, "layer_range", lr)
         object.__setattr__(self, "children_range", cr)
         if lr[0] > lr[1] or cr[0] > cr[1]:
-            raise ValueError("ranges must satisfy low <= high")
+            raise InvalidArgument("ranges must satisfy low <= high")
         if cr[0] < 1:
-            raise ValueError("children per layer must be at least 1")
+            raise InvalidArgument("children per layer must be at least 1")
         if self.family == "binary" and cr != (2, 2):
-            raise ValueError("binary family requires exactly 2 children per parent")
+            raise InvalidArgument("binary family requires exactly 2 children per parent")
 
 
 @dataclass(frozen=True)
@@ -81,11 +81,11 @@ class FlowSamplerConfig:
         object.__setattr__(self, "means", tuple(float(v) for v in self.means))
         object.__setattr__(self, "stds", tuple(float(v) for v in self.stds))
         if self.n_s < 1:
-            raise ValueError("n_s must be positive")
+            raise InvalidArgument("n_s must be positive")
         if len(self.means) != len(self.stds) or not self.means:
-            raise ValueError("means and stds must be equal-length and nonempty")
+            raise InvalidArgument("means and stds must be equal-length and nonempty")
         if any(v <= 0 for v in self.means) or any(v <= 0 for v in self.stds):
-            raise ValueError("means and stds must be positive")
+            raise InvalidArgument("means and stds must be positive")
 
 
 @dataclass(frozen=True)
@@ -97,9 +97,9 @@ class SnrSetting:
 
     def __post_init__(self):
         if self.snr <= 0:
-            raise ValueError("snr must be positive")
+            raise InvalidArgument("snr must be positive")
         if self.kind not in ("homoscedastic", "heteroscedastic"):
-            raise ValueError(f"unknown noise kind {self.kind!r}")
+            raise InvalidArgument(f"unknown noise kind {self.kind!r}")
 
 
 def family_spec(
@@ -110,7 +110,7 @@ def family_spec(
 ) -> ArborescenceSpec:
     """Spec with family defaults, overridable per range."""
     if family not in FAMILY_DEFAULTS:
-        raise ValueError(f"unknown family {family!r}")
+        raise InvalidArgument(f"unknown family {family!r}")
     default_layers, default_children = FAMILY_DEFAULTS[family]
     return ArborescenceSpec(
         family=family,
@@ -190,7 +190,7 @@ def binary_network_with_edges(e: int) -> FlowNetwork:
     full binary tree with at most e edges, padded to the exact count by
     extra sink children on the last internal node."""
     if e < 2:
-        raise ValueError("need at least 2 edges")
+        raise InvalidArgument("need at least 2 edges")
     depth = 1
     while 2 ** (depth + 2) - 2 <= e:
         depth += 1
@@ -265,7 +265,7 @@ def add_noise(
     rng = np.random.default_rng(seed)
     signal_var = np.var(data.entries, axis=1, ddof=1)
     if np.all(signal_var <= 0):
-        raise ValueError("signal variance is zero on every edge")
+        raise InvalidArgument("signal variance is zero on every edge")
     if snr.kind == "homoscedastic":
         sigma2 = float(signal_var.mean()) / snr.snr
         model = NoiseModel.isotropic(sigma2, data.edge_count)

@@ -113,29 +113,6 @@ class TestScanMatchesRowLoop:
         assert True in outcomes
 
 
-class TestUniqueSignEdge:
-    def test_positive_among_negatives(self):
-        assert ft.unique_sign_edge([1, -1, -1, 0]) == 1
-
-    def test_negative_among_positives(self):
-        assert ft.unique_sign_edge([1, 1, -1, 1]) == 3
-
-    def test_two_entry_row_prefers_smaller_label(self):
-        assert ft.unique_sign_edge([0, 1, -1], labels=(4, 9, 2)) == 2
-
-    def test_no_unique_sign(self):
-        with pytest.raises(ft.NotUnique):
-            ft.unique_sign_edge([1, 1, -1, -1])
-
-    def test_empty_row(self):
-        with pytest.raises(ft.NotUnique):
-            ft.unique_sign_edge([0, 0, 0])
-
-    def test_bad_entries(self):
-        with pytest.raises(ValueError):
-            ft.unique_sign_edge([2, 0, 1])
-
-
 class TestCanonicalize:
     def test_demo_matrix(self):
         canon = ft.canonicalize(demo_reduced_cutset())
@@ -180,7 +157,7 @@ class TestStructureLawsOnGeneratedTrees:
     sink sets read straight off the generating tree."""
 
     @pytest.mark.parametrize("family", ft.synth.FAMILIES)
-    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("seed", [1, 2, 3, 11])
     def test_chords_are_descendant_sinks(self, family, seed):
         net = ft.generate_within(family, seed, max_edges=160)
         cg = ft.build_conservation_graph(net)
@@ -189,14 +166,3 @@ class TestStructureLawsOnGeneratedTrees:
         canon = ft.canonicalize(ft.fcutset_matrix(cg, branches))
         for row, branch in enumerate(canon.branch_edges):
             assert chord_set_of_row(canon, row) == descendant_sink_labels(net, branch)
-
-    @pytest.mark.parametrize("family", ft.synth.FAMILIES)
-    def test_each_row_sign_unique_at_branch(self, family):
-        net = ft.generate_within(family, 11, max_edges=160)
-        cg = ft.build_conservation_graph(net)
-        sinks = set(net.sink_edge_labels())
-        branches = tuple(lab for lab in range(1, net.edge_count + 1) if lab not in sinks)
-        canon = ft.canonicalize(ft.fcutset_matrix(cg, branches))
-        labels = canon.branch_edges + canon.chord_edges
-        for row, branch in enumerate(canon.branch_edges):
-            assert ft.unique_sign_edge(canon.entries[row], labels) == branch

@@ -282,6 +282,44 @@ class TestCli:
         assert f"argument {flag}: must be a positive" in capsys.readouterr().err
         assert not (tmp_path / "sweep.csv").exists()
 
+    @pytest.mark.parametrize("flags, named", [
+        (["--mode", "exact", "--noise", "run.noise.json", "--zero-tol", "1e-3"],
+         ["--mode", "--noise"]),
+        (["--zero-tol", "1e-3", "--sigma2", "0.5"], ["--zero-tol", "--sigma2"]),
+        (["--mode", "noisy"], ["--mode", "--noise", "--sigma2"]),
+        (["--alpha", "0.01"], ["--alpha", "--noise", "--sigma2"]),
+    ])
+    def test_lane_conflict_exits_two(self, tmp_path, capsys, flags, named):
+        # the noise flags pick the lane; a setting for the other lane is
+        # refused, not dropped
+        data = ft.sample_flows(small_net(), ft.FlowSamplerConfig(n_s=60, seed=5))
+        ftio.dump_data_csv(data, tmp_path / "run.csv")
+        ftio.dump_noise_model(ft.NoiseModel.isotropic(0.5, data.edge_count),
+                              tmp_path / "run.noise.json")
+        argv = ["reconstruct", "--data", str(tmp_path / "run.csv"), "--out", str(tmp_path / "res")]
+        argv += [str(tmp_path / f) if f.endswith(".json") else f for f in flags]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert all(flag in err for flag in named), err
+        assert not (tmp_path / "res.json").exists()
+
+    def test_noise_and_sigma2_exclusive(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["reconstruct", "--data", str(tmp_path / "run.csv"),
+                  "--noise", str(tmp_path / "run.noise.json"), "--sigma2", "0.5"])
+        assert exc.value.code == 2
+        assert "not allowed with argument" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["bench", "--sizes", "1"],
+        ["generate", "--layers", "3", "1", "--out", "net.json"],
+    ])
+    def test_invalid_argument_exits_two(self, tmp_path, capsys, argv):
+        assert main([str(tmp_path / a) if a.endswith(".json") else a for a in argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert not (tmp_path / "net.json").exists()
+
     def test_noise_model_size_mismatch_exits_two(self, tmp_path, capsys):
         net_path = tmp_path / "net.json"
         self.run_ok(["generate", "--family", "binary", "--seed", "4",

@@ -289,6 +289,18 @@ class TestReconstructNoisy:
         assert report.chosen_m == len(net.internal_nodes)
         assert len(result.diagnostics["singular_values"]) == e
 
+    def test_warnings_name_the_caller(self):
+        net = binary_net()
+        data = ft.sample_flows(net, ft.FlowSamplerConfig(n_s=2 * net.edge_count, seed=21))
+        noisy, model = ft.add_noise(data, ft.SnrSetting(1000.0), seed=22)
+        for call in (ft.reconstruct, ft.reconstruct_noisy):
+            with pytest.warns(UserWarning, match="guideline") as record:
+                try:
+                    call(noisy, model)
+                except ft.FlowtopoError:
+                    pass
+            assert {w.filename for w in record} == {__file__}
+
     def test_heteroscedastic_noise_round_trip(self):
         net = binary_net()
         e = net.edge_count
@@ -414,6 +426,34 @@ class TestReconstructExact:
         assert peak <= 3 * data.entries.nbytes
 
 
+def same_diagnostic(a, b) -> bool:
+    if isinstance(a, ft.CanonicalCutsetMatrix):
+        return np.array_equal(a.entries, b.entries) and (
+            a.branch_edges, a.chord_edges, a.provenance
+        ) == (b.branch_edges, b.chord_edges, b.provenance)
+    if isinstance(a, (np.ndarray, tuple)):
+        return np.array_equal(a, b)
+    return a == b
+
+
+@pytest.mark.parametrize("family", ft.synth.FAMILIES)
+def test_reconstruct_matches_lane_wrappers(family):
+    net = ft.generate_within(family, 3, max_edges=120)
+    e = net.edge_count
+    data = ft.sample_flows(net, ft.FlowSamplerConfig(n_s=50 * e, seed=41))
+    noisy, model = ft.add_noise(data, ft.SnrSetting(1000.0), seed=42)
+    for got, want in (
+        (ft.reconstruct(data), ft.reconstruct_exact(data)),
+        (ft.reconstruct(noisy, model), ft.reconstruct_noisy(noisy, model)),
+    ):
+        assert ft.verify_against_truth(got, net)
+        assert got.edges == want.edges
+        assert list(got.diagnostics) == list(want.diagnostics)
+        for key, value in got.diagnostics.items():
+            assert same_diagnostic(value, want.diagnostics[key]), key
+    assert "rank_test" in got.diagnostics
+
+
 @pytest.mark.parametrize("call", [
     lambda: ft.whiten(ft.FlowDataMatrix(np.ones((2, 5))), ft.NoiseModel.isotropic(1.0, 3)),
     lambda: ft.reconstruct_noisy(ft.FlowDataMatrix(np.ones((2, 5))), ft.NoiseModel.isotropic(1.0, 3)),
@@ -423,7 +463,32 @@ class TestReconstructExact:
     lambda: ft.reconstruct_exact(
         ft.FlowDataMatrix(np.random.default_rng(0).standard_normal((3, 30))), zero_tol=-1.0
     ),
-], ids=["whiten-size", "reconstruct-size", "alpha", "zero-tol"])
+    lambda: ft.reconstruct(
+        ft.FlowDataMatrix(np.random.default_rng(0).standard_normal((3, 30))), alpha=0.01
+    ),
+    lambda: ft.reconstruct(
+        ft.FlowDataMatrix(np.random.default_rng(0).standard_normal((3, 30))),
+        ft.NoiseModel.isotropic(1.0, 3),
+        zero_tol=1e-6,
+    ),
+    lambda: ft.reconstruct_exact(
+        ft.sample_flows(binary_net(), ft.FlowSamplerConfig(n_s=30, seed=1)), chain_policy="x"
+    ),
+    lambda: ft.FlowDataMatrix(np.full((2, 5), np.nan)),
+    lambda: ft.NoiseModel.isotropic(0.0, 3),
+    lambda: ft.NoiseModel.per_edge(np.array([1.0, -1.0])),
+    lambda: ft.NoiseModel("pink", np.eye(2)),
+    lambda: ft.FlowSamplerConfig(n_s=0, seed=1),
+    lambda: ft.SnrSetting(0.0),
+    lambda: ft.ArborescenceSpec("binary", (3, 1), (2, 2), seed=0),
+    lambda: ft.family_spec("oak", 0),
+    lambda: ft.binary_network_with_edges(1),
+    lambda: ft.add_noise(ft.FlowDataMatrix(np.ones((2, 5))), ft.SnrSetting(10.0), seed=0),
+    lambda: ft.SweepConfig(trials=0),
+    lambda: ft.run_scaling_bench(sizes=(16, 8)),
+], ids=["whiten-size", "reconstruct-size", "alpha", "zero-tol", "alpha-without-noise",
+        "zero-tol-with-noise", "chain-policy", "data", "sigma2", "per-edge", "noise-kind",
+        "sampler", "snr", "spec", "family", "bench-network", "add-noise", "sweep", "bench-sizes"])
 def test_argument_errors_are_typed(call):
     # still a ValueError for callers that catch that, and a FlowtopoError
     with pytest.raises(ft.InvalidArgument) as exc:

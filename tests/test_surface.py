@@ -1,0 +1,36 @@
+"""Names that other code looks up in flowtopo by string must resolve."""
+
+import ast
+import importlib
+from pathlib import Path
+
+import flowtopo as ft
+
+TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+
+
+def traced_names() -> tuple[str, ...]:
+    """``TRACED`` from perfbench's tracer, read from its source."""
+    tree = ast.parse(TRACING.read_text(encoding="utf-8"))
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "TRACED" for t in node.targets
+        ):
+            return ast.literal_eval(node.value)
+    raise AssertionError(f"{TRACING} assigns no TRACED")
+
+
+def test_traced_names_resolve():
+    # the traced perfbench run swaps each of these for a wrapper by name
+    names = traced_names()
+    assert names
+    missing = []
+    for name in names:
+        module, attr = name.split(".")
+        if not callable(getattr(importlib.import_module(f"flowtopo.{module}"), attr, None)):
+            missing.append(name)
+    assert missing == []
+
+
+def test_exports_resolve():
+    assert [name for name in ft.__all__ if not hasattr(ft, name)] == []
