@@ -1,13 +1,15 @@
 """flowtopo: reconstruct conserved-network topology from steady-state
 edge-flow measurements.
 
-The pipeline learns the conservation relations from data by QR of the
-samples, then SVD of the e x e triangular factor, reduces them to a
-fundamental cutset matrix, canonicalizes it so branches are
-exactly the non-sink edges, and realizes the unique arborescence with
-that cutset structure.  A noisy lane adds covariance whitening, takes
-the relations from an eigendecomposition of the whitened sample
-covariance instead, and picks their number by an eigenvalue-equality test.
+The exact lane scales each edge's samples to unit total and takes one
+QR with column pivoting: its pivots are the sink edges, its diagonal the
+rank, and its triangular factor the sinks below every other edge, which
+is the canonical fundamental cutset matrix (branches exactly the non-sink
+edges).  Realization then builds the unique arborescence with that cutset
+structure.  A noisy lane adds covariance whitening, takes the
+conservation relations from an eigendecomposition of the whitened sample
+covariance, picks their number by an eigenvalue-equality test, and
+reduces and canonicalizes them before the same realization.
 ``reconstruct(data, noise=None)`` runs either lane: passing a noise model
 picks the noisy one.
 """
@@ -22,6 +24,7 @@ from .errors import (
     LabelMismatch,
     NoInternalNodes,
     NonIntegerCutset,
+    NonPositiveFlow,
     NoStableOrder,
     NotArborescence,
     NotASpanningTree,
@@ -101,6 +104,7 @@ __all__ = [
     "NoInternalNodes",
     "NoiseModel",
     "NonIntegerCutset",
+    "NonPositiveFlow",
     "NoStableOrder",
     "NotArborescence",
     "NotASpanningTree",

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 import numpy as np
 
-from .errors import NotCanonicalizable, NotUnique
+from .errors import InvalidArgument, NotCanonicalizable, NotUnique
 from .graph_model import CutsetMatrix
 
 
@@ -44,7 +44,7 @@ class CanonicalCutsetMatrix:
         m = self.inner.m
         chords = self.inner.entries[:, m:]
         if chords.size and chords.max(initial=0) > 0:
-            raise ValueError("canonical form admits no positive chord entry")
+            raise InvalidArgument("canonical form admits no positive chord entry")
 
     @property
     def entries(self) -> np.ndarray:

@@ -25,6 +25,7 @@ from .errors import (
     LabelMismatch,
     NoInternalNodes,
     NonIntegerCutset,
+    NonPositiveFlow,
     NoStableOrder,
     NotArborescence,
     NotASpanningTree,
@@ -60,6 +61,7 @@ _ERROR_CODES: tuple[tuple[type, int], ...] = (
     (DisconnectedNetwork, _EXIT_PARSE),
     (NoInternalNodes, _EXIT_PARSE),
     (NotPositiveDefinite, _EXIT_PARSE),
+    (NonPositiveFlow, _EXIT_ORDER),
     (RankZero, _EXIT_ORDER),
     (FullDeficiency, _EXIT_ORDER),
     (NoValidPartition, _EXIT_ORDER),
@@ -82,16 +84,33 @@ def _exit_code(exc: FlowtopoError) -> int:
     return _EXIT_PARSE
 
 
-# SweepConfig field -> the sweep flag that sets it
-_SWEEP_FLAGS = {
-    "families": "--families",
-    "snr_list": "--snr",
-    "z_list": "--z-max",
-    "trials": "--trials",
-    "networks_per_family": "--networks",
-    "threads": "--threads",
-    "cell_budget_s": "--cell-budget",
+# per command, library setting -> the flag that sets it; an InvalidArgument
+# message names its settings, so the CLI can name the flags
+_FLAGS = {
+    "generate": {
+        "layer_range": "--layers",
+        "children_range": "--children",
+    },
+    "sweep": {
+        "families": "--families",
+        "snr_list": "--snr",
+        "z_list": "--z-max",
+        "trials": "--trials",
+        "networks_per_family": "--networks",
+        "threads": "--threads",
+        "cell_budget_s": "--cell-budget",
+    },
+    "bench": {"sizes": "--sizes"},
 }
+
+
+def _message(command: str, exc: FlowtopoError) -> str:
+    """The error text, led by the flags behind a rejected setting."""
+    if not isinstance(exc, InvalidArgument):
+        return str(exc)
+    table = _FLAGS.get(command, {})
+    flags = [flag for name, flag in table.items() if re.search(rf"\b{name}\b", str(exc))]
+    return f"{command}: {', '.join(flags)}: {exc}" if flags else str(exc)
 
 
 def _level(text: str) -> float:
@@ -158,7 +177,10 @@ def _build_parser() -> argparse.ArgumentParser:
     source.add_argument("--noise", type=Path, help="noise-model JSON")
     source.add_argument("--sigma2", type=_positive(float), help="shared noise variance")
     rec.add_argument("--alpha", type=_level, help=f"noisy-lane test level, default {DEFAULT_ALPHA}")
-    rec.add_argument("--zero-tol", type=_positive(float), help="exact-lane zero threshold")
+    rec.add_argument(
+        "--zero-tol", type=_positive(float),
+        help="exact-lane rank cutoff on the pivoted QR's |R_kk| / |R_00|",
+    )
     rec.add_argument("--transposed", action="store_true")
     rec.add_argument("--allow-undersampled", action="store_true")
     rec.add_argument("--out", type=Path, help="output prefix for JSON + DOT")
@@ -276,22 +298,18 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    try:
-        config = harness.SweepConfig(
-            families=tuple(args.families),
-            networks_per_family=args.networks,
-            snr_list=tuple(args.snr),
-            z_list=tuple(range(1, args.z_max + 1)),
-            trials=args.trials,
-            alpha=args.alpha,
-            base_seed=args.seed,
-            max_edges=args.max_edges,
-            threads=args.threads,
-            cell_budget_s=args.cell_budget,
-        )
-    except InvalidArgument as exc:
-        flags = [flag for name, flag in _SWEEP_FLAGS.items() if re.search(rf"\b{name}\b", str(exc))]
-        raise ParseError(f"sweep: {', '.join(flags)}: {exc}") from None
+    config = harness.SweepConfig(
+        families=tuple(args.families),
+        networks_per_family=args.networks,
+        snr_list=tuple(args.snr),
+        z_list=tuple(range(1, args.z_max + 1)),
+        trials=args.trials,
+        alpha=args.alpha,
+        base_seed=args.seed,
+        max_edges=args.max_edges,
+        threads=args.threads,
+        cell_budget_s=args.cell_budget,
+    )
     result = harness.run_sweep(config, out_path=args.out)
     print(f"wrote {len(result.rows)} sweep rows to {args.out}")
     return 0
@@ -336,7 +354,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return _COMMANDS[args.command](args)
     except FlowtopoError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {_message(args.command, exc)}", file=sys.stderr)
         return _exit_code(exc)
 
 

@@ -51,6 +51,12 @@ class FullDeficiency(FlowtopoError):
     """Every singular value is zero; the data matrix carries no signal."""
 
 
+class NonPositiveFlow(InvalidArgument):
+    """Some edge's samples do not sum to a positive flow, which the exact
+    lane's l1 scaling needs; no conserved network of positive flows
+    produced the data."""
+
+
 class NoValidPartition(FlowtopoError):
     """No nonsingular dependent column subset of the basis exists."""
 

@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DisconnectedNetwork, NoInternalNodes, NotASpanningTree
+from .errors import DisconnectedNetwork, InvalidArgument, NoInternalNodes, NotASpanningTree
 
 ENVIRONMENT = 0
 
@@ -73,14 +73,14 @@ class FlowNetwork:
     def __post_init__(self):
         object.__setattr__(self, "edges", tuple((int(s), int(t)) for s, t in self.edges))
         if self.node_count < 1:
-            raise ValueError("node_count must be positive")
+            raise InvalidArgument("node_count must be positive")
         if not self.edges:
-            raise ValueError("network must have at least one edge")
+            raise InvalidArgument("network must have at least one edge")
         for s, t in self.edges:
             if not (1 <= s <= self.node_count and 1 <= t <= self.node_count):
-                raise ValueError(f"edge ({s}, {t}) references an invalid node id")
+                raise InvalidArgument(f"edge ({s}, {t}) references an invalid node id")
             if s == t:
-                raise ValueError(f"self-loop on node {s} is not allowed")
+                raise InvalidArgument(f"self-loop on node {s} is not allowed")
 
     @property
     def edge_count(self) -> int:
@@ -126,7 +126,7 @@ class ConservationGraph:
         valid = set(self.internal_nodes) | {ENVIRONMENT}
         for s, t in self.edges:
             if s not in valid or t not in valid:
-                raise ValueError(f"edge ({s}, {t}) references a node outside the graph")
+                raise InvalidArgument(f"edge ({s}, {t}) references a node outside the graph")
 
     @property
     def m(self) -> int:
@@ -156,13 +156,13 @@ class IncidenceMatrix:
         object.__setattr__(self, "entries", entries)
         object.__setattr__(self, "row_nodes", tuple(self.row_nodes))
         if entries.ndim != 2 or entries.shape[0] != len(self.row_nodes):
-            raise ValueError("entry shape does not match row_nodes")
+            raise InvalidArgument("entry shape does not match row_nodes")
         if not np.isin(entries, (-1, 0, 1)).all():
-            raise ValueError("incidence entries must be in {-1, 0, +1}")
+            raise InvalidArgument("incidence entries must be in {-1, 0, +1}")
         # a column may touch the omitted environment row, so "at most one"
         # of each sign per column, never two
         if ((entries == 1).sum(axis=0) > 1).any() or ((entries == -1).sum(axis=0) > 1).any():
-            raise ValueError("a column carries a repeated sign")
+            raise InvalidArgument("a column carries a repeated sign")
 
 
 @dataclass(frozen=True)
@@ -189,13 +189,13 @@ class CutsetMatrix:
         m = len(self.branch_edges)
         e = m + len(self.chord_edges)
         if entries.shape != (m, e):
-            raise ValueError(f"expected shape {(m, e)}, got {entries.shape}")
+            raise InvalidArgument(f"expected shape {(m, e)}, got {entries.shape}")
         if set(self.branch_edges) & set(self.chord_edges):
-            raise ValueError("branch and chord labels overlap")
+            raise InvalidArgument("branch and chord labels overlap")
         if not np.isin(entries, (-1, 0, 1)).all():
-            raise ValueError("cutset entries must be in {-1, 0, +1}")
+            raise InvalidArgument("cutset entries must be in {-1, 0, +1}")
         if m and not np.array_equal(entries[:, :m], np.eye(m, dtype=np.int64)):
-            raise ValueError("leading columns do not form the identity")
+            raise InvalidArgument("leading columns do not form the identity")
 
     @property
     def m(self) -> int:
@@ -351,7 +351,7 @@ def to_label_convention(network: FlowNetwork) -> FlowNetwork:
     comparable.
     """
     if not is_arborescence(network):
-        raise ValueError("label convention is defined for arborescences only")
+        raise InvalidArgument("label convention is defined for arborescences only")
     e = network.edge_count
     mapping: dict[int, int] = {}
     for i, (_, t) in enumerate(network.edges):

@@ -307,10 +307,16 @@ def run_scaling_bench(
     z: int = 2,
     seed: int = 0,
 ) -> ScalingBench:
-    """Time the noise-free pipeline stages on benchmark networks of exact
-    edge counts and fit log-log growth slopes."""
-    if list(sizes) != sorted(sizes):
-        raise InvalidArgument("sizes must be ascending")
+    """Time the noise-free stages on benchmark networks of exact edge
+    counts and fit log-log growth slopes.
+
+    ``svd``, ``reduce`` and ``alg1`` time the staged route (null basis,
+    ``reduce_to_cutset``, ``canonicalize``) and ``alg2`` realization;
+    ``total`` times ``reconstruct_exact``, which reaches the canonical
+    cutset by one pivoted QR instead of the first three stages.
+    """
+    if list(sizes) != sorted(sizes) or not sizes or sizes[0] < 2:
+        raise InvalidArgument("sizes must be ascending edge counts of at least 2")
     stage_names = ("svd", "reduce", "alg1", "alg2", "total")
     per_stage: dict[str, list[float]] = {name: [] for name in stage_names}
     m_values: list[int] = []

@@ -15,7 +15,7 @@ from typing import Any
 
 import numpy as np
 
-from .errors import ParseError
+from .errors import InvalidArgument, ParseError
 from .graph_model import FlowNetwork
 from .noise_pipeline import NoiseModel, RankTestReport
 from .nullspace import FlowDataMatrix
@@ -203,7 +203,7 @@ def dump_matrix_csv(
     one per column, in the matrix's own column order."""
     entries = np.asarray(entries)
     if entries.shape[1] != len(labels):
-        raise ValueError("one header label per column required")
+        raise InvalidArgument("one header label per column required")
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(f"x{lab}" for lab in labels)

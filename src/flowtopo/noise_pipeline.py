@@ -1,19 +1,21 @@
 """Measurement-noise lane: whitening, model-order testing, and the one
 end-to-end entry point, ``reconstruct``.
 
-The two lanes differ only in where the conservation laws come from.  The
-exact lane takes them from the null space of the data.  The noisy lane
-reads the samples once, into the e x e Gram matrix, and works in e x e
-space from there: one Cholesky factor of the error covariance whitens the
-Gram matrix from both sides, one symmetric eigendecomposition of that
-whitened sample covariance feeds a sequential eigenvalue-equality test,
-vectorized over all candidates, that picks the conservation-law count,
-and the same factor back-transforms the eigenvectors of the smallest
-eigenvalues (the null basis).  From the laws on, both lanes share one
-tail: threshold-pivoted row reduction and snapping to signed units
-(``nullspace.reduce_to_cutset``), canonicalization, and realization.
-``reconstruct_exact`` and ``reconstruct_noisy`` call ``reconstruct`` for
-one lane each.
+The two lanes differ in how they reach the canonical cutset.  The exact
+lane takes it from one QR with column pivoting of the l1-scaled samples
+(``nullspace.sink_cutset``): the pivots are the sink edges, the diagonal
+gives the rank, and the triangular factor gives the sinks below every
+other edge.  The noisy lane reads the samples once, into the e x e Gram
+matrix, and works in e x e space from there: one Cholesky factor of the
+error covariance whitens the Gram matrix from both sides, one symmetric
+eigendecomposition of that whitened sample covariance feeds a sequential
+eigenvalue-equality test, vectorized over all candidates, that picks the
+conservation-law count, and the same factor back-transforms the
+eigenvectors of the smallest eigenvalues (the null basis).  Those laws
+are row-reduced and snapped to signed units
+(``nullspace.reduce_to_cutset``) and canonicalized.  Both lanes end in
+the same realization.  ``reconstruct_exact`` and ``reconstruct_noisy``
+call ``reconstruct`` for one lane each.
 """
 
 from __future__ import annotations
@@ -30,25 +32,23 @@ from scipy.special import chdtrc
 from .canonical_cutset import canonicalize
 from .errors import (
     InvalidArgument,
-    NonIntegerCutset,
     NoStableOrder,
     NotPositiveDefinite,
     SnapFailure,
 )
 from .nullspace import (
-    DEFAULT_ROUND_TOL,
     DEFAULT_ZERO_TOL,
     FlowDataMatrix,
-    estimate_null_basis,
     reduce_to_cutset,
+    sink_cutset,
 )
 from .realize import ReconstructionResult, realize_topology
 
 DEFAULT_ALPHA = 0.05
 DEFAULT_SNAP_BAND = 0.35
 # Eigenvalues at or below this fraction of the largest are treated as
-# numerically zero by the order test, mirroring the rank tolerance the
-# exact lane applies to singular values (1e-4 on values = 1e-8 on squares).
+# numerically zero by the order test (1e-4 on singular values = 1e-8 on
+# their squares).
 ZERO_EIGENVALUE_RATIO = 1e-8
 UNDERSAMPLE_WARN_FACTOR = 5
 
@@ -132,15 +132,15 @@ class RankTestReport:
         object.__setattr__(self, "p_values", tuple(float(v) for v in self.p_values))
         object.__setattr__(self, "eigenvalues", tuple(float(v) for v in self.eigenvalues))
         if len(self.candidates) != len(self.p_values) or len(self.candidates) != len(self.statistics):
-            raise ValueError("per-candidate lists must have equal length")
+            raise InvalidArgument("per-candidate lists must have equal length")
         if self.chosen_m not in self.candidates:
-            raise ValueError("chosen_m must be one of the tested candidates")
+            raise InvalidArgument("chosen_m must be one of the tested candidates")
         if self.null_vectors is not None:
             vecs = np.asarray(self.null_vectors, dtype=np.float64)
             vecs.setflags(write=False)
             object.__setattr__(self, "null_vectors", vecs)
             if vecs.ndim != 2 or vecs.shape[1] != self.chosen_m:
-                raise ValueError("null_vectors must have one column per conservation law")
+                raise InvalidArgument("null_vectors must have one column per conservation law")
 
 
 def _cholesky_lower(noise: NoiseModel) -> np.ndarray:
@@ -177,8 +177,8 @@ def _centred_samples(data: FlowDataMatrix, noise: NoiseModel) -> np.ndarray:
 
 def _gram(y: np.ndarray) -> np.ndarray:
     # Forming the Gram matrix squares the condition number, which the exact
-    # lane's 1e-10 singular-value tolerance could not afford; here the null
-    # eigenvalues sit at the noise floor, far above rounding error.
+    # lane's 1e-10 rank cutoff could not afford; here the null eigenvalues
+    # sit at the noise floor, far above rounding error.
     return (y @ y.T) / y.shape[1]
 
 
@@ -277,29 +277,37 @@ def reconstruct(
 ) -> ReconstructionResult:
     """Reconstruct the arborescence behind the samples.
 
-    ``noise`` picks the lane; the lanes differ only in where the
-    conservation laws come from.  Without a noise model, the laws span the
-    null space of the data (``estimate_null_basis``, rank cutoff
-    ``zero_tol``).  With one, the samples are read once, into the e x e
-    Gram matrix ``G = Y Y^T / n_s`` (less any declared mean, as in
-    ``whiten``), which the one Cholesky factor ``L`` of the error
-    covariance whitens from both sides: ``L^-1 G L^-T`` equals
-    ``estimate_model_order``'s covariance of ``whiten(data, noise)``
-    without forming the e x n_s whitened samples.  The order test at level
-    ``alpha`` picks the law count, and ``L^-T`` maps its null basis back to
-    the raw edges.  Either way the laws are then row-reduced and snapped
-    to {-1, 0, +1}, canonicalized, and realized; ``diagnostics`` adds
-    ``singular_values`` (and, with noise, the order test's ``rank_test``).
+    ``noise`` picks the lane.  Without a noise model, one QR with column
+    pivoting of the samples, each edge scaled to unit total, gives the
+    canonical cutset directly (``nullspace.sink_cutset``): pivots whose
+    ``|R_kk|`` exceeds ``zero_tol`` times ``|R_00|`` are the sink edges,
+    the rest the branches; ``diagnostics`` adds those ``pivot_norms`` and
+    the ``chain_groups`` of equal-flow edges, whose order the data cannot
+    fix and the ordered-label convention settles.  With a noise model, the
+    samples are read once, into the e x e Gram matrix ``G = Y Y^T / n_s``
+    (less any declared mean, as in ``whiten``), which the one Cholesky
+    factor ``L`` of the error covariance whitens from both sides:
+    ``L^-1 G L^-T`` equals ``estimate_model_order``'s covariance of
+    ``whiten(data, noise)`` without forming the e x n_s whitened samples.
+    The order test at level ``alpha`` picks the law count, ``L^-T`` maps
+    its null basis back to the raw edges, and the laws are row-reduced,
+    snapped to {-1, 0, +1} and canonicalized; ``diagnostics`` adds the
+    order test's ``rank_test`` and the ``singular_values``.  Both lanes
+    end in ``realize_topology``.
 
     Raises:
         InvalidArgument: ``alpha`` without a noise model, ``zero_tol``
-            with one, or a covariance whose size differs from the data's.
-        RankZero, FullDeficiency: the exact lane finds no usable rank.
+            with one or not positive, or a covariance whose size differs
+            from the data's.
+        NonPositiveFlow: in the exact lane, an edge whose samples do not
+            sum to a positive flow.
+        RankZero: the exact lane finds no conservation law.
         NotPositiveDefinite: bad covariance.
         NoStableOrder: the order test rejects every candidate.
-        NoValidPartition: the null basis has fewer pivot columns than rows.
-        NonIntegerCutset, SnapFailure: a reduced coefficient falls outside
-            the exact or the noisy lane's snap band.
+        NoValidPartition: the noisy null basis has fewer pivot columns
+            than rows.
+        NonIntegerCutset, SnapFailure: a coefficient falls outside the
+            exact or the noisy lane's snap band.
         NotUnique, NotCanonicalizable, NotArborescence, AmbiguousParent:
             canonical or realization structure is inconsistent with an
             arborescence.
@@ -307,10 +315,10 @@ def reconstruct(
     if noise is None:
         if alpha is not None:
             raise InvalidArgument("alpha is the noisy lane's test level; it needs a noise model")
-        zero_tol = DEFAULT_ZERO_TOL if zero_tol is None else zero_tol
-        basis = estimate_null_basis(data, zero_tol=zero_tol)
-        laws, band, error_cls = basis.basis, DEFAULT_ROUND_TOL, NonIntegerCutset
-        extra = {"singular_values": basis.singular_values}
+        canon, pivot_norms, chains = sink_cutset(
+            data, DEFAULT_ZERO_TOL if zero_tol is None else zero_tol
+        )
+        extra = {"pivot_norms": pivot_norms, "chain_groups": chains}
     else:
         if zero_tol is not None:
             raise InvalidArgument("zero_tol is the exact lane's cutoff; it takes no noise model")
@@ -322,13 +330,12 @@ def reconstruct(
         report = _order_test(s_y, data.sample_count, DEFAULT_ALPHA if alpha is None else alpha)
         # rows span the estimated conservation laws of the raw data
         laws = sla.solve_triangular(lower, report.null_vectors, lower=True, trans="T").T
-        band, error_cls = DEFAULT_SNAP_BAND, SnapFailure
+        canon = canonicalize(reduce_to_cutset(laws, DEFAULT_SNAP_BAND, SnapFailure))
         # singular values of Y_s / sqrt(n_s), recovered from its Gram spectrum
         extra = {
             "rank_test": report,
             "singular_values": tuple(math.sqrt(v) for v in report.eigenvalues),
         }
-    canon = canonicalize(reduce_to_cutset(laws, band, error_cls))
     result = realize_topology(canon, chain_policy=chain_policy)
     return replace(result, diagnostics={**result.diagnostics, **extra})
 

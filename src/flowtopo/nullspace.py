@@ -1,16 +1,21 @@
 """Learning the conservation model from steady-state flow data.
 
-The samples of a conserved network lie in the null space of its incidence
-matrix, so the left singular vectors of the data matrix that belong to zero
-singular values span exactly the row space of that incidence matrix.  They
-are found by QR of the samples, then SVD of the e x e triangular factor,
-which has the data's singular values and left singular vectors.  Any
-valid partition of the flow variables then reduces the learned basis to a
-fundamental-cutset matrix ``[I | R]``; the reduced matrix is the same for
-every basis of the subspace, which is what makes the approach usable on an
-estimate rather than the true incidence matrix.
+The exact lane needs no null basis.  Every edge flow is a 0/1 sum of sink
+flows, so after scaling each edge's samples to unit total, one QR with
+column pivoting picks the sink edges, its diagonal gives the rank, and its
+triangular factor gives which sinks lie below every other edge: the
+canonical cutset matrix ``[I | -T]`` (:func:`sink_cutset`).
 
-Both lanes reduce through :func:`reduce_to_cutset`: a threshold-pivoted
+The noisy lane works from a basis of the conservation laws.  The samples
+of a conserved network lie in the null space of its incidence matrix, so
+the left singular vectors of the data matrix that belong to zero singular
+values span exactly the row space of that incidence matrix
+(:func:`estimate_null_basis` finds them by QR of the samples, then SVD of
+the e x e triangular factor).  Any valid partition of the flow variables
+then reduces a basis to a fundamental-cutset matrix ``[I | R]``; the
+reduced matrix is the same for every basis of the subspace, which is what
+makes the approach usable on an estimate rather than the true incidence
+matrix.  :func:`reduce_to_cutset` does this by a threshold-pivoted
 :func:`rref` whose pivot columns are the partition (rows its scan leaves
 are finished by complete pivoting over the skipped columns), then snapping
 to signed units.  :func:`to_fcutset_form` reduces on an explicitly given
@@ -23,11 +28,15 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import linalg as sla
 
+from .canonical_cutset import CanonicalCutsetMatrix
 from .errors import (
     FullDeficiency,
     InvalidArgument,
     NonIntegerCutset,
+    NonPositiveFlow,
+    NotCanonicalizable,
     NoValidPartition,
     RankZero,
 )
@@ -100,9 +109,9 @@ class NullBasis:
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "singular_values", sv)
         if basis.ndim != 2 or basis.shape[0] != self.estimated_rank_deficiency:
-            raise ValueError("basis row count must equal the rank deficiency")
+            raise InvalidArgument("basis row count must equal the rank deficiency")
         if sv.ndim != 1 or np.any(np.diff(sv) > 0):
-            raise ValueError("singular values must be nonincreasing")
+            raise InvalidArgument("singular values must be nonincreasing")
 
     @property
     def m(self) -> int:
@@ -121,7 +130,7 @@ class Partition:
         object.__setattr__(self, "dependent_edges", tuple(int(v) for v in self.dependent_edges))
         object.__setattr__(self, "independent_edges", tuple(int(v) for v in self.independent_edges))
         if set(self.dependent_edges) & set(self.independent_edges):
-            raise ValueError("dependent and independent labels overlap")
+            raise InvalidArgument("dependent and independent labels overlap")
 
 
 def estimate_null_basis(data: FlowDataMatrix, zero_tol: float = DEFAULT_ZERO_TOL) -> NullBasis:
@@ -153,6 +162,101 @@ def estimate_null_basis(data: FlowDataMatrix, zero_tol: float = DEFAULT_ZERO_TOL
         raise RankZero("no conservation relation found at the given tolerance")
     basis = vt[e - m :]
     return NullBasis(basis=basis, estimated_rank_deficiency=m, singular_values=sv)
+
+
+def sink_cutset(
+    data: FlowDataMatrix, zero_tol: float = DEFAULT_ZERO_TOL
+) -> tuple[CanonicalCutsetMatrix, np.ndarray, tuple[tuple[int, ...], ...]]:
+    """The canonical cutset of noise-free data from one pivoted QR.
+
+    Every edge flow is a 0/1 sum of sink flows, ``X = T X_S``.  Scaled to
+    unit l1 norm, the rows of X all lie in the simplex spanned by the sink
+    rows, so QR with column pivoting of the scaled ``X^T`` takes the sinks
+    first (the successive projection algorithm for separable NMF).  Its
+    diagonal gives the rank: the pivots with ``|R_kk|`` above ``zero_tol``
+    times ``|R_00|`` are the sinks, the other m edges carry the laws, and
+    ``R11^-1 R12``, unscaled, is T on them.  The cutset is ``[I | -T]``
+    with branches and chords each in label order.
+
+    Among equal flows (an equal-flow chain: a non-sink edge with a single
+    descendant sink) the pivot follows rounding.  A non-sink whose T row is
+    the unit row of a sink shares that sink's flow; in each such group the
+    largest label is taken as the sink, the ordered-label convention.
+
+    Returns the canonical cutset, the pivot magnitudes ``|R_kk|`` (padded
+    with zeros to length e) and the equal-flow groups, each a tuple of
+    labels in ascending order, sink last.
+
+    Raises:
+        InvalidArgument: ``zero_tol`` is not positive.
+        NonPositiveFlow: some edge's samples do not sum to a positive flow
+            (an ``InvalidArgument``).
+        RankZero: every pivot clears the cutoff.
+        NonIntegerCutset: an entry of T is farther than
+            ``DEFAULT_ROUND_TOL`` from 0 or 1.
+        NotCanonicalizable: the snapped matrix is not a cutset matrix.
+    """
+    if zero_tol <= 0:
+        raise InvalidArgument("zero_tol must be positive")
+    x = data.entries
+    e = x.shape[0]
+    sums = x.sum(axis=1)
+    if not (sums > 0).all():
+        k = int(np.argmin(sums > 0))
+        raise NonPositiveFlow(
+            f"edge {k + 1} sums to {sums[k]:.6g}; the exact lane needs every "
+            "edge to carry a positive total flow"
+        )
+    # transposed, the scaled copy is in Fortran order and the QR overwrites it
+    (_, _), r, piv = sla.qr(
+        (x / sums[:, None]).T, mode="raw", pivoting=True, overwrite_a=True, check_finite=False
+    )
+    diag = np.abs(np.diagonal(r))
+    norms = np.zeros(e)
+    norms[: diag.size] = diag
+    norms.setflags(write=False)
+    rank = int(np.count_nonzero(norms > zero_tol * norms[0]))
+    if rank == e:
+        raise RankZero("no conservation relation found at the given tolerance")
+    sinks, others = piv[:rank], piv[rank:]
+    # scaled rows: x_j / s_j = sum_i W_ij x_i / s_i, so T_ji = s_j W_ij / s_i
+    w = sla.solve_triangular(r[:rank, :rank], r[:rank, rank:], check_finite=False)
+    t = snap_signed_units(
+        (w * sums[others] / sums[sinks, None]).T, DEFAULT_ROUND_TOL, NonIntegerCutset
+    )
+    if (t < 0).any():
+        i, j = np.argwhere(t < 0)[0]
+        raise NonIntegerCutset(
+            f"edge {others[i] + 1} draws a negative share of sink flow {sinks[j] + 1}"
+        )
+
+    # equal-flow groups: a non-sink with a single sink below carries that
+    # sink's flow; the group's largest label becomes the sink
+    single = np.flatnonzero(t.sum(axis=1) == 1)
+    groups: dict[int, list[tuple[int, int]]] = {}
+    for row, i in zip(single.tolist(), t[single].argmax(axis=1).tolist()):
+        groups.setdefault(i, []).append((int(others[row]), row))
+    chains = []
+    for i, members in groups.items():
+        sink = int(sinks[i])
+        chains.append(tuple(sorted([sink + 1] + [lab + 1 for lab, _ in members])))
+        top, row = max(members)
+        if top > sink:
+            # X_top equals X_sink: the sink's column and top's row trade labels
+            others[row], sinks[i] = sink, top
+    chains.sort(key=lambda group: group[-1])
+
+    rows, cols = np.argsort(others), np.argsort(sinks)
+    try:
+        inner = CutsetMatrix(
+            entries=np.hstack([np.eye(e - rank, dtype=np.int64), -t[rows][:, cols]]),
+            branch_edges=tuple(others[rows] + 1),
+            chord_edges=tuple(sinks[cols] + 1),
+        )
+        canon = CanonicalCutsetMatrix(inner=inner)
+    except ValueError as exc:
+        raise NotCanonicalizable(str(exc)) from None
+    return canon, norms, tuple(chains)
 
 
 def _full_rank_rref(rows: np.ndarray) -> tuple[np.ndarray, tuple[int, ...]]:
@@ -217,7 +321,7 @@ def reduce_to_cutset(rows: np.ndarray, band: float, error_cls: type) -> CutsetMa
     """Reduce a basis of conservation laws to ``[I | R]`` by :func:`rref`
     and snap it to signed units.
 
-    This is the reduction both lanes use.  The branch edges are the pivot
+    This is the noisy lane's reduction.  The branch edges are the pivot
     columns, labelled ``j + 1``; the chords are the other columns in label
     order.
 

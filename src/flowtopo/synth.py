@@ -56,12 +56,14 @@ class ArborescenceSpec:
         cr = (int(self.children_range[0]), int(self.children_range[1]))
         object.__setattr__(self, "layer_range", lr)
         object.__setattr__(self, "children_range", cr)
-        if lr[0] > lr[1] or cr[0] > cr[1]:
-            raise InvalidArgument("ranges must satisfy low <= high")
+        # each message names its field, so the CLI can name the flag
+        for name, (low, high) in (("layer_range", lr), ("children_range", cr)):
+            if low > high:
+                raise InvalidArgument(f"{name} must satisfy low <= high, got {(low, high)}")
         if cr[0] < 1:
-            raise InvalidArgument("children per layer must be at least 1")
+            raise InvalidArgument("children_range must start at 1 or more children per layer")
         if self.family == "binary" and cr != (2, 2):
-            raise InvalidArgument("binary family requires exactly 2 children per parent")
+            raise InvalidArgument("children_range must be (2, 2) for the binary family")
 
 
 @dataclass(frozen=True)

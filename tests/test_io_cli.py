@@ -310,14 +310,17 @@ class TestCli:
         assert exc.value.code == 2
         assert "not allowed with argument" in capsys.readouterr().err
 
+    # the flag set out of range comes right after the command
     @pytest.mark.parametrize("argv", [
         ["bench", "--sizes", "1"],
         ["generate", "--layers", "3", "1", "--out", "net.json"],
+        ["generate", "--children", "3", "1", "--family", "thin_long", "--out", "net.json"],
     ])
     def test_invalid_argument_exits_two(self, tmp_path, capsys, argv):
         assert main([str(tmp_path / a) if a.endswith(".json") else a for a in argv]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
+        assert argv[1] in err
         assert not (tmp_path / "net.json").exists()
 
     def test_noise_model_size_mismatch_exits_two(self, tmp_path, capsys):
@@ -350,6 +353,8 @@ class TestExitCodeMap:
         assert _exit_code(ft.ParseError("x")) == 2
         assert _exit_code(ft.NotPositiveDefinite("x")) == 2
         assert _exit_code(ft.RankZero("x")) == 3
+        assert _exit_code(ft.NonPositiveFlow("x")) == 3
+        assert _exit_code(ft.InvalidArgument("x")) == 2
         assert _exit_code(ft.NoStableOrder("x")) == 3
         assert _exit_code(ft.SnapFailure("x")) == 4
         assert _exit_code(ft.NonIntegerCutset("x")) == 4

@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import subprocess
@@ -19,9 +20,50 @@ from flowtopo.noise_pipeline import (
 )
 from flowtopo.nullspace import reduce_to_cutset, snap_signed_units
 
+from conftest import descendant_sink_labels
+
 
 def binary_net() -> ft.FlowNetwork:
     return ft.generate_arborescence(ft.ArborescenceSpec("binary", (3, 3), (2, 2), seed=1))
+
+
+def zeroed_edge_data() -> ft.FlowDataMatrix:
+    x = ft.sample_flows(binary_net(), ft.FlowSamplerConfig(n_s=30, seed=1)).entries.copy()
+    x[0] = 0.0
+    return ft.FlowDataMatrix(x)
+
+
+def relabelled(family: str, index: int) -> ft.FlowNetwork:
+    """A generated network with its edges relabelled by a random
+    permutation, so that labels no longer run ancestor before descendant."""
+    net = ft.generate_within(family, 700 + index, max_edges=120)
+    e = net.edge_count
+    # old label k -> new[k - 1]; the root, node e + 1, keeps its id
+    new = np.append(np.random.default_rng(index).permutation(e) + 1, e + 1)
+    edges = [None] * e
+    for k, (s, t) in enumerate(net.edges):
+        edges[new[k] - 1] = (int(new[s - 1]), int(new[t - 1]))
+    return ft.FlowNetwork(e + 1, tuple(edges))
+
+
+def chain_groups(net: ft.FlowNetwork) -> list[tuple[int, ...]]:
+    """Each sink edge with the single-child edges straight above it, in
+    ascending label order, for the sinks that have any; by sink label."""
+    enters = {t: k + 1 for k, (_, t) in enumerate(net.edges)}
+    children: dict[int, int] = {}
+    for s, _ in net.edges:
+        children[s] = children.get(s, 0) + 1
+    groups = []
+    for k, (s, t) in enumerate(net.edges):
+        if t in children:
+            continue
+        group = [k + 1]
+        while s in enters and children[s] == 1:
+            group.append(enters[s])
+            s = net.edges[enters[s] - 1][0]
+        if len(group) > 1:
+            groups.append(tuple(sorted(group)))
+    return sorted(groups, key=lambda g: g[-1])
 
 
 def equality_reference(lams: np.ndarray, n_s: int, lam_max: float) -> tuple[float, float]:
@@ -410,11 +452,80 @@ class TestReconstructExact:
         with pytest.raises(ft.AmbiguousParent):
             ft.reconstruct_exact(data, chain_policy="strict")
 
+    def test_diagnostics_carry_pivot_norms(self):
+        net = binary_net()
+        data = ft.sample_flows(net, ft.FlowSamplerConfig(n_s=2 * net.edge_count, seed=3))
+        result = ft.reconstruct_exact(data)
+        norms = result.diagnostics["pivot_norms"]
+        e, m = net.edge_count, result.diagnostics["m"]
+        assert m == len(net.internal_nodes)
+        assert "singular_values" not in result.diagnostics
+        # the rank gap at the chosen m: the sinks' pivots clear the cutoff
+        assert norms.shape == (e,)
+        assert norms[e - m - 1] > ft.nullspace.DEFAULT_ZERO_TOL * norms[0] >= norms[e - m]
+        assert result.diagnostics["chain_groups"] == ()
+
+    @pytest.mark.parametrize("family", ["binary", "fat_short"])
+    def test_any_labelling_recovered(self, family):
+        # no chains: the data fixes the answer whatever the labels
+        for index in range(40):
+            net = relabelled(family, index)
+            data = ft.sample_flows(net, ft.FlowSamplerConfig(n_s=2 * net.edge_count, seed=index))
+            assert ft.verify_against_truth(ft.reconstruct_exact(data), net), index
+
+    def test_relabelled_chains_recovered_up_to_order(self):
+        # the order inside an equal-flow chain is not identifiable; the
+        # groups are reported, and every edge has the true descendant sinks
+        # once each group is named by its reported sink
+        for index in range(40):
+            net = relabelled("thin_long", index)
+            data = ft.sample_flows(net, ft.FlowSamplerConfig(n_s=2 * net.edge_count, seed=index))
+            result = ft.reconstruct_exact(data)
+            groups = result.diagnostics["chain_groups"]
+            assert list(groups) == chain_groups(net), index
+            named = {lab: group[-1] for group in groups for lab in group}
+            got = result.as_network()
+            for k in range(1, net.edge_count + 1):
+                want = {named.get(lab, lab) for lab in descendant_sink_labels(net, k)}
+                assert {named.get(lab, lab) for lab in descendant_sink_labels(got, k)} == want
+
+    def test_chain_groups_independent_of_blas_threads(self):
+        # among equal flows LAPACK's pivot follows rounding, which the
+        # thread count sets; the reported answer must not
+        net = ft.generate_within("thin_long", 13, max_edges=300)
+        assert len(chain_groups(net)) >= 10
+        script = (
+            "import json, flowtopo as ft\n"
+            "net = ft.generate_within('thin_long', 13, max_edges=300)\n"
+            "data = ft.sample_flows(net, ft.FlowSamplerConfig(n_s=2 * net.edge_count, seed=4))\n"
+            "r = ft.reconstruct_exact(data)\n"
+            "c = r.diagnostics['canonical']\n"
+            "print(json.dumps([sorted(r.edges), c.entries.tolist(), c.branch_edges,\n"
+            "                  c.chord_edges, r.diagnostics['chain_groups']]))\n"
+        )
+        src = str(Path(ft.__file__).resolve().parents[1])
+        outputs = []
+        for threads in ("1", "2"):
+            env = dict(
+                os.environ,
+                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+                OPENBLAS_NUM_THREADS=threads,
+                OMP_NUM_THREADS=threads,
+                MKL_NUM_THREADS=threads,
+            )
+            out = subprocess.run(
+                [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+            )
+            outputs.append(out.stdout)
+        assert outputs[0] == outputs[1]
+        edges, _, _, _, groups = json.loads(outputs[0])
+        assert [tuple(g) for g in groups] == chain_groups(net)
+        assert {tuple(st) for st in edges} == set(net.edges)
+
     def test_memory_linear_in_data(self):
         # tracemalloc sees numpy-array allocations only, not the buffers
-        # numpy's linalg routines take from malloc for LAPACK (for the QR, a
-        # second copy of the samples and its workspace), so this bounds the
-        # arrays the exact lane builds, not its whole footprint
+        # numpy's linalg routines take from malloc for LAPACK, so this
+        # bounds the arrays the exact lane builds, not its whole footprint
         net = ft.binary_network_with_edges(254)
         data = ft.sample_flows(net, ft.FlowSamplerConfig(n_s=2 * 254, seed=5))
         tracemalloc.start()
@@ -486,9 +597,22 @@ def test_reconstruct_matches_lane_wrappers(family):
     lambda: ft.add_noise(ft.FlowDataMatrix(np.ones((2, 5))), ft.SnrSetting(10.0), seed=0),
     lambda: ft.SweepConfig(trials=0),
     lambda: ft.run_scaling_bench(sizes=(16, 8)),
+    lambda: ft.reconstruct_exact(
+        ft.FlowDataMatrix(np.random.default_rng(0).standard_normal((3, 30)))
+    ),
+    lambda: ft.reconstruct_exact(zeroed_edge_data()),
+    lambda: ft.FlowNetwork(3, ((1, 1),)),
+    lambda: ft.FlowNetwork(3, ((1, 4),)),
+    lambda: ft.FlowNetwork(3, ()),
+    lambda: ft.Partition((1, 2), (2, 3)),
+    lambda: ft.CutsetMatrix(np.eye(2, dtype=int), (1,), (2, 3)),
+    lambda: ft.CutsetMatrix(np.array([[1, 2]]), (1,), (2,)),
+    lambda: ft.CutsetMatrix(np.array([[1, 1, -1]]), (1, 2), (3,)),
 ], ids=["whiten-size", "reconstruct-size", "alpha", "zero-tol", "alpha-without-noise",
         "zero-tol-with-noise", "chain-policy", "data", "sigma2", "per-edge", "noise-kind",
-        "sampler", "snr", "spec", "family", "bench-network", "add-noise", "sweep", "bench-sizes"])
+        "sampler", "snr", "spec", "family", "bench-network", "add-noise", "sweep", "bench-sizes",
+        "gaussian-data", "zeroed-row", "self-loop", "node-id", "no-edges", "partition",
+        "cutset-shape", "cutset-entries", "cutset-identity"])
 def test_argument_errors_are_typed(call):
     # still a ValueError for callers that catch that, and a FlowtopoError
     with pytest.raises(ft.InvalidArgument) as exc:

@@ -5,10 +5,12 @@ from hypothesis import strategies as st
 
 import flowtopo as ft
 from flowtopo.nullspace import (
+    DEFAULT_ROUND_TOL,
     DEFAULT_ZERO_TOL,
     PIVOT_THRESHOLD,
     RANK_TOL,
     reduce_to_cutset,
+    sink_cutset,
     snap_signed_units,
 )
 
@@ -320,6 +322,70 @@ class TestSnapAndRref:
         mat = rng.integers(-1, 2, size=(3, 5))
         out = snap_signed_units(mat.astype(float), band=0.35, error_cls=ft.SnapFailure)
         assert np.array_equal(out, mat)
+
+
+def by_label(canon: ft.CanonicalCutsetMatrix) -> tuple:
+    """Branches, chords and entries with rows and chord columns in label
+    order."""
+    m = canon.m
+    rows = np.argsort(canon.branch_edges)
+    cols = m + np.argsort(canon.chord_edges)
+    return (
+        sorted(canon.branch_edges),
+        sorted(canon.chord_edges),
+        canon.entries[rows][:, np.concatenate([rows, cols])].tolist(),
+    )
+
+
+class TestSinkCutset:
+    @pytest.mark.parametrize("family", ft.synth.FAMILIES)
+    def test_matches_reduction_and_canonicalize(self, family):
+        # the stages the exact lane replaced give the same canonical matrix
+        for seed in range(6):
+            net = ft.generate_within(family, 200 + seed, max_edges=120)
+            data = ft.sample_flows(net, ft.FlowSamplerConfig(n_s=2 * net.edge_count, seed=seed))
+            canon, norms, _ = sink_cutset(data)
+            basis = ft.estimate_null_basis(data)
+            staged = ft.canonicalize(
+                reduce_to_cutset(basis.basis, DEFAULT_ROUND_TOL, ft.NonIntegerCutset)
+            )
+            assert by_label(canon) == by_label(staged)
+            assert canon.provenance == ()
+            assert canon.branch_edges == tuple(sorted(canon.branch_edges))
+            assert np.count_nonzero(norms <= DEFAULT_ZERO_TOL * norms[0]) == basis.m
+
+    def test_demo_table_at_loose_tol(self, demo_flows):
+        canon, _, groups = sink_cutset(demo_flows, zero_tol=DEMO_ZERO_TOL)
+        assert canon.branch_edges == (1, 2, 6)
+        assert canon.chord_edges == (3, 4, 5, 7, 8)
+        assert groups == ()
+
+    def test_full_rank_data_raises(self):
+        rng = np.random.default_rng(1)
+        with pytest.raises(ft.RankZero):
+            sink_cutset(ft.FlowDataMatrix(rng.uniform(1.0, 2.0, (4, 20))))
+
+    def test_fractional_share_raises(self):
+        u, v = np.random.default_rng(2).uniform(50.0, 60.0, (2, 20))
+        with pytest.raises(ft.NonIntegerCutset, match="band"):
+            sink_cutset(ft.FlowDataMatrix(np.vstack([u, v, 0.5 * u + 0.5 * v])))
+
+    def test_negative_share_raises(self):
+        # four rows around a parallelogram: one is a signed sum of the others
+        u, v, w = np.random.default_rng(0).uniform(50.0, 60.0, (3, 20)) * [[2.0], [0.5], [2.0]]
+        with pytest.raises(ft.NonIntegerCutset, match="negative share"):
+            sink_cutset(ft.FlowDataMatrix(np.vstack([u, v, w, u + w - v])))
+
+    @pytest.mark.parametrize("row", [np.zeros(8), -np.ones(8)])
+    def test_nonpositive_flow_raises(self, row):
+        x = star_data().entries.copy()
+        x[1] = row
+        with pytest.raises(ft.NonPositiveFlow, match="edge 2"):
+            sink_cutset(ft.FlowDataMatrix(x))
+
+    def test_zero_tol_validated(self):
+        with pytest.raises(ft.InvalidArgument):
+            sink_cutset(star_data(), zero_tol=0.0)
 
 
 def test_demo_pipeline_reaches_truth(demo_flows, demo_truth):
