@@ -192,7 +192,8 @@ class CutsetMatrix:
             raise InvalidArgument(f"expected shape {(m, e)}, got {entries.shape}")
         if set(self.branch_edges) & set(self.chord_edges):
             raise InvalidArgument("branch and chord labels overlap")
-        if not np.isin(entries, (-1, 0, 1)).all():
+        # two comparisons, not abs: np.abs leaves the most negative int64 negative
+        if not ((entries >= -1) & (entries <= 1)).all():
             raise InvalidArgument("cutset entries must be in {-1, 0, +1}")
         if m and not np.array_equal(entries[:, :m], np.eye(m, dtype=np.int64)):
             raise InvalidArgument("leading columns do not form the identity")

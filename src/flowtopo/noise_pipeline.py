@@ -1,21 +1,23 @@
 """Measurement-noise lane: whitening, model-order testing, and the one
 end-to-end entry point, ``reconstruct``.
 
-The two lanes differ in how they reach the canonical cutset.  The exact
-lane takes it from one QR with column pivoting of the l1-scaled samples
-(``nullspace.sink_cutset``): the pivots are the sink edges, the diagonal
-gives the rank, and the triangular factor gives the sinks below every
-other edge.  The noisy lane reads the samples once, into the e x e Gram
-matrix, and works in e x e space from there: one Cholesky factor of the
-error covariance whitens the Gram matrix from both sides, one symmetric
-eigendecomposition of that whitened sample covariance feeds a sequential
-eigenvalue-equality test, vectorized over all candidates, that picks the
-conservation-law count, and the same factor back-transforms the
-eigenvectors of the smallest eigenvalues (the null basis).  Those laws
-are row-reduced and snapped to signed units
-(``nullspace.reduce_to_cutset``) and canonicalized.  Both lanes end in
-the same realization.  ``reconstruct_exact`` and ``reconstruct_noisy``
-call ``reconstruct`` for one lane each.
+Both lanes pick the sink edges first, by QR with column pivoting of the
+edges' flow rows scaled to unit total, and read the canonical cutset
+``[I | -T]`` off that choice (``nullspace.cutset_from_shares``).  The
+exact lane pivots the samples themselves (``nullspace.sink_cutset``):
+the diagonal gives the rank, and the triangular factor gives the sinks
+below every other edge.  The noisy lane reads the samples once, into the
+e x e Gram matrix, and works in e x e space from there: one Cholesky
+factor of the error covariance whitens the Gram matrix from both sides,
+and one symmetric eigendecomposition of that whitened sample covariance
+feeds a sequential eigenvalue-equality test, vectorized over all
+candidates, that picks the conservation-law count m.  The e - m largest
+eigenpairs, less the unit noise floor, are the denoised signal that the
+pivoted QR picks the sinks from; the same Cholesky factor back-transforms
+the eigenvectors of the m smallest (the null basis) into the laws, and
+one m x m solve on their non-sink columns gives T.  Both lanes end in the
+same realization.  ``reconstruct_exact`` and ``reconstruct_noisy`` call
+``reconstruct`` for one lane each.
 """
 
 from __future__ import annotations
@@ -29,17 +31,20 @@ import numpy as np
 from scipy import linalg as sla
 from scipy.special import chdtrc
 
-from .canonical_cutset import canonicalize
+from .canonical_cutset import CanonicalCutsetMatrix
 from .errors import (
+    AmbiguousParent,
     InvalidArgument,
     NoStableOrder,
     NotPositiveDefinite,
+    NoValidPartition,
     SnapFailure,
 )
 from .nullspace import (
     DEFAULT_ZERO_TOL,
     FlowDataMatrix,
-    reduce_to_cutset,
+    cutset_from_shares,
+    edge_totals,
     sink_cutset,
 )
 from .realize import ReconstructionResult, realize_topology
@@ -145,7 +150,7 @@ class RankTestReport:
 
 def _cholesky_lower(noise: NoiseModel) -> np.ndarray:
     try:
-        return sla.cholesky(noise.covariance, lower=True)
+        return sla.cholesky(noise.covariance, lower=True, check_finite=False)
     except sla.LinAlgError as exc:
         raise NotPositiveDefinite(f"covariance is not positive definite: {exc}") from exc
 
@@ -193,13 +198,19 @@ def whiten(data: FlowDataMatrix, noise: NoiseModel) -> FlowDataMatrix:
         NotPositiveDefinite: the covariance admits no Cholesky factor.
     """
     y = _centred_samples(data, noise)
-    y_s = sla.solve_triangular(_cholesky_lower(noise), y, lower=True)
+    y_s = sla.solve_triangular(_cholesky_lower(noise), y, lower=True, check_finite=False)
     return FlowDataMatrix(y_s, allow_undersampled=data.allow_undersampled)
 
 
-def _order_test(s_y: np.ndarray, n_s: int, alpha: float) -> RankTestReport:
+def _order_test(
+    s_y: np.ndarray, n_s: int, alpha: float
+) -> tuple[RankTestReport, np.ndarray, np.ndarray]:
     """Sequential eigenvalue-equality test on the whitened sample covariance
     ``s_y`` (e x e, lower triangle read), all candidates at once.
+
+    Returns the report and the eigendecomposition it was read from: the
+    clipped eigenvalues in ascending order and their eigenvectors as
+    columns.
 
     The statistic for the k smallest eigenvalues is
     ``n_s (k log mean - sum log)``, read off cumulative sums of the ascending
@@ -239,7 +250,7 @@ def _order_test(s_y: np.ndarray, n_s: int, alpha: float) -> RankTestReport:
         )
     last = int(accepted[0]) + 1
     chosen = int(ks[last - 1])
-    return RankTestReport(
+    report = RankTestReport(
         candidates=tuple(ks[:last]),
         statistics=tuple(stats[:last]),
         p_values=tuple(pvals[:last]),
@@ -248,6 +259,7 @@ def _order_test(s_y: np.ndarray, n_s: int, alpha: float) -> RankTestReport:
         eigenvalues=tuple(lams[::-1]),
         null_vectors=vecs[:, :chosen],
     )
+    return report, lams, vecs
 
 
 def estimate_model_order(whitened: FlowDataMatrix, alpha: float = DEFAULT_ALPHA) -> RankTestReport:
@@ -264,7 +276,41 @@ def estimate_model_order(whitened: FlowDataMatrix, alpha: float = DEFAULT_ALPHA)
     Raises:
         NoStableOrder: every candidate down to k = 2 is rejected.
     """
-    return _order_test(_gram(whitened.entries), whitened.sample_count, alpha)
+    return _order_test(_gram(whitened.entries), whitened.sample_count, alpha)[0]
+
+
+def _noisy_cutset(
+    y: np.ndarray, lower: np.ndarray, lams: np.ndarray, vecs: np.ndarray, m: int
+) -> tuple[CanonicalCutsetMatrix, tuple[tuple[int, ...], ...]]:
+    """The canonical cutset from the order test's eigendecomposition of the
+    whitened sample covariance, sinks first.
+
+    The e - m largest eigenpairs, less the unit noise floor of whitened
+    errors, estimate the signal: with D the edge totals,
+    ``F = D^-1 L U_s diag(sqrt(lam_s - 1))`` has ``F F^T`` close to the
+    Gram matrix of the flow rows scaled to unit total (over n_s), so QR
+    with column pivoting of ``F^T`` picks the sinks as
+    ``nullspace.sink_cutset`` does on noise-free rows.  The laws ``N``, the
+    null vectors mapped back by ``L^-T``, then give every other edge's share
+    of each sink flow, ``-N_B^-1 N_C`` on the non-sink columns B and the
+    sink columns C.
+    """
+    e = y.shape[0]
+    totals = edge_totals(y)
+    signal = vecs[:, m:] * np.sqrt(np.maximum(lams[m:] - 1.0, 0.0))
+    factor = (lower @ signal) / totals[:, None]
+    (_, _), _, piv = sla.qr(
+        factor.T, mode="raw", pivoting=True, overwrite_a=True, check_finite=False
+    )
+    sinks, others = piv[: e - m], piv[e - m :]
+    laws = sla.solve_triangular(
+        lower, vecs[:, :m], lower=True, trans="T", check_finite=False
+    ).T
+    try:
+        shares = -np.linalg.solve(laws[:, others], laws[:, sinks])
+    except np.linalg.LinAlgError as exc:
+        raise NoValidPartition(f"the non-sink columns of the laws are singular: {exc}") from None
+    return cutset_from_shares(shares, sinks, others, DEFAULT_SNAP_BAND, SnapFailure)
 
 
 def reconstruct(
@@ -289,28 +335,32 @@ def reconstruct(
     factor ``L`` of the error covariance whitens from both sides:
     ``L^-1 G L^-T`` equals ``estimate_model_order``'s covariance of
     ``whiten(data, noise)`` without forming the e x n_s whitened samples.
-    The order test at level ``alpha`` picks the law count, ``L^-T`` maps
-    its null basis back to the raw edges, and the laws are row-reduced,
-    snapped to {-1, 0, +1} and canonicalized; ``diagnostics`` adds the
-    order test's ``rank_test`` and the ``singular_values``.  Both lanes
-    end in ``realize_topology``.
+    The order test at level ``alpha`` picks the law count m; its e - m
+    largest eigenpairs, less the noise floor, pick the sinks by the same
+    pivoted QR, ``L^-T`` maps its null basis back to the laws, and one
+    solve on their non-sink columns gives the canonical cutset;
+    ``diagnostics`` adds the order test's ``rank_test``, the
+    ``singular_values`` and the ``chain_groups``.  Both lanes end in
+    ``realize_topology``; under ``chain_policy="strict"`` a reported
+    chain group raises ``AmbiguousParent`` first.
 
     Raises:
         InvalidArgument: ``alpha`` without a noise model, ``zero_tol``
             with one or not positive, or a covariance whose size differs
             from the data's.
-        NonPositiveFlow: in the exact lane, an edge whose samples do not
-            sum to a positive flow.
+        NonPositiveFlow: an edge whose samples (less any declared mean)
+            do not sum to a positive flow.
         RankZero: the exact lane finds no conservation law.
         NotPositiveDefinite: bad covariance.
         NoStableOrder: the order test rejects every candidate.
-        NoValidPartition: the noisy null basis has fewer pivot columns
-            than rows.
-        NonIntegerCutset, SnapFailure: a coefficient falls outside the
-            exact or the noisy lane's snap band.
-        NotUnique, NotCanonicalizable, NotArborescence, AmbiguousParent:
-            canonical or realization structure is inconsistent with an
-            arborescence.
+        NoValidPartition: the noisy laws are singular on the non-sink
+            columns.
+        NonIntegerCutset, SnapFailure: a sink share falls outside the
+            exact or the noisy lane's snap band, or snaps to -1.
+        NotCanonicalizable, NotArborescence: canonical or realization
+            structure is inconsistent with an arborescence.
+        AmbiguousParent: under ``chain_policy="strict"``, an equal-flow
+            chain whose order the data cannot fix.
     """
     if noise is None:
         if alpha is not None:
@@ -322,20 +372,26 @@ def reconstruct(
     else:
         if zero_tol is not None:
             raise InvalidArgument("zero_tol is the exact lane's cutoff; it takes no noise model")
-        gram = _gram(_centred_samples(data, noise))
+        y = _centred_samples(data, noise)
+        gram = _gram(y)
         lower = _cholesky_lower(noise)
         # whitened sample covariance L^-1 G L^-T, by two e x e triangular solves
-        half = sla.solve_triangular(lower, gram, lower=True)
-        s_y = sla.solve_triangular(lower, half.T, lower=True)
-        report = _order_test(s_y, data.sample_count, DEFAULT_ALPHA if alpha is None else alpha)
-        # rows span the estimated conservation laws of the raw data
-        laws = sla.solve_triangular(lower, report.null_vectors, lower=True, trans="T").T
-        canon = canonicalize(reduce_to_cutset(laws, DEFAULT_SNAP_BAND, SnapFailure))
+        half = sla.solve_triangular(lower, gram, lower=True, check_finite=False)
+        s_y = sla.solve_triangular(lower, half.T, lower=True, check_finite=False)
+        report, lams, vecs = _order_test(
+            s_y, data.sample_count, DEFAULT_ALPHA if alpha is None else alpha
+        )
+        canon, chains = _noisy_cutset(y, lower, lams, vecs, report.chosen_m)
         # singular values of Y_s / sqrt(n_s), recovered from its Gram spectrum
         extra = {
             "rank_test": report,
             "singular_values": tuple(math.sqrt(v) for v in report.eigenvalues),
+            "chain_groups": chains,
         }
+    if chain_policy == "strict" and chains:
+        raise AmbiguousParent(
+            f"edges {chains[0]} carry equal flows; their stacking order is not identifiable"
+        )
     result = realize_topology(canon, chain_policy=chain_policy)
     return replace(result, diagnostics={**result.diagnostics, **extra})
 

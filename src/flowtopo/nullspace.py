@@ -1,25 +1,29 @@
 """Learning the conservation model from steady-state flow data.
 
-The exact lane needs no null basis.  Every edge flow is a 0/1 sum of sink
-flows, so after scaling each edge's samples to unit total, one QR with
-column pivoting picks the sink edges, its diagonal gives the rank, and its
-triangular factor gives which sinks lie below every other edge: the
-canonical cutset matrix ``[I | -T]`` (:func:`sink_cutset`).
+Every edge flow is a 0/1 sum of sink flows, so after scaling each edge's
+samples to unit total, one QR with column pivoting picks the sink edges.
+The exact lane needs no null basis: the same QR's diagonal gives the rank,
+and its triangular factor gives which sinks lie below every other edge
+(:func:`sink_cutset`).  The noisy lane picks its sinks the same way from
+the signal part of the whitened covariance and solves for the shares on
+its null basis (``noise_pipeline``).  Both lanes snap those shares and
+emit the canonical cutset matrix ``[I | -T]`` through
+:func:`cutset_from_shares`.
 
-The noisy lane works from a basis of the conservation laws.  The samples
-of a conserved network lie in the null space of its incidence matrix, so
-the left singular vectors of the data matrix that belong to zero singular
-values span exactly the row space of that incidence matrix
-(:func:`estimate_null_basis` finds them by QR of the samples, then SVD of
-the e x e triangular factor).  Any valid partition of the flow variables
-then reduces a basis to a fundamental-cutset matrix ``[I | R]``; the
-reduced matrix is the same for every basis of the subspace, which is what
-makes the approach usable on an estimate rather than the true incidence
-matrix.  :func:`reduce_to_cutset` does this by a threshold-pivoted
-:func:`rref` whose pivot columns are the partition (rows its scan leaves
-are finished by complete pivoting over the skipped columns), then snapping
-to signed units.  :func:`to_fcutset_form` reduces on an explicitly given
-partition.
+The staged route, which neither lane takes any more, works from a basis
+of the conservation laws.  The samples of a conserved network lie in the
+null space of its incidence matrix, so the left singular vectors of the
+data matrix that belong to zero singular values span exactly the row
+space of that incidence matrix (:func:`estimate_null_basis` finds them by
+QR of the samples, then SVD of the e x e triangular factor).  Any valid
+partition of the flow variables then reduces a basis to a
+fundamental-cutset matrix ``[I | R]``; the reduced matrix is the same for
+every basis of the subspace, which is what makes the approach usable on
+an estimate rather than the true incidence matrix.
+:func:`reduce_to_cutset` does this by a threshold-pivoted :func:`rref`
+whose pivot columns are the partition (rows its scan leaves are finished
+by complete pivoting over the skipped columns), then snapping to signed
+units.  :func:`to_fcutset_form` reduces on an explicitly given partition.
 """
 
 from __future__ import annotations
@@ -175,13 +179,9 @@ def sink_cutset(
     first (the successive projection algorithm for separable NMF).  Its
     diagonal gives the rank: the pivots with ``|R_kk|`` above ``zero_tol``
     times ``|R_00|`` are the sinks, the other m edges carry the laws, and
-    ``R11^-1 R12``, unscaled, is T on them.  The cutset is ``[I | -T]``
-    with branches and chords each in label order.
-
-    Among equal flows (an equal-flow chain: a non-sink edge with a single
-    descendant sink) the pivot follows rounding.  A non-sink whose T row is
-    the unit row of a sink shares that sink's flow; in each such group the
-    largest label is taken as the sink, the ordered-label convention.
+    ``R11^-1 R12``, unscaled, is T on them.  :func:`cutset_from_shares`
+    snaps T and emits ``[I | -T]``; among equal flows the pivot follows
+    rounding, and it settles which edge of an equal-flow chain is the sink.
 
     Returns the canonical cutset, the pivot magnitudes ``|R_kk|`` (padded
     with zeros to length e) and the equal-flow groups, each a tuple of
@@ -200,13 +200,7 @@ def sink_cutset(
         raise InvalidArgument("zero_tol must be positive")
     x = data.entries
     e = x.shape[0]
-    sums = x.sum(axis=1)
-    if not (sums > 0).all():
-        k = int(np.argmin(sums > 0))
-        raise NonPositiveFlow(
-            f"edge {k + 1} sums to {sums[k]:.6g}; the exact lane needs every "
-            "edge to carry a positive total flow"
-        )
+    sums = edge_totals(x)
     # transposed, the scaled copy is in Fortran order and the QR overwrites it
     (_, _), r, piv = sla.qr(
         (x / sums[:, None]).T, mode="raw", pivoting=True, overwrite_a=True, check_finite=False
@@ -221,14 +215,60 @@ def sink_cutset(
     sinks, others = piv[:rank], piv[rank:]
     # scaled rows: x_j / s_j = sum_i W_ij x_i / s_i, so T_ji = s_j W_ij / s_i
     w = sla.solve_triangular(r[:rank, :rank], r[:rank, rank:], check_finite=False)
-    t = snap_signed_units(
-        (w * sums[others] / sums[sinks, None]).T, DEFAULT_ROUND_TOL, NonIntegerCutset
-    )
+    shares = (w * sums[others] / sums[sinks, None]).T
+    canon, chains = cutset_from_shares(shares, sinks, others, DEFAULT_ROUND_TOL, NonIntegerCutset)
+    return canon, norms, chains
+
+
+def edge_totals(samples: np.ndarray) -> np.ndarray:
+    """Each edge's total over the samples, the scale by which the sinks
+    are picked.
+
+    Raises:
+        NonPositiveFlow: some edge's total is not positive.
+    """
+    sums = samples.sum(axis=1)
+    if not (sums > 0).all():
+        k = int(np.argmin(sums > 0))
+        raise NonPositiveFlow(
+            f"edge {k + 1} sums to {sums[k]:.6g}; picking the sinks needs every "
+            "edge to carry a positive total flow"
+        )
+    return sums
+
+
+def cutset_from_shares(
+    shares: np.ndarray, sinks: np.ndarray, others: np.ndarray, band: float, error_cls: type
+) -> tuple[CanonicalCutsetMatrix, tuple[tuple[int, ...], ...]]:
+    """The canonical cutset ``[I | -T]`` from the estimated share of each
+    sink flow in each non-sink flow, shared by both lanes.
+
+    ``shares[i, j]`` estimates how much of the flow of sink edge
+    ``sinks[j]`` edge ``others[i]`` carries (0-based labels); snapped, it is
+    T, 1 where the sink lies below the edge and 0 elsewhere.  Branches and
+    chords come out each in label order, with no interchanges.
+
+    Among equal flows (an equal-flow chain: a non-sink edge with a single
+    descendant sink) the data cannot tell the edges apart.  A non-sink whose
+    T row is the unit row of a sink shares that sink's flow; in each such
+    group the largest label is taken as the sink, the ordered-label
+    convention.
+
+    Returns the canonical cutset and the equal-flow groups, each a tuple of
+    labels in ascending order, sink last, the groups by sink label.
+
+    Raises:
+        error_cls: a share is farther than ``band`` from 0 or 1, or snaps
+            to -1.
+        NotCanonicalizable: the snapped matrix is not a cutset matrix.
+    """
+    t = snap_signed_units(shares, band, error_cls)
     if (t < 0).any():
         i, j = np.argwhere(t < 0)[0]
-        raise NonIntegerCutset(
+        raise error_cls(
             f"edge {others[i] + 1} draws a negative share of sink flow {sinks[j] + 1}"
         )
+    sinks, others = sinks.copy(), others.copy()
 
     # equal-flow groups: a non-sink with a single sink below carries that
     # sink's flow; the group's largest label becomes the sink
@@ -249,14 +289,14 @@ def sink_cutset(
     rows, cols = np.argsort(others), np.argsort(sinks)
     try:
         inner = CutsetMatrix(
-            entries=np.hstack([np.eye(e - rank, dtype=np.int64), -t[rows][:, cols]]),
+            entries=np.hstack([np.eye(len(others), dtype=np.int64), -t[rows][:, cols]]),
             branch_edges=tuple(others[rows] + 1),
             chord_edges=tuple(sinks[cols] + 1),
         )
         canon = CanonicalCutsetMatrix(inner=inner)
     except ValueError as exc:
         raise NotCanonicalizable(str(exc)) from None
-    return canon, norms, tuple(chains)
+    return canon, tuple(chains)
 
 
 def _full_rank_rref(rows: np.ndarray) -> tuple[np.ndarray, tuple[int, ...]]:
@@ -321,7 +361,7 @@ def reduce_to_cutset(rows: np.ndarray, band: float, error_cls: type) -> CutsetMa
     """Reduce a basis of conservation laws to ``[I | R]`` by :func:`rref`
     and snap it to signed units.
 
-    This is the noisy lane's reduction.  The branch edges are the pivot
+    This is the staged route's reduction.  The branch edges are the pivot
     columns, labelled ``j + 1``; the chords are the other columns in label
     order.
 

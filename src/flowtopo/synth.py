@@ -133,6 +133,8 @@ def _grow(spec: ArborescenceSpec, rng: np.random.Generator, budget: int | None) 
     label = 0
     for _ in range(layers):
         children = int(rng.integers(clo, chi + 1))
+        if budget is not None and label + len(frontier) * children > budget:
+            raise _EdgeBudgetExceeded
         next_frontier = []
         for parent in frontier:
             for _ in range(children):
@@ -140,8 +142,6 @@ def _grow(spec: ArborescenceSpec, rng: np.random.Generator, budget: int | None) 
                 edges.append((parent, label))
                 next_frontier.append(label)
         frontier = next_frontier
-        if budget is not None and label > budget:
-            raise _EdgeBudgetExceeded
     e = label
     fixed = tuple((e + 1 if s == 0 else s, t) for s, t in edges)
     return FlowNetwork(node_count=e + 1, edges=fixed)
@@ -165,7 +165,8 @@ def generate_within(
     children_range: tuple[int, int] | None = None,
 ) -> FlowNetwork:
     """Deterministic rejection sampling: redraw until the network fits the
-    edge budget.  Oversized draws are abandoned mid-growth.
+    edge budget.  A draw is abandoned before it builds the layer that
+    would overflow the budget.
 
     Raises:
         EmptySpec: no draw fit within max_attempts.
@@ -231,8 +232,11 @@ def sample_flows(network: FlowNetwork, cfg: FlowSamplerConfig, allow_undersample
     components = rng.integers(0, len(cfg.means), size=len(sink_idx))
 
     data = np.empty((e, cfg.n_s), dtype=np.float64)
-    for idx, comp in zip(sink_idx, components):
-        data[idx] = rng.normal(cfg.means[comp], cfg.stds[comp], size=cfg.n_s)
+    data[sink_idx] = rng.normal(
+        np.asarray(cfg.means)[components, None],
+        np.asarray(cfg.stds)[components, None],
+        size=(len(sink_idx), cfg.n_s),
+    )
 
     # accumulate bottom-up: process edges by decreasing target depth
     depth: dict[int, int] = {}
