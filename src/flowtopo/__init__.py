@@ -2,14 +2,15 @@
 edge-flow measurements.
 
 The exact lane scales each edge's samples to unit total and takes one
-QR with column pivoting: its pivots are the sink edges, its diagonal the
-rank, and its triangular factor the sinks below every other edge, which
-is the canonical fundamental cutset matrix (branches exactly the non-sink
-edges).  Realization then builds the unique arborescence with that cutset
-structure.  A noisy lane adds covariance whitening and picks the number
-of conservation relations by an eigenvalue-equality test on the whitened
-sample covariance; the same eigendecomposition's signal part picks the
-sinks by the same pivoted QR, and one solve on the relations gives the
+pivoted Cholesky factorization of their Gram matrix: its pivots are the
+sink edges, its diagonal the rank, and its triangular factor the sinks
+below every other edge, which is the canonical fundamental cutset matrix
+(branches exactly the non-sink edges).  Realization then builds the
+unique arborescence with that cutset structure.  A noisy lane adds
+covariance whitening and picks the number of conservation relations by
+an eigenvalue-equality test on the whitened sample covariance; the same
+eigendecomposition's signal part picks the sinks by a pivoted QR that
+makes the same greedy choice, and one solve on the relations gives the
 canonical matrix for the same realization.
 ``reconstruct(data, noise=None)`` runs either lane: passing a noise model
 picks the noisy one.

@@ -38,6 +38,7 @@ from .errors import (
     SnapFailure,
 )
 from .noise_pipeline import DEFAULT_ALPHA, NoiseModel, reconstruct
+from .nullspace import EXACT_ZERO_TOL, ZERO_TOL_FLOOR
 from .realize import to_dot, verify_against_truth
 from .synth import (
     FAMILIES,
@@ -101,6 +102,7 @@ _FLAGS = {
         "cell_budget_s": "--cell-budget",
     },
     "bench": {"sizes": "--sizes"},
+    "reconstruct": {"zero_tol": "--zero-tol"},
 }
 
 
@@ -179,7 +181,9 @@ def _build_parser() -> argparse.ArgumentParser:
     rec.add_argument("--alpha", type=_level, help=f"noisy-lane test level, default {DEFAULT_ALPHA}")
     rec.add_argument(
         "--zero-tol", type=_positive(float),
-        help="exact-lane rank cutoff on the pivoted QR's |R_kk| / |R_00|",
+        help="exact-lane rank cutoff on |U_kk| / |U_00| of the pivoted Cholesky factor of "
+        f"the scaled samples' Gram matrix; default {EXACT_ZERO_TOL:g}, at least "
+        f"{ZERO_TOL_FLOOR:g}, below 1",
     )
     rec.add_argument("--transposed", action="store_true")
     rec.add_argument("--allow-undersampled", action="store_true")
@@ -325,7 +329,7 @@ def _cmd_bench(args) -> int:
         "stage_seconds": {k: list(v) for k, v in bench.stage_seconds.items()},
         "slope_total": bench.slope_total,
         "slope_alg2_vs_m": bench.slope_alg2_vs_m,
-        "slope_svd": bench.slope_svd,
+        "slope_cutset": bench.slope_cutset,
     }
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -334,7 +338,7 @@ def _cmd_bench(args) -> int:
     print(
         f"total slope {bench.slope_total:.2f}, "
         f"alg2-vs-m slope {bench.slope_alg2_vs_m:.2f}, "
-        f"svd slope {bench.slope_svd:.2f}"
+        f"cutset slope {bench.slope_cutset:.2f}"
     )
     return 0
 

@@ -21,11 +21,10 @@ from typing import Any, Callable
 
 import numpy as np
 
-from .canonical_cutset import canonicalize
-from .errors import FlowtopoError, InvalidArgument, NonIntegerCutset
+from .errors import FlowtopoError, InvalidArgument
 from .graph_model import FlowNetwork
 from .noise_pipeline import DEFAULT_ALPHA, reconstruct_exact, reconstruct_noisy
-from .nullspace import DEFAULT_ROUND_TOL, estimate_null_basis, reduce_to_cutset
+from .nullspace import sink_cutset
 from .realize import realize_topology, verify_against_truth
 from .synth import (
     FAMILIES,
@@ -276,7 +275,7 @@ class ScalingBench:
     total_seconds: tuple[float, ...] = ()
     slope_total: float = math.nan
     slope_alg2_vs_m: float = math.nan
-    slope_svd: float = math.nan
+    slope_cutset: float = math.nan
 
 
 def _timed(fn: Callable[[], Any], min_duration: float = 0.01) -> float:
@@ -307,17 +306,16 @@ def run_scaling_bench(
     z: int = 2,
     seed: int = 0,
 ) -> ScalingBench:
-    """Time the noise-free stages on benchmark networks of exact edge
+    """Time the exact lane's stages on benchmark networks of exact edge
     counts and fit log-log growth slopes.
 
-    ``svd``, ``reduce`` and ``alg1`` time the staged route (null basis,
-    ``reduce_to_cutset``, ``canonicalize``) and ``alg2`` realization;
-    ``total`` times ``reconstruct_exact``, which reaches the canonical
-    cutset by one pivoted QR instead of the first three stages.
+    ``cutset`` times ``sink_cutset`` (the Gram matrix, its pivoted Cholesky
+    factorization and the canonical cutset), ``alg2`` realization and
+    ``total`` the whole ``reconstruct_exact``.
     """
     if list(sizes) != sorted(sizes) or not sizes or sizes[0] < 2:
         raise InvalidArgument("sizes must be ascending edge counts of at least 2")
-    stage_names = ("svd", "reduce", "alg1", "alg2", "total")
+    stage_names = ("cutset", "alg2", "total")
     per_stage: dict[str, list[float]] = {name: [] for name in stage_names}
     m_values: list[int] = []
     for e in sizes:
@@ -328,13 +326,8 @@ def run_scaling_bench(
         data = sample_flows(network, cfg, allow_undersampled=z * e <= e)
         samples = {name: [] for name in stage_names}
         for _ in range(repeats):
-            basis = estimate_null_basis(data)
-            reduce = lambda: reduce_to_cutset(basis.basis, DEFAULT_ROUND_TOL, NonIntegerCutset)
-            cutset = reduce()
-            canon = canonicalize(cutset)
-            samples["svd"].append(_timed(lambda: estimate_null_basis(data)))
-            samples["reduce"].append(_timed(reduce))
-            samples["alg1"].append(_timed(lambda: canonicalize(cutset)))
+            canon, _, _ = sink_cutset(data)
+            samples["cutset"].append(_timed(lambda: sink_cutset(data)))
             samples["alg2"].append(_timed(lambda: realize_topology(canon)))
             samples["total"].append(_timed(lambda: reconstruct_exact(data)))
         for name in stage_names:
@@ -349,5 +342,5 @@ def run_scaling_bench(
         slope_alg2_vs_m=_loglog_slope(
             np.array(m_values, dtype=float), np.array(per_stage["alg2"])
         ),
-        slope_svd=_loglog_slope(sizes_arr, np.array(per_stage["svd"])),
+        slope_cutset=_loglog_slope(sizes_arr, np.array(per_stage["cutset"])),
     )

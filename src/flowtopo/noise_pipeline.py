@@ -1,18 +1,19 @@
 """Measurement-noise lane: whitening, model-order testing, and the one
 end-to-end entry point, ``reconstruct``.
 
-Both lanes pick the sink edges first, by QR with column pivoting of the
-edges' flow rows scaled to unit total, and read the canonical cutset
-``[I | -T]`` off that choice (``nullspace.cutset_from_shares``).  The
-exact lane pivots the samples themselves (``nullspace.sink_cutset``):
-the diagonal gives the rank, and the triangular factor gives the sinks
-below every other edge.  The noisy lane reads the samples once, into the
-e x e Gram matrix, and works in e x e space from there: one Cholesky
+Both lanes pick the sink edges first, by pivoting on the largest residual
+norm of the edges' flow rows scaled to unit total, and read the canonical
+cutset ``[I | -T]`` off that choice (``nullspace.cutset_from_shares``).
+The exact lane takes one pivoted Cholesky factorization of the scaled
+rows' e x e Gram matrix (``nullspace.sink_cutset``): the diagonal gives
+the rank, and the triangular factor gives the sinks below every other
+edge.  The noisy lane reads the samples once, into the e x e Gram
+matrix, and works in e x e space from there: one Cholesky
 factor of the error covariance whitens the Gram matrix from both sides,
 and one symmetric eigendecomposition of that whitened sample covariance
 feeds a sequential eigenvalue-equality test, vectorized over all
 candidates, that picks the conservation-law count m.  The e - m largest
-eigenpairs, less the unit noise floor, are the denoised signal that the
+eigenpairs, less the unit noise floor, are the denoised signal that a
 pivoted QR picks the sinks from; the same Cholesky factor back-transforms
 the eigenvectors of the m smallest (the null basis) into the laws, and
 one m x m solve on their non-sink columns gives T.  Both lanes end in the
@@ -35,13 +36,14 @@ from .canonical_cutset import CanonicalCutsetMatrix
 from .errors import (
     AmbiguousParent,
     InvalidArgument,
+    NonPositiveFlow,
     NoStableOrder,
     NotPositiveDefinite,
     NoValidPartition,
     SnapFailure,
 )
 from .nullspace import (
-    DEFAULT_ZERO_TOL,
+    EXACT_ZERO_TOL,
     FlowDataMatrix,
     cutset_from_shares,
     edge_totals,
@@ -181,9 +183,9 @@ def _centred_samples(data: FlowDataMatrix, noise: NoiseModel) -> np.ndarray:
 
 
 def _gram(y: np.ndarray) -> np.ndarray:
-    # Forming the Gram matrix squares the condition number, which the exact
-    # lane's 1e-10 rank cutoff could not afford; here the null eigenvalues
-    # sit at the noise floor, far above rounding error.
+    # Forming the Gram matrix squares the condition number, which is why
+    # the exact lane's cutoff cannot go below 1e-7; here the null
+    # eigenvalues sit at the noise floor, far above rounding error.
     return (y @ y.T) / y.shape[1]
 
 
@@ -290,13 +292,19 @@ def _noisy_cutset(
     ``F = D^-1 L U_s diag(sqrt(lam_s - 1))`` has ``F F^T`` close to the
     Gram matrix of the flow rows scaled to unit total (over n_s), so QR
     with column pivoting of ``F^T`` picks the sinks as
-    ``nullspace.sink_cutset`` does on noise-free rows.  The laws ``N``, the
-    null vectors mapped back by ``L^-T``, then give every other edge's share
-    of each sink flow, ``-N_B^-1 N_C`` on the non-sink columns B and the
-    sink columns C.
+    ``nullspace.sink_cutset``'s pivoted Cholesky factorization does on
+    noise-free rows.  The laws ``N``, the null vectors mapped back by
+    ``L^-T``, then give every other edge's share of each sink flow,
+    ``-N_B^-1 N_C`` on the non-sink columns B and the sink columns C.
     """
     e = y.shape[0]
-    totals = edge_totals(y)
+    try:
+        totals = edge_totals(y)
+    except NonPositiveFlow as exc:
+        raise NonPositiveFlow(
+            f"{exc}; the noisy lane needs uncentred flows: pass the raw samples "
+            "and declare a known error offset as NoiseModel.mean, not mean-removed rows"
+        ) from None
     signal = vecs[:, m:] * np.sqrt(np.maximum(lams[m:] - 1.0, 0.0))
     factor = (lower @ signal) / totals[:, None]
     (_, _), _, piv = sla.qr(
@@ -323,22 +331,26 @@ def reconstruct(
 ) -> ReconstructionResult:
     """Reconstruct the arborescence behind the samples.
 
-    ``noise`` picks the lane.  Without a noise model, one QR with column
-    pivoting of the samples, each edge scaled to unit total, gives the
-    canonical cutset directly (``nullspace.sink_cutset``): pivots whose
-    ``|R_kk|`` exceeds ``zero_tol`` times ``|R_00|`` are the sink edges,
-    the rest the branches; ``diagnostics`` adds those ``pivot_norms`` and
-    the ``chain_groups`` of equal-flow edges, whose order the data cannot
-    fix and the ordered-label convention settles.  With a noise model, the
-    samples are read once, into the e x e Gram matrix ``G = Y Y^T / n_s``
-    (less any declared mean, as in ``whiten``), which the one Cholesky
-    factor ``L`` of the error covariance whitens from both sides:
-    ``L^-1 G L^-T`` equals ``estimate_model_order``'s covariance of
-    ``whiten(data, noise)`` without forming the e x n_s whitened samples.
-    The order test at level ``alpha`` picks the law count m; its e - m
-    largest eigenpairs, less the noise floor, pick the sinks by the same
-    pivoted QR, ``L^-T`` maps its null basis back to the laws, and one
-    solve on their non-sink columns gives the canonical cutset;
+    ``noise`` picks the lane.  Without a noise model, one pivoted Cholesky
+    factorization of the Gram matrix of the samples, each edge scaled to
+    unit total, gives the canonical cutset directly
+    (``nullspace.sink_cutset``): pivots whose ``U_kk`` exceeds ``zero_tol``
+    (default ``EXACT_ZERO_TOL = 1e-6``, at least ``ZERO_TOL_FLOOR = 1e-7``)
+    times ``U_00`` are the sink edges, the rest the branches.  The Gram
+    matrix squares the condition number, so flows whose sink samples vary
+    by less than about 1e-5 of their mean look equal and fail to snap.
+    ``diagnostics`` adds those ``pivot_norms`` (with the refused pivot
+    after them) and the ``chain_groups`` of equal-flow edges, whose order
+    the data cannot fix and the ordered-label convention settles.  With a
+    noise model, the samples are read once, into the e x e Gram matrix
+    ``G = Y Y^T / n_s`` (less any declared mean, as in ``whiten``), which
+    the one Cholesky factor ``L`` of the error covariance whitens from
+    both sides: ``L^-1 G L^-T`` equals ``estimate_model_order``'s
+    covariance of ``whiten(data, noise)`` without forming the e x n_s
+    whitened samples.  The order test at level ``alpha`` picks the law
+    count m; its e - m largest eigenpairs, less the noise floor, pick the
+    sinks by a pivoted QR, ``L^-T`` maps its null basis back to the laws,
+    and one solve on their non-sink columns gives the canonical cutset;
     ``diagnostics`` adds the order test's ``rank_test``, the
     ``singular_values`` and the ``chain_groups``.  Both lanes end in
     ``realize_topology``; under ``chain_policy="strict"`` a reported
@@ -346,10 +358,11 @@ def reconstruct(
 
     Raises:
         InvalidArgument: ``alpha`` without a noise model, ``zero_tol``
-            with one or not positive, or a covariance whose size differs
-            from the data's.
+            with one or outside ``[ZERO_TOL_FLOOR, 1)``, or a covariance
+            whose size differs from the data's.
         NonPositiveFlow: an edge whose samples (less any declared mean)
-            do not sum to a positive flow.
+            do not sum to a positive flow, as after removing each edge's
+            mean.
         RankZero: the exact lane finds no conservation law.
         NotPositiveDefinite: bad covariance.
         NoStableOrder: the order test rejects every candidate.
@@ -366,7 +379,7 @@ def reconstruct(
         if alpha is not None:
             raise InvalidArgument("alpha is the noisy lane's test level; it needs a noise model")
         canon, pivot_norms, chains = sink_cutset(
-            data, DEFAULT_ZERO_TOL if zero_tol is None else zero_tol
+            data, EXACT_ZERO_TOL if zero_tol is None else zero_tol
         )
         extra = {"pivot_norms": pivot_norms, "chain_groups": chains}
     else:
@@ -408,7 +421,7 @@ def reconstruct_noisy(
 
 def reconstruct_exact(
     data: FlowDataMatrix,
-    zero_tol: float = DEFAULT_ZERO_TOL,
+    zero_tol: float = EXACT_ZERO_TOL,
     chain_policy: str = "row_order",
 ) -> ReconstructionResult:
     """The exact (noise-free) lane of :func:`reconstruct`."""

@@ -1,14 +1,15 @@
 """Learning the conservation model from steady-state flow data.
 
 Every edge flow is a 0/1 sum of sink flows, so after scaling each edge's
-samples to unit total, one QR with column pivoting picks the sink edges.
-The exact lane needs no null basis: the same QR's diagonal gives the rank,
-and its triangular factor gives which sinks lie below every other edge
-(:func:`sink_cutset`).  The noisy lane picks its sinks the same way from
-the signal part of the whitened covariance and solves for the shares on
-its null basis (``noise_pipeline``).  Both lanes snap those shares and
-emit the canonical cutset matrix ``[I | -T]`` through
-:func:`cutset_from_shares`.
+samples to unit total, a greedy pivot on the largest residual norm picks
+the sink edges.  The exact lane needs no null basis: one pivoted Cholesky
+factorization of the e x e Gram matrix of the scaled rows makes those
+pivot choices, its diagonal gives the rank, and its triangular factor
+gives which sinks lie below every other edge (:func:`sink_cutset`).  The
+noisy lane picks its sinks the same way, by a pivoted QR of the signal
+part of the whitened covariance, and solves for the shares on its null
+basis (``noise_pipeline``).  Both lanes snap those shares and emit the
+canonical cutset matrix ``[I | -T]`` through :func:`cutset_from_shares`.
 
 The staged route, which neither lane takes any more, works from a basis
 of the conservation laws.  The samples of a conserved network lie in the
@@ -47,6 +48,13 @@ from .errors import (
 from .graph_model import CutsetMatrix
 
 DEFAULT_ZERO_TOL = 1e-10
+# The exact lane's cutoff on |U_kk| / |U_00| of the pivoted Cholesky factor.
+# Forming the Gram matrix squares the condition number, so a pivot that is
+# zero in exact arithmetic comes out near sqrt(eps), about 2-5e-8 of the
+# first; true sink pivots stay above 5e-2 of it on the generator families.
+EXACT_ZERO_TOL = 1e-6
+# cutoffs below this would count rounding in the Gram matrix as rank
+ZERO_TOL_FLOOR = 1e-7
 DEFAULT_ROUND_TOL = 0.1
 # rref takes a column as pivot only above this fraction of the largest
 # entry left to reduce (threshold pivoting, u = 0.1)
@@ -169,26 +177,38 @@ def estimate_null_basis(data: FlowDataMatrix, zero_tol: float = DEFAULT_ZERO_TOL
 
 
 def sink_cutset(
-    data: FlowDataMatrix, zero_tol: float = DEFAULT_ZERO_TOL
+    data: FlowDataMatrix, zero_tol: float = EXACT_ZERO_TOL
 ) -> tuple[CanonicalCutsetMatrix, np.ndarray, tuple[tuple[int, ...], ...]]:
-    """The canonical cutset of noise-free data from one pivoted QR.
+    """The canonical cutset of noise-free data from one pivoted Cholesky
+    factorization.
 
     Every edge flow is a 0/1 sum of sink flows, ``X = T X_S``.  Scaled to
     unit l1 norm, the rows of X all lie in the simplex spanned by the sink
-    rows, so QR with column pivoting of the scaled ``X^T`` takes the sinks
-    first (the successive projection algorithm for separable NMF).  Its
-    diagonal gives the rank: the pivots with ``|R_kk|`` above ``zero_tol``
-    times ``|R_00|`` are the sinks, the other m edges carry the laws, and
-    ``R11^-1 R12``, unscaled, is T on them.  :func:`cutset_from_shares`
+    rows, so pivoting on the largest residual norm takes the sinks first
+    (the successive projection algorithm for separable NMF).  Those norms
+    depend only on the Gram matrix ``G = Xn Xn^T`` of the scaled rows, and
+    its pivoted Cholesky factorization ``P^T G P = U^T U`` (LAPACK
+    ``dpstrf``) makes the same choices as QR with column pivoting of
+    ``Xn^T``, with ``U`` equal to that QR's ``R`` up to signs.  It stops at
+    the first pivot with ``U_kk`` at or below ``zero_tol`` times ``U_00``:
+    the pivots before it are the sinks, the other m edges carry the laws,
+    and ``U11^-1 U12``, unscaled, is T on them.  :func:`cutset_from_shares`
     snaps T and emits ``[I | -T]``; among equal flows the pivot follows
     rounding, and it settles which edge of an equal-flow chain is the sink.
 
-    Returns the canonical cutset, the pivot magnitudes ``|R_kk|`` (padded
-    with zeros to length e) and the equal-flow groups, each a tuple of
-    labels in ascending order, sink last.
+    Squaring the condition number puts a pivot that is zero in exact
+    arithmetic near ``sqrt(eps)`` of the first, so ``zero_tol`` must be at
+    least ``ZERO_TOL_FLOOR``, and flows whose sink samples vary by less
+    than about 1e-5 of their mean cannot be told apart from equal flows.
+
+    Returns the canonical cutset, the pivot magnitudes ``U_kk`` with the
+    refused pivot (the largest diagonal left in the trailing block) at
+    index ``e - m`` and zeros after it, and the equal-flow groups
+    (:func:`cutset_from_shares`).
 
     Raises:
-        InvalidArgument: ``zero_tol`` is not positive.
+        InvalidArgument: ``zero_tol`` is below ``ZERO_TOL_FLOOR`` or not
+            below 1.
         NonPositiveFlow: some edge's samples do not sum to a positive flow
             (an ``InvalidArgument``).
         RankZero: every pivot clears the cutoff.
@@ -196,25 +216,35 @@ def sink_cutset(
             ``DEFAULT_ROUND_TOL`` from 0 or 1.
         NotCanonicalizable: the snapped matrix is not a cutset matrix.
     """
-    if zero_tol <= 0:
-        raise InvalidArgument("zero_tol must be positive")
+    if not ZERO_TOL_FLOOR <= zero_tol < 1:
+        raise InvalidArgument(
+            f"zero_tol must lie in [{ZERO_TOL_FLOOR:g}, 1), got {zero_tol:g}; the Gram "
+            "matrix resolves pivots only down to about 1e-8 of the first"
+        )
     x = data.entries
     e = x.shape[0]
     sums = edge_totals(x)
-    # transposed, the scaled copy is in Fortran order and the QR overwrites it
-    (_, _), r, piv = sla.qr(
-        (x / sums[:, None]).T, mode="raw", pivoting=True, overwrite_a=True, check_finite=False
+    scaled = x / sums[:, None]
+    gram = scaled @ scaled.T
+    diag = gram.diagonal().copy()
+    # gram is symmetric, so its transpose is the Fortran-ordered copy that
+    # dpstrf overwrites without another copy
+    u, piv, rank, _ = sla.lapack.dpstrf(
+        gram.T, tol=zero_tol**2 * diag.max(), overwrite_a=True
     )
-    diag = np.abs(np.diagonal(r))
-    norms = np.zeros(e)
-    norms[: diag.size] = diag
-    norms.setflags(write=False)
-    rank = int(np.count_nonzero(norms > zero_tol * norms[0]))
     if rank == e:
         raise RankZero("no conservation relation found at the given tolerance")
+    piv = piv.astype(np.intp) - 1
     sinks, others = piv[:rank], piv[rank:]
+    upper = u[:rank, rank:]
+    # dpstrf leaves the trailing block unfactored; the pivot it refused is
+    # the largest diagonal of that block's Schur complement
+    norms = np.zeros(e)
+    norms[:rank] = np.diagonal(u)[:rank]
+    norms[rank] = np.sqrt(max((diag[others] - (upper**2).sum(axis=0)).max(), 0.0))
+    norms.setflags(write=False)
     # scaled rows: x_j / s_j = sum_i W_ij x_i / s_i, so T_ji = s_j W_ij / s_i
-    w = sla.solve_triangular(r[:rank, :rank], r[:rank, rank:], check_finite=False)
+    w = sla.solve_triangular(u[:rank, :rank], upper, check_finite=False)
     shares = (w * sums[others] / sums[sinks, None]).T
     canon, chains = cutset_from_shares(shares, sinks, others, DEFAULT_ROUND_TOL, NonIntegerCutset)
     return canon, norms, chains
@@ -248,14 +278,16 @@ def cutset_from_shares(
     T, 1 where the sink lies below the edge and 0 elsewhere.  Branches and
     chords come out each in label order, with no interchanges.
 
-    Among equal flows (an equal-flow chain: a non-sink edge with a single
-    descendant sink) the data cannot tell the edges apart.  A non-sink whose
-    T row is the unit row of a sink shares that sink's flow; in each such
-    group the largest label is taken as the sink, the ordered-label
-    convention.
+    Among equal flows (an equal-flow chain: a run of single-child edges)
+    the data cannot tell the edges apart.  A non-sink whose T row is the
+    unit row of a sink shares that sink's flow; in each such group the
+    largest label is taken as the sink, the ordered-label convention.
+    Non-sinks with equal T rows above several sinks form a mid-tree chain,
+    whose order realization settles by the same convention.
 
     Returns the canonical cutset and the equal-flow groups, each a tuple of
-    labels in ascending order, sink last, the groups by sink label.
+    labels in ascending order (a sink's group ends in the sink), the
+    groups by last label.
 
     Raises:
         error_cls: a share is farther than ``band`` from 0 or 1, or snaps
@@ -272,7 +304,8 @@ def cutset_from_shares(
 
     # equal-flow groups: a non-sink with a single sink below carries that
     # sink's flow; the group's largest label becomes the sink
-    single = np.flatnonzero(t.sum(axis=1) == 1)
+    sizes = t.sum(axis=1)
+    single = np.flatnonzero(sizes == 1)
     groups: dict[int, list[tuple[int, int]]] = {}
     for row, i in zip(single.tolist(), t[single].argmax(axis=1).tolist()):
         groups.setdefault(i, []).append((int(others[row]), row))
@@ -284,6 +317,14 @@ def cutset_from_shares(
         if top > sink:
             # X_top equals X_sink: the sink's column and top's row trade labels
             others[row], sinks[i] = sink, top
+    # mid-tree chains: equal T rows above several sinks.  Equal rows share
+    # their size and first sink, so only rows that share both are compared
+    multi = np.flatnonzero(sizes > 1)
+    key = sizes[multi] * t.shape[1] + t.argmax(axis=1)[multi]
+    equal: dict[bytes, list[int]] = {}
+    for row in multi[np.bincount(key)[key] > 1].tolist():
+        equal.setdefault(t[row].tobytes(), []).append(int(others[row]) + 1)
+    chains += [tuple(sorted(labels)) for labels in equal.values() if len(labels) > 1]
     chains.sort(key=lambda group: group[-1])
 
     rows, cols = np.argsort(others), np.argsort(sinks)

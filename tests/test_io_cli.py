@@ -303,6 +303,17 @@ class TestCli:
         assert all(flag in err for flag in named), err
         assert not (tmp_path / "res.json").exists()
 
+    @pytest.mark.parametrize("zero_tol", ["1e-10", "1"])
+    def test_zero_tol_outside_gram_resolution_exits_two(self, tmp_path, capsys, zero_tol):
+        # refused, not clamped to the floor, and the message names the flag
+        data = ft.sample_flows(small_net(), ft.FlowSamplerConfig(n_s=60, seed=5))
+        ftio.dump_data_csv(data, tmp_path / "run.csv")
+        assert main(["reconstruct", "--data", str(tmp_path / "run.csv"),
+                     "--zero-tol", zero_tol, "--out", str(tmp_path / "res")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: reconstruct: --zero-tol: zero_tol must lie in"), err
+        assert not (tmp_path / "res.json").exists()
+
     def test_noise_and_sigma2_exclusive(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["reconstruct", "--data", str(tmp_path / "run.csv"),

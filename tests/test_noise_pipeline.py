@@ -73,23 +73,26 @@ def same_up_to_chain_order(result: ft.ReconstructionResult, net: ft.FlowNetwork)
 
 
 def chain_groups(net: ft.FlowNetwork) -> list[tuple[int, ...]]:
-    """Each sink edge with the single-child edges straight above it, in
-    ascending label order, for the sinks that have any; by sink label."""
-    enters = {t: k + 1 for k, (_, t) in enumerate(net.edges)}
-    children: dict[int, int] = {}
-    for s, _ in net.edges:
-        children[s] = children.get(s, 0) + 1
-    groups = []
-    for k, (s, t) in enumerate(net.edges):
-        if t in children:
-            continue
-        group = [k + 1]
-        while s in enters and children[s] == 1:
-            group.append(enters[s])
-            s = net.edges[enters[s] - 1][0]
-        if len(group) > 1:
-            groups.append(tuple(sorted(group)))
-    return sorted(groups, key=lambda g: g[-1])
+    """The equal-flow chains: edges with the same descendant sinks, ending
+    in a sink or mid-tree, each in ascending label order; by last label."""
+    by_sinks: dict[frozenset, list[int]] = {}
+    for k in range(1, net.edge_count + 1):
+        by_sinks.setdefault(frozenset(descendant_sink_labels(net, k)), []).append(k)
+    return sorted((tuple(g) for g in by_sinks.values() if len(g) > 1), key=lambda g: g[-1])
+
+
+def collapsed(net: ft.FlowNetwork, groups) -> set[tuple[int | None, int]]:
+    """(parent edge, edge) pairs of the tree with each group's edges merged
+    into one edge named by the group's last label; None is the root."""
+    name = {lab: group[-1] for group in groups for lab in group}
+    enters = {t: k for k, (_, t) in enumerate(net.edges, 1)}
+    pairs = set()
+    for k, (s, _) in enumerate(net.edges, 1):
+        up, here = enters.get(s), name.get(k, k)
+        up = name.get(up, up)
+        if up != here:
+            pairs.add((up, here))
+    return pairs
 
 
 def run_with_blas_threads(script: str, threads: str) -> str:
@@ -563,6 +566,15 @@ class TestReconstructNoisy:
         with pytest.raises(ft.FlowtopoError):
             ft.reconstruct_noisy(data, ft.NoiseModel.isotropic(1.0, 6))
 
+    def test_mean_removed_data_explained(self):
+        # the sinks are picked on flows scaled by their totals, which vanish
+        # once each edge's mean is removed; the error says what to pass
+        net = ft.generate_within("binary", 0, max_edges=40)
+        noisy, model = noisy_sample(net, 50, 100.0, 0)
+        centred = ft.FlowDataMatrix(noisy.entries - noisy.entries.mean(axis=1, keepdims=True))
+        with pytest.raises(ft.NonPositiveFlow, match=r"uncentred flows.*NoiseModel\.mean"):
+            ft.reconstruct_noisy(centred, model)
+
 
 class TestReconstructExact:
     def test_pure_chain(self):
@@ -581,15 +593,20 @@ class TestReconstructExact:
     def test_diagnostics_carry_pivot_norms(self):
         net = binary_net()
         data = ft.sample_flows(net, ft.FlowSamplerConfig(n_s=2 * net.edge_count, seed=3))
-        result = ft.reconstruct_exact(data)
-        norms = result.diagnostics["pivot_norms"]
-        e, m = net.edge_count, result.diagnostics["m"]
-        assert m == len(net.internal_nodes)
-        assert "singular_values" not in result.diagnostics
-        # the rank gap at the chosen m: the sinks' pivots clear the cutoff
-        assert norms.shape == (e,)
-        assert norms[e - m - 1] > ft.nullspace.DEFAULT_ZERO_TOL * norms[0] >= norms[e - m]
-        assert result.diagnostics["chain_groups"] == ()
+        for zero_tol, result in (
+            (ft.nullspace.EXACT_ZERO_TOL, ft.reconstruct_exact(data)),
+            (1e-3, ft.reconstruct_exact(data, zero_tol=1e-3)),
+        ):
+            norms = result.diagnostics["pivot_norms"]
+            e, m = net.edge_count, result.diagnostics["m"]
+            assert m == len(net.internal_nodes)
+            assert "singular_values" not in result.diagnostics
+            # the rank gap at the chosen m: the sinks' pivots clear the
+            # cutoff, the refused pivot after them does not, zeros pad the rest
+            assert norms.shape == (e,)
+            assert norms[e - m - 1] > zero_tol * norms[0] >= norms[e - m] > 0
+            assert not norms[e - m + 1 :].any()
+            assert result.diagnostics["chain_groups"] == ()
 
     @pytest.mark.parametrize("family", ["binary", "fat_short"])
     def test_any_labelling_recovered(self, family):
@@ -609,6 +626,16 @@ class TestReconstructExact:
             result = ft.reconstruct_exact(data)
             assert list(result.diagnostics["chain_groups"]) == chain_groups(net), index
             assert same_up_to_chain_order(result, net), index
+
+    def test_relabelled_chains_collapse_to_truth(self):
+        # mid-tree chains are reported as well as those ending in a sink, so
+        # merging each reported group into one edge leaves the true tree
+        for index in range(40):
+            net = relabelled("thin_long", index)
+            data = ft.sample_flows(net, ft.FlowSamplerConfig(n_s=2 * net.edge_count, seed=index))
+            result = ft.reconstruct_exact(data)
+            groups = result.diagnostics["chain_groups"]
+            assert collapsed(result.as_network(), groups) == collapsed(net, groups), index
 
     def test_strict_raises_on_reported_chain(self):
         data = ft.sample_flows(DESCENDANT_FIRST_CHAIN, ft.FlowSamplerConfig(n_s=10, seed=3))

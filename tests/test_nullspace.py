@@ -2,13 +2,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import linalg as sla
 
 import flowtopo as ft
 from flowtopo.nullspace import (
     DEFAULT_ROUND_TOL,
     DEFAULT_ZERO_TOL,
+    EXACT_ZERO_TOL,
     PIVOT_THRESHOLD,
     RANK_TOL,
+    ZERO_TOL_FLOOR,
     reduce_to_cutset,
     sink_cutset,
     snap_signed_units,
@@ -352,7 +355,7 @@ class TestSinkCutset:
             assert by_label(canon) == by_label(staged)
             assert canon.provenance == ()
             assert canon.branch_edges == tuple(sorted(canon.branch_edges))
-            assert np.count_nonzero(norms <= DEFAULT_ZERO_TOL * norms[0]) == basis.m
+            assert np.count_nonzero(norms <= EXACT_ZERO_TOL * norms[0]) == basis.m
 
     def test_demo_table_at_loose_tol(self, demo_flows):
         canon, _, groups = sink_cutset(demo_flows, zero_tol=DEMO_ZERO_TOL)
@@ -386,6 +389,49 @@ class TestSinkCutset:
     def test_zero_tol_validated(self):
         with pytest.raises(ft.InvalidArgument):
             sink_cutset(star_data(), zero_tol=0.0)
+
+    @pytest.mark.parametrize("zero_tol", [1e-10, 0.99 * ZERO_TOL_FLOOR, 1.0, np.nan])
+    def test_zero_tol_outside_gram_resolution_rejected(self, zero_tol):
+        # a spurious pivot of the Gram matrix sits near sqrt(eps) of the
+        # first, so a smaller cutoff would count rounding as rank; it is
+        # refused, not clamped
+        with pytest.raises(ft.InvalidArgument, match="zero_tol"):
+            sink_cutset(star_data(), zero_tol=zero_tol)
+
+    def test_zero_tol_at_floor_accepted(self):
+        canon, _, _ = sink_cutset(star_data(), zero_tol=ZERO_TOL_FLOOR)
+        assert canon.m == 1
+
+    @pytest.mark.parametrize("spread", [1e-4, 1e-6])
+    def test_nearly_equal_sink_flows_never_give_a_wrong_tree(self, spread):
+        # the Gram matrix squares the condition number: sink flows that vary
+        # by less than about 1e-5 of their mean look equal to the lane and
+        # may fail to snap, but never come back as another tree
+        net = ft.FlowNetwork(6, ((6, 1), (1, 2), (2, 3), (2, 4), (1, 5)))
+        for seed in range(5):
+            u, v, w = 10.0 * (1 + spread * np.random.default_rng(seed).standard_normal((3, 12)))
+            data = ft.FlowDataMatrix(np.vstack([u + v + w, u + v, u, v, w]))
+            try:
+                result = ft.reconstruct_exact(data)
+            except ft.FlowtopoError:
+                assert spread < 1e-5
+                continue
+            assert ft.verify_against_truth(result, net)
+
+    def test_one_gram_factorization_no_pivoted_qr(self, monkeypatch):
+        real, calls = sla.lapack.dpstrf, []
+
+        def counted(*args, **kwargs):
+            calls.append(args[0].shape)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(sla.lapack, "dpstrf", counted)
+        monkeypatch.setattr(sla, "qr", lambda *a, **k: pytest.fail("pivoted QR called"))
+        data = ft.sample_flows(
+            ft.binary_network_with_edges(30), ft.FlowSamplerConfig(n_s=60, seed=2)
+        )
+        ft.reconstruct_exact(data)
+        assert calls == [(30, 30)]
 
 
 def test_demo_pipeline_reaches_truth(demo_flows, demo_truth):
