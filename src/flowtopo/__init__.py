@@ -54,7 +54,6 @@ from .nullspace import (
     Partition,
     estimate_null_basis,
     find_valid_partition,
-    rref,
     to_fcutset_form,
 )
 from .canonical_cutset import CanonicalCutsetMatrix, canonicalize
@@ -141,7 +140,6 @@ __all__ = [
     "reconstruct_exact",
     "reconstruct_noisy",
     "reduced_incidence_matrix",
-    "rref",
     "run_scaling_bench",
     "run_sweep",
     "sample_flows",

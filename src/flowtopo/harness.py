@@ -206,6 +206,10 @@ def find_min_z(
     base_seed: int = 0,
 ) -> int | None:
     """Scan z ascending; return the first z whose every trial is exact."""
+    if not z_list:
+        raise InvalidArgument("z_list must be nonempty")
+    if trials < 1:
+        raise InvalidArgument(f"trials must be >= 1, got {trials}")
     e = network.edge_count
     for z in sorted(z_list):
         ok_all = True

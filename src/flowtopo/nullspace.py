@@ -16,15 +16,12 @@ of the conservation laws.  The samples of a conserved network lie in the
 null space of its incidence matrix, so the left singular vectors of the
 data matrix that belong to zero singular values span exactly the row
 space of that incidence matrix (:func:`estimate_null_basis` finds them by
-QR of the samples, then SVD of the e x e triangular factor).  Any valid
-partition of the flow variables then reduces a basis to a
-fundamental-cutset matrix ``[I | R]``; the reduced matrix is the same for
-every basis of the subspace, which is what makes the approach usable on
-an estimate rather than the true incidence matrix.
-:func:`reduce_to_cutset` does this by a threshold-pivoted :func:`rref`
-whose pivot columns are the partition (rows its scan leaves are finished
-by complete pivoting over the skipped columns), then snapping to signed
-units.  :func:`to_fcutset_form` reduces on an explicitly given partition.
+QR of the samples, then SVD of the e x e triangular factor).
+:func:`find_valid_partition` picks a nonsingular set of dependent columns
+by one QR with column pivoting, and :func:`to_fcutset_form` reduces the
+basis on it to a fundamental-cutset matrix ``[I | R]``; the reduced
+matrix is the same for every basis of the subspace, which is what makes
+the approach usable on an estimate rather than the true incidence matrix.
 """
 
 from __future__ import annotations
@@ -59,8 +56,8 @@ DEFAULT_ROUND_TOL = 0.1
 # rref takes a column as pivot only above this fraction of the largest
 # entry left to reduce (threshold pivoting, u = 0.1)
 PIVOT_THRESHOLD = 0.1
-# rref treats entries at or below this fraction of the input's largest
-# entry as zero
+# entries (rref) or pivots (find_valid_partition) at or below this fraction
+# of the largest count as zero
 RANK_TOL = 1e-9
 
 
@@ -340,99 +337,38 @@ def cutset_from_shares(
     return canon, tuple(chains)
 
 
-def _full_rank_rref(rows: np.ndarray) -> tuple[np.ndarray, tuple[int, ...]]:
-    """:func:`rref` of a basis that must have one pivot column per row.
-
-    rref's left-to-right scan never returns to a column it skipped under the
-    threshold, so a full-rank basis can come out short of pivots.  Rows left
-    over then lie wholly in the skipped columns; each is finished on the
-    largest entry that remains among them (complete pivoting), and the rows
-    are put back in pivot-column order.
-    """
-    reduced, pivots = rref(rows)
-    m = reduced.shape[0]
-    if len(pivots) < m:
-        reduced, pivots = _close_pivots(reduced, pivots, RANK_TOL * np.abs(rows).max())
-    if m == 0 or len(pivots) < m:
-        raise NoValidPartition(
-            f"basis of shape {reduced.shape} has only {len(pivots)} pivot columns"
-        )
-    return reduced, pivots
-
-
-def _close_pivots(
-    work: np.ndarray, pivots: tuple[int, ...], floor: float
-) -> tuple[np.ndarray, tuple[int, ...]]:
-    """Finish a short :func:`rref` by complete pivoting over the skipped
-    columns of the rows left over; entries at or below ``floor`` never
-    become pivots."""
-    m = work.shape[0]
-    free = sorted(set(range(work.shape[1])) - set(pivots))
-    pivots = list(pivots)
-    row = len(pivots)
-    while row < m and free:
-        rest = np.abs(work[row:, free])
-        r, k = np.unravel_index(int(np.argmax(rest)), rest.shape)
-        if rest[r, k] <= floor:
-            break
-        col = free.pop(k)
-        _pivot_on(work, row, row + r, col)
-        pivots.append(col)
-        row += 1
-    order = np.argsort(pivots[:row])
-    work[:row] = work[:row][order]
-    return work, tuple(int(pivots[i]) for i in order)
-
-
 def find_valid_partition(basis: NullBasis) -> Partition:
-    """Take the pivot columns of :func:`rref` as the dependent edges.
+    """The first m pivot columns of one QR with column pivoting of the
+    basis, in label order, as the dependent edges.
+
+    Column pivoting reveals rank (Businger & Golub 1965), so on a basis of
+    full row rank those m columns form a nonsingular block.
 
     Raises:
-        NoValidPartition: the basis is rank deficient.
+        NoValidPartition: m is 0, or ``|R[m-1, m-1]|`` is at or below
+            ``RANK_TOL`` times ``|R[0, 0]|``.
     """
-    _, pivots = _full_rank_rref(basis.basis)
-    indep = sorted(set(range(basis.basis.shape[1])) - set(pivots))
+    b = basis.basis
+    m = b.shape[0]
+    r, piv = sla.qr(b, mode="r", pivoting=True, check_finite=False)
+    diag = np.abs(np.diagonal(r))
+    if m == 0 or diag.size < m or not diag[m - 1] > RANK_TOL * diag[0]:
+        raise NoValidPartition(f"basis of shape {b.shape} has no {m} independent columns")
     return Partition(
-        dependent_edges=tuple(j + 1 for j in pivots),
-        independent_edges=tuple(j + 1 for j in indep),
+        dependent_edges=tuple(np.sort(piv[:m]) + 1),
+        independent_edges=tuple(np.sort(piv[m:]) + 1),
     )
 
 
-def reduce_to_cutset(rows: np.ndarray, band: float, error_cls: type) -> CutsetMatrix:
-    """Reduce a basis of conservation laws to ``[I | R]`` by :func:`rref`
-    and snap it to signed units.
-
-    This is the staged route's reduction.  The branch edges are the pivot
-    columns, labelled ``j + 1``; the chords are the other columns in label
-    order.
-
-    Raises:
-        NoValidPartition: the basis is rank deficient.
-        error_cls: some reduced entry is farther than ``band`` from the
-            nearest of -1, 0, +1.
-    """
-    reduced, pivots = _full_rank_rref(rows)
-    snapped = snap_signed_units(reduced, band, error_cls)
-    chords = sorted(set(range(reduced.shape[1])) - set(pivots))
-    return CutsetMatrix(
-        entries=snapped[:, list(pivots) + chords],
-        branch_edges=tuple(j + 1 for j in pivots),
-        chord_edges=tuple(j + 1 for j in chords),
-    )
-
-
-def to_fcutset_form(
-    basis: NullBasis,
-    partition: Partition,
-    round_tol: float = DEFAULT_ROUND_TOL,
-) -> CutsetMatrix:
+def to_fcutset_form(basis: NullBasis, partition: Partition) -> CutsetMatrix:
     """Reduce the basis to ``[I | R]`` on the given partition and snap R to
     integers.
 
     Raises:
-        NoValidPartition: the dependent submatrix is singular.
-        NonIntegerCutset: some reduced entry is farther than ``round_tol``
-            from the nearest of -1, 0, +1.
+        NoValidPartition: the partition does not fit the basis, or the
+            dependent submatrix is singular.
+        NonIntegerCutset: some reduced entry is farther than
+            ``DEFAULT_ROUND_TOL`` from the nearest of -1, 0, +1.
     """
     b = basis.basis
     m, e = b.shape
@@ -447,7 +383,7 @@ def to_fcutset_form(
         r = np.linalg.solve(a_d, a_i)
     except np.linalg.LinAlgError as exc:
         raise NoValidPartition(f"dependent submatrix is singular: {exc}") from None
-    snapped = snap_signed_units(r, round_tol, NonIntegerCutset)
+    snapped = snap_signed_units(r, DEFAULT_ROUND_TOL, NonIntegerCutset)
     entries = np.hstack([np.eye(m, dtype=np.int64), snapped])
     return CutsetMatrix(
         entries=entries,
@@ -495,17 +431,13 @@ def rref(matrix: np.ndarray) -> tuple[np.ndarray, tuple[int, ...]]:
         r = int(np.argmax(rest[:, 0]))
         if rest[r, 0] <= max(PIVOT_THRESHOLD * rest.max(), floor):
             continue
-        _pivot_on(work, row, row + r, col)
+        # move the pivot row up, scale it to 1 and clear the column elsewhere
+        work[[row, row + r]] = work[[row + r, row]]
+        work[row] /= work[row, col]
+        factors = work[:, col].copy()
+        factors[row] = 0.0
+        work -= np.outer(factors, work[row])
         pivots.append(col)
         row += 1
     return work, tuple(pivots)
 
-
-def _pivot_on(work: np.ndarray, row: int, source: int, col: int) -> None:
-    """Move row ``source`` to ``row``, scale it to 1 in ``col`` and clear
-    ``col`` from every other row, in place."""
-    work[[row, source]] = work[[source, row]]
-    work[row] /= work[row, col]
-    factors = work[:, col].copy()
-    factors[row] = 0.0
-    work -= np.outer(factors, work[row])

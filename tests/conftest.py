@@ -155,6 +155,12 @@ def nonsingular_partitions(basis: ft.NullBasis) -> list[tuple[int, ...]]:
     return out
 
 
+def staged_cutset(basis: ft.NullBasis) -> ft.CutsetMatrix:
+    """The staged route's ``[I | R]``: the basis reduced on its pivoted-QR
+    partition, before any chord-branch interchange."""
+    return ft.to_fcutset_form(basis, ft.find_valid_partition(basis))
+
+
 def chord_set_of_row(canon: ft.CanonicalCutsetMatrix, row: int) -> set[int]:
     """Chord labels carried (entry -1) by one branch row."""
     m = len(canon.branch_edges)

@@ -11,6 +11,7 @@ from conftest import (
     chord_set_of_row,
     descendant_sink_labels,
     nonsingular_partitions,
+    staged_cutset,
 )
 
 
@@ -74,13 +75,13 @@ def scan_outcome(cutset: ft.CutsetMatrix, normalize_labels: bool, fn):
 
 
 def relabelled_cutset(family: str, seed: int) -> ft.CutsetMatrix:
-    """Exact-lane cutset of a generated network whose edge labels were
-    permuted, so its leftmost pivots are not the non-sink edges."""
+    """Staged-route cutset of a generated network whose edge labels were
+    permuted, so its partition is not the non-sink edges."""
     net = ft.generate_within(family, seed, max_edges=160)
     data = ft.sample_flows(net, ft.FlowSamplerConfig(n_s=2 * net.edge_count, seed=seed))
     perm = np.random.default_rng(seed).permutation(net.edge_count)
     basis = ft.estimate_null_basis(ft.FlowDataMatrix(data.entries[perm]))
-    return ft.nullspace.reduce_to_cutset(basis.basis, 0.1, ft.NonIntegerCutset)
+    return staged_cutset(basis)
 
 
 class TestScanMatchesRowLoop:

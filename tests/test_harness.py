@@ -36,6 +36,17 @@ class TestFindMinZ:
         z = harness.find_min_z(tiny_net(), ft.SnrSetting(0.01), (1, 2), trials=3)
         assert z is None
 
+    @pytest.mark.parametrize("z_list, trials, message", [
+        ((1, 2, 3), 0, "trials must be >= 1, got 0"),
+        ((1, 2, 3), -1, "trials must be >= 1, got -1"),
+        ((), 2, "z_list must be nonempty"),
+    ])
+    def test_settings_sweep_config_refuses(self, z_list, trials, message):
+        # with no trials every z would pass vacuously
+        net = ft.generate_within("binary", 1, max_edges=20)
+        with pytest.raises(ft.InvalidArgument, match=message):
+            harness.find_min_z(net, ft.SnrSetting(0.01), z_list, trials=trials)
+
 
 class TestSweep:
     def test_config_validated(self):

@@ -6,23 +6,24 @@ from scipy import linalg as sla
 
 import flowtopo as ft
 from flowtopo.nullspace import (
-    DEFAULT_ROUND_TOL,
     DEFAULT_ZERO_TOL,
     EXACT_ZERO_TOL,
     PIVOT_THRESHOLD,
     RANK_TOL,
     ZERO_TOL_FLOOR,
-    reduce_to_cutset,
+    rref,
     sink_cutset,
     snap_signed_units,
 )
 
 from conftest import (
+    DEMO_CANONICAL,
     DEMO_EDGES,
     DEMO_REDUCED,
     DEMO_TABLE,
     DEMO_ZERO_TOL,
     nonsingular_partitions,
+    staged_cutset,
 )
 
 
@@ -165,6 +166,34 @@ class TestPartition:
         assert len(part.dependent_edges) == 3
         assert part.dependent_edges in nonsingular_partitions(basis)
 
+    def test_demo_partition_reduces_to_hand_checked_form(self, demo_flows):
+        basis = ft.estimate_null_basis(demo_flows, zero_tol=DEMO_ZERO_TOL)
+        part = ft.find_valid_partition(basis)
+        assert part.dependent_edges == (2, 5, 6)
+        assert part.independent_edges == (1, 3, 4, 7, 8)
+        cut = ft.to_fcutset_form(basis, part)
+        assert np.array_equal(cut.entries, DEMO_REDUCED)
+        canon = ft.canonicalize(cut)
+        assert np.array_equal(canon.entries, DEMO_CANONICAL)
+        assert canon.provenance == ((0, 2, 1), (1, 5, 2))
+        assert set(ft.realize_topology(canon).edges) == DEMO_EDGES
+
+    def test_rank_deficient_rows_rejected(self):
+        rows = np.array([[1.0, -1.0, 0.0], [2.0, -2.0, 0.0]])
+        with pytest.raises(ft.NoValidPartition):
+            ft.find_valid_partition(ft.NullBasis(rows, 2, np.ones(3)))
+
+    def test_column_skipped_under_threshold_is_revisited(self):
+        # rref's scan passes column 1 under its threshold and comes out one
+        # pivot short; column pivoting looks at every column's residual
+        rows = np.array([[0.05, 1.0, 1.0], [0.1, 1.0, 1.0]])
+        assert rref(rows)[1] == (1,)
+        basis = ft.NullBasis(rows, 2, np.ones(3))
+        part = ft.find_valid_partition(basis)
+        assert part.dependent_edges == (1, 2)
+        assert part.independent_edges == (3,)
+        assert ft.to_fcutset_form(basis, part).entries.tolist() == [[1, 0, 0], [0, 1, 1]]
+
     def test_labels_cover_edge_set(self, demo_flows):
         basis = ft.estimate_null_basis(demo_flows, zero_tol=DEMO_ZERO_TOL)
         part = ft.find_valid_partition(basis)
@@ -221,45 +250,6 @@ class TestPartition:
             )
 
 
-class TestReduceToCutset:
-    def test_demo_basis_reduces_to_canonical_branches(self, demo_flows):
-        basis = ft.estimate_null_basis(demo_flows, zero_tol=DEMO_ZERO_TOL)
-        cut = reduce_to_cutset(basis.basis, 0.1, ft.NonIntegerCutset)
-        assert cut.branch_edges == (1, 2, 6)
-        assert cut.chord_edges == (3, 4, 5, 7, 8)
-        canon = ft.canonicalize(cut)
-        assert canon.provenance == ()
-        assert set(ft.realize_topology(canon).edges) == DEMO_EDGES
-
-    def test_partition_is_the_pivot_columns(self, demo_flows):
-        basis = ft.estimate_null_basis(demo_flows, zero_tol=DEMO_ZERO_TOL)
-        part = ft.find_valid_partition(basis)
-        cut = reduce_to_cutset(basis.basis, 0.1, ft.NonIntegerCutset)
-        assert part.dependent_edges == cut.branch_edges
-        assert part.independent_edges == cut.chord_edges
-
-    def test_rank_deficient_rows_rejected(self):
-        rows = np.array([[1.0, -1.0, 0.0], [2.0, -2.0, 0.0]])
-        with pytest.raises(ft.NoValidPartition):
-            reduce_to_cutset(rows, 0.1, ft.NonIntegerCutset)
-
-    def test_column_skipped_under_threshold_is_revisited(self):
-        # column 1 sits under the threshold when the scan passes it, and
-        # after column 2 is pivoted the second row lives only in column 1
-        rows = np.array([[0.05, 1.0, 1.0], [0.1, 1.0, 1.0]])
-        assert ft.rref(rows)[1] == (1,)
-        cut = reduce_to_cutset(rows, 0.1, ft.NonIntegerCutset)
-        assert cut.branch_edges == (1, 2)
-        assert cut.chord_edges == (3,)
-        assert cut.entries.tolist() == [[1, 0, 0], [0, 1, 1]]
-        part = ft.find_valid_partition(ft.NullBasis(rows, 2, np.ones(3)))
-        assert part.dependent_edges == (1, 2)
-
-    def test_snap_error_class_forwarded(self):
-        with pytest.raises(ft.SnapFailure):
-            reduce_to_cutset(np.array([[1.0, 0.5]]), 0.35, ft.SnapFailure)
-
-
 class TestSnapAndRref:
     def test_snap_within_band(self):
         vals = np.array([[0.97, -0.02, -1.12], [0.0, 1.0, -1.0]])
@@ -276,13 +266,13 @@ class TestSnapAndRref:
 
     def test_rref_recovers_identity_prefix(self):
         mat = np.array([[2.0, 0.0, -2.0, 2.0], [0.0, -1.0, 1.0, 1.0]])
-        red, pivots = ft.rref(mat)
+        red, pivots = rref(mat)
         assert pivots == (0, 1)
         assert np.allclose(red[:, :2], np.eye(2))
 
     def test_rref_skips_dependent_column(self):
         mat = np.array([[1.0, 2.0, 0.0], [2.0, 4.0, 1.0]])
-        red, pivots = ft.rref(mat)
+        red, pivots = rref(mat)
         assert pivots == (0, 2)
         assert np.allclose(red[:, 1], [2.0, 0.0])
 
@@ -290,7 +280,7 @@ class TestSnapAndRref:
         # column 3 is nearly dependent on columns 1-2 in the quantized basis;
         # pivoting on it would amplify the rounding noise past any snap band
         basis = ft.estimate_null_basis(demo_flows, zero_tol=DEMO_ZERO_TOL)
-        red, pivots = ft.rref(basis.basis)
+        red, pivots = rref(basis.basis)
         assert pivots == (0, 1, 5)
         assert np.abs(red).max() < 1.5
 
@@ -303,7 +293,7 @@ class TestSnapAndRref:
             ft.sample_flows(net, ft.FlowSamplerConfig(n_s=2 * net.edge_count, seed=seed))
         ).basis
         for mat in (exact, rng.standard_normal((4, 9)), rng.integers(-1, 2, (3, 6))):
-            red, pivots = ft.rref(mat)
+            red, pivots = rref(mat)
             ref, ref_pivots = rref_by_rows(mat)
             assert pivots == ref_pivots
             assert np.array_equal(red, ref)
@@ -313,8 +303,8 @@ class TestSnapAndRref:
     def test_rref_idempotent(self, seed):
         rng = np.random.default_rng(seed)
         mat = rng.integers(-1, 2, size=(3, 6)).astype(float)
-        red, pivots = ft.rref(mat)
-        again, pivots2 = ft.rref(red)
+        red, pivots = rref(mat)
+        again, pivots2 = rref(red)
         assert pivots2 == pivots
         assert np.allclose(again, red, atol=1e-12)
 
@@ -349,9 +339,7 @@ class TestSinkCutset:
             data = ft.sample_flows(net, ft.FlowSamplerConfig(n_s=2 * net.edge_count, seed=seed))
             canon, norms, _ = sink_cutset(data)
             basis = ft.estimate_null_basis(data)
-            staged = ft.canonicalize(
-                reduce_to_cutset(basis.basis, DEFAULT_ROUND_TOL, ft.NonIntegerCutset)
-            )
+            staged = ft.canonicalize(staged_cutset(basis))
             assert by_label(canon) == by_label(staged)
             assert canon.provenance == ()
             assert canon.branch_edges == tuple(sorted(canon.branch_edges))

@@ -143,6 +143,11 @@ class TestRealizeTopology:
         with pytest.raises(ft.NotArborescence):
             ft.realize_topology(canon_from(entries, (1, 2), (3, 4, 5)))
 
+    @pytest.mark.parametrize("branches, chords", [((1,), (5,)), ((3,), (1,))])
+    def test_labels_outside_one_to_e_rejected(self, branches, chords):
+        with pytest.raises(ft.InvalidArgument, match="exactly 1..2"):
+            ft.realize_topology(canon_from([[1, -1]], branches, chords))
+
     def test_unassigned_chord(self):
         # chord 4 hangs off no branch row at all
         entries = [[1, 0, -1, 0], [0, 1, -1, 0]]
@@ -191,7 +196,12 @@ class TestNestingMatchesRowLoop:
             canon = canon_from(np.hstack([np.eye(m, dtype=int), block]), labels[:m], labels[m:])
             for policy in ("row_order", "strict"):
                 got = assert_matches_row_loop(canon, policy)
-                seen.add(got[0] if isinstance(got[0], type) else "edges")
+                if isinstance(got[0], type):
+                    seen.add(got[0])
+                    continue
+                # realization is not re-validated; its output is a tree anyway
+                seen.add("edges")
+                assert ft.is_arborescence(ft.ReconstructionResult(edges=got).as_network())
         assert seen == {"edges", ft.NotArborescence, ft.AmbiguousParent}
 
 
