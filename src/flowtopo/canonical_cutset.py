@@ -8,6 +8,12 @@ row of an arborescence conservation graph exactly one coefficient carries a
 sign different from all the others, and the edge holding it is the cutset's
 lowest-level non-sink flow, hence the branch the canonical form wants.
 
+The canonical form is itself a ``CutsetMatrix``: :class:`CanonicalCutsetMatrix`
+adds the interchange history and checks the one property the canonical
+form adds, no positive chord entry.  :func:`canonicalize` and
+``nullspace.cutset_from_shares`` each construct it once, from entries that
+have that property by construction.
+
 All arithmetic here is exact integer arithmetic on snapped matrices; row
 operations on {-1, 0, +1} cutset matrices stay integral, so no float drift
 can creep in after snapping.
@@ -23,7 +29,7 @@ from .graph_model import CutsetMatrix
 
 
 @dataclass(frozen=True)
-class CanonicalCutsetMatrix:
+class CanonicalCutsetMatrix(CutsetMatrix):
     """A cutset matrix in canonical form plus the interchange history.
 
     Canonical means: identity entries are +1 and every chord entry is 0 or
@@ -31,40 +37,17 @@ class CanonicalCutsetMatrix:
     flows equals zero".
 
     Attributes:
-        inner: the canonical ``[I | C]`` matrix.
         provenance: ``(row, outgoing_branch, incoming_branch)`` label
             records, one per interchange, in application order.
     """
 
-    inner: CutsetMatrix
     provenance: tuple[tuple[int, int, int], ...] = ()
 
     def __post_init__(self):
+        super().__post_init__()
         object.__setattr__(self, "provenance", tuple(tuple(p) for p in self.provenance))
-        m = self.inner.m
-        chords = self.inner.entries[:, m:]
-        if chords.size and chords.max(initial=0) > 0:
+        if self.entries[:, self.m :].max(initial=0) > 0:
             raise InvalidArgument("canonical form admits no positive chord entry")
-
-    @property
-    def entries(self) -> np.ndarray:
-        return self.inner.entries
-
-    @property
-    def branch_edges(self) -> tuple[int, ...]:
-        return self.inner.branch_edges
-
-    @property
-    def chord_edges(self) -> tuple[int, ...]:
-        return self.inner.chord_edges
-
-    @property
-    def m(self) -> int:
-        return self.inner.m
-
-    @property
-    def edge_count(self) -> int:
-        return self.inner.edge_count
 
 
 def _swap_and_reduce(entries: np.ndarray, labels: list[int], k: int, l: int) -> None:
@@ -137,12 +120,9 @@ def canonicalize(cutset: CutsetMatrix, normalize_labels: bool = True) -> Canonic
     else:
         raise NotCanonicalizable(f"no fixed point after {max_swaps} interchanges")
 
-    inner = CutsetMatrix(
+    return CanonicalCutsetMatrix(
         entries=entries,
         branch_edges=tuple(labels[:m]),
         chord_edges=tuple(labels[m:]),
+        provenance=tuple(provenance),
     )
-    try:
-        return CanonicalCutsetMatrix(inner=inner, provenance=tuple(provenance))
-    except ValueError as exc:
-        raise NotCanonicalizable(str(exc)) from None

@@ -320,27 +320,29 @@ def fcutset_matrix(cg: ConservationGraph, branches: Sequence[int]) -> CutsetMatr
     return CutsetMatrix(entries=entries, branch_edges=branches, chord_edges=chords)
 
 
+def _top_down(network: FlowNetwork) -> list[int] | None:
+    """Edge indices, each after the edge entering its source node, or None
+    when the network is not an arborescence."""
+    indeg = [0] * (network.node_count + 1)
+    out: dict[int, list[int]] = {}
+    for i, (s, t) in enumerate(network.edges):
+        indeg[t] += 1
+        out.setdefault(s, []).append(i)
+    roots = [v for v in range(1, network.node_count + 1) if indeg[v] == 0]
+    # one root and every other node entered once; then the walk from the
+    # root reaches every edge exactly when no cycle hides from it
+    if len(roots) != 1 or max(indeg) > 1:
+        return None
+    order = list(out.get(roots[0], ()))
+    for i in order:  # breadth first: the list grows as the loop reads it
+        order.extend(out.get(network.edges[i][1], ()))
+    return order if len(order) == network.edge_count else None
+
+
 def is_arborescence(network: FlowNetwork) -> bool:
     """True iff the network is a directed tree with one source, every other
     node of in-degree one, and all edges pointing away from the source."""
-    indeg = {v: 0 for v in range(1, network.node_count + 1)}
-    children: dict[int, list[int]] = {v: [] for v in indeg}
-    for s, t in network.edges:
-        indeg[t] += 1
-        children[s].append(t)
-    roots = [v for v, d in indeg.items() if d == 0]
-    if len(roots) != 1 or any(d != 1 for v, d in indeg.items() if v != roots[0]):
-        return False
-    seen = {roots[0]}
-    stack = [roots[0]]
-    while stack:
-        v = stack.pop()
-        for w in children[v]:
-            if w in seen:
-                return False
-            seen.add(w)
-            stack.append(w)
-    return len(seen) == network.node_count
+    return _top_down(network) is not None
 
 
 def to_label_convention(network: FlowNetwork) -> FlowNetwork:

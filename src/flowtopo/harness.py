@@ -44,6 +44,12 @@ def _seeds(*parts: int, count: int = 2) -> tuple[int, ...]:
     return tuple(int(v) for v in ss.generate_state(count, dtype=np.uint64))
 
 
+def _check_alpha(alpha: float) -> None:
+    # a trial counts the lane's refusal of alpha as a miss, so check it first
+    if not 0 < alpha < 1:
+        raise InvalidArgument(f"alpha must lie in (0, 1), got {alpha}")
+
+
 @dataclass(frozen=True)
 class SweepConfig:
     families: tuple[str, ...] = FAMILIES
@@ -67,9 +73,20 @@ class SweepConfig:
         for name in ("trials", "networks_per_family", "threads"):
             if getattr(self, name) < 1:
                 raise InvalidArgument(f"{name} must be >= 1, got {getattr(self, name)}")
-        if self.threads > 1 and self.cell_budget_s is not None:
-            # threaded trials run to completion; a budget could not stop them
-            raise InvalidArgument("cell_budget_s needs threads = 1")
+        # a value no trial can use fails here, not after the CSV header is out
+        for snr in self.snr_list:
+            SnrSetting(snr, self.noise_kind)
+        if min(self.z_list) < 1:
+            raise InvalidArgument(f"z_list values must be >= 1, got {min(self.z_list)}")
+        _check_alpha(self.alpha)
+        if self.cell_budget_s is not None:
+            if not (math.isfinite(self.cell_budget_s) and self.cell_budget_s > 0):
+                raise InvalidArgument(
+                    f"cell_budget_s must be a finite number > 0, got {self.cell_budget_s}"
+                )
+            if self.threads > 1:
+                # threaded trials run to completion; a budget could not stop them
+                raise InvalidArgument("cell_budget_s needs threads = 1")
 
 
 @dataclass(frozen=True)
@@ -91,40 +108,6 @@ class SweepResult:
     rows: tuple[SweepRow, ...]
     config: SweepConfig
 
-    def min_z(self, family: str, network_index: int, snr: float) -> int | None:
-        """Smallest tested z with every trial exact, or None."""
-        for row in self.rows:
-            if (
-                row.family == family
-                and row.network_index == network_index
-                and row.snr == snr
-                and row.is_min_z
-            ):
-                return row.z
-        return None
-
-    def to_csv(self, path: str | Path) -> None:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            _write_sweep_header(fh)
-            writer = csv.writer(fh)
-            for row in self.rows:
-                writer.writerow(_sweep_csv_row(row))
-
-
-def _write_sweep_header(fh) -> None:
-    csv.writer(fh).writerow(
-        ["family", "network", "e", "snr", "z", "accuracy", "trials",
-         "median_seconds", "min_z_flag", "aborted"]
-    )
-
-
-def _sweep_csv_row(row: SweepRow) -> list[Any]:
-    return [
-        row.family, row.network_index, row.edge_count, f"{row.snr:g}", row.z,
-        f"{row.accuracy:.6f}", row.trials_done, f"{row.median_seconds:.6g}",
-        int(row.is_min_z), int(row.aborted),
-    ]
-
 
 def run_trial(
     network: FlowNetwork,
@@ -134,7 +117,13 @@ def run_trial(
     noise_seed: int,
     alpha: float = DEFAULT_ALPHA,
 ) -> tuple[bool, float]:
-    """One seeded draw-and-reconstruct; returns (exact?, seconds)."""
+    """One seeded draw-and-reconstruct; returns (exact?, seconds).
+
+    Raises:
+        InvalidArgument: ``alpha`` outside (0, 1); errors of the trial
+            itself count as a miss instead.
+    """
+    _check_alpha(alpha)
     if not isinstance(snr, SnrSetting):
         snr = SnrSetting(float(snr))
     with warnings.catch_warnings():
@@ -231,9 +220,13 @@ def run_sweep(config: SweepConfig, out_path: str | Path | None = None) -> SweepR
     usable partial file."""
     rows: list[SweepRow] = []
     sink = open(out_path, "w", encoding="utf-8", newline="") if out_path else None
+    writer = csv.writer(sink) if sink else None
     try:
-        if sink:
-            _write_sweep_header(sink)
+        if writer:
+            writer.writerow(
+                ["family", "network", "e", "snr", "z", "accuracy", "trials",
+                 "median_seconds", "min_z_flag", "aborted"]
+            )
         for fam_i, family in enumerate(config.families):
             for net_i in range(config.networks_per_family):
                 net_seed = _seeds(config.base_seed, fam_i, net_i, count=1)[0]
@@ -259,8 +252,11 @@ def run_sweep(config: SweepConfig, out_path: str | Path | None = None) -> SweepR
                             aborted=aborted,
                         )
                         rows.append(row)
-                        if sink:
-                            csv.writer(sink).writerow(_sweep_csv_row(row))
+                        if writer:
+                            writer.writerow([
+                                family, net_i, network.edge_count, f"{snr_value:g}", z,
+                                f"{acc:.6f}", done, f"{med:.6g}", int(is_min), int(aborted),
+                            ])
                             sink.flush()
                         if is_min:
                             found_min = True
@@ -319,6 +315,9 @@ def run_scaling_bench(
     """
     if list(sizes) != sorted(sizes) or not sizes or sizes[0] < 2:
         raise InvalidArgument("sizes must be ascending edge counts of at least 2")
+    for name, value in (("repeats", repeats), ("z", z)):
+        if value < 1:
+            raise InvalidArgument(f"{name} must be >= 1, got {value}")
     stage_names = ("cutset", "alg2", "total")
     per_stage: dict[str, list[float]] = {name: [] for name in stage_names}
     m_values: list[int] = []

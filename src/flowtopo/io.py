@@ -1,5 +1,5 @@
 """File formats: network JSON, sample CSV, noise-model JSON, result JSON,
-matrix CSV, and the rank-test report.
+and the rank-test report as JSON.
 
 Every loader raises ParseError for malformed input so the command line can
 map file problems to one exit code.
@@ -15,7 +15,7 @@ from typing import Any
 
 import numpy as np
 
-from .errors import InvalidArgument, ParseError
+from .errors import ParseError
 from .graph_model import FlowNetwork
 from .noise_pipeline import NoiseModel, RankTestReport
 from .nullspace import FlowDataMatrix
@@ -194,21 +194,6 @@ def load_result(path: str | Path) -> ReconstructionResult:
     if root != len(edges) + 1:
         raise ParseError(f"{path}: root must be edge count + 1, got {root}")
     return ReconstructionResult(edges=edges)
-
-
-def dump_matrix_csv(
-    entries: np.ndarray, labels: tuple[int, ...], path: str | Path
-) -> None:
-    """Matrix CSV with flow-variable names (x1, x2, ...) as the header row,
-    one per column, in the matrix's own column order."""
-    entries = np.asarray(entries)
-    if entries.shape[1] != len(labels):
-        raise InvalidArgument("one header label per column required")
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(f"x{lab}" for lab in labels)
-        for row in entries:
-            writer.writerow(f"{v:.12g}" for v in row)
 
 
 def report_to_json(report: RankTestReport) -> dict[str, Any]:

@@ -370,8 +370,8 @@ def reconstruct(
             columns.
         NonIntegerCutset, SnapFailure: a sink share falls outside the
             exact or the noisy lane's snap band, or snaps to -1.
-        NotCanonicalizable, NotArborescence: canonical or realization
-            structure is inconsistent with an arborescence.
+        NotArborescence: the chord sets are not nested the way an
+            arborescence requires.
         AmbiguousParent: under ``chain_policy="strict"``, an equal-flow
             chain whose order the data cannot fix.
     """

@@ -38,7 +38,6 @@ from .errors import (
     InvalidArgument,
     NonIntegerCutset,
     NonPositiveFlow,
-    NotCanonicalizable,
     NoValidPartition,
     RankZero,
 )
@@ -80,6 +79,8 @@ class FlowDataMatrix:
         if entries.ndim != 2:
             raise InvalidArgument("data matrix must be two-dimensional")
         e, n_s = entries.shape
+        if e == 0:
+            raise InvalidArgument("data matrix needs at least one edge row")
         if not np.isfinite(entries).all():
             raise InvalidArgument("data matrix contains non-finite entries")
         if n_s <= e:
@@ -210,8 +211,7 @@ def sink_cutset(
             (an ``InvalidArgument``).
         RankZero: every pivot clears the cutoff.
         NonIntegerCutset: an entry of T is farther than
-            ``DEFAULT_ROUND_TOL`` from 0 or 1.
-        NotCanonicalizable: the snapped matrix is not a cutset matrix.
+            ``DEFAULT_ROUND_TOL`` from 0 or 1, or snaps to -1.
     """
     if not ZERO_TOL_FLOOR <= zero_tol < 1:
         raise InvalidArgument(
@@ -289,7 +289,6 @@ def cutset_from_shares(
     Raises:
         error_cls: a share is farther than ``band`` from 0 or 1, or snaps
             to -1.
-        NotCanonicalizable: the snapped matrix is not a cutset matrix.
     """
     t = snap_signed_units(shares, band, error_cls)
     if (t < 0).any():
@@ -324,16 +323,13 @@ def cutset_from_shares(
     chains += [tuple(sorted(labels)) for labels in equal.values() if len(labels) > 1]
     chains.sort(key=lambda group: group[-1])
 
+    # T is 0/1 and the labels split 1..e, so [I | -T] is canonical by construction
     rows, cols = np.argsort(others), np.argsort(sinks)
-    try:
-        inner = CutsetMatrix(
-            entries=np.hstack([np.eye(len(others), dtype=np.int64), -t[rows][:, cols]]),
-            branch_edges=tuple(others[rows] + 1),
-            chord_edges=tuple(sinks[cols] + 1),
-        )
-        canon = CanonicalCutsetMatrix(inner=inner)
-    except ValueError as exc:
-        raise NotCanonicalizable(str(exc)) from None
+    canon = CanonicalCutsetMatrix(
+        entries=np.hstack([np.eye(len(others), dtype=np.int64), -t[rows][:, cols]]),
+        branch_edges=tuple(others[rows] + 1),
+        chord_edges=tuple(sinks[cols] + 1),
+    )
     return canon, tuple(chains)
 
 

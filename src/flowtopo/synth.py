@@ -15,12 +15,14 @@ relabeling step.
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import EmptySpec, InvalidArgument, NotArborescence
-from .graph_model import FlowNetwork, is_arborescence
+from .graph_model import FlowNetwork, _top_down
 from .noise_pipeline import NoiseModel
 from .nullspace import FlowDataMatrix
 
@@ -82,6 +84,10 @@ class FlowSamplerConfig:
     def __post_init__(self):
         object.__setattr__(self, "means", tuple(float(v) for v in self.means))
         object.__setattr__(self, "stds", tuple(float(v) for v in self.stds))
+        try:
+            object.__setattr__(self, "n_s", operator.index(self.n_s))
+        except TypeError:
+            raise InvalidArgument(f"n_s must be an integer, got {self.n_s!r}") from None
         if self.n_s < 1:
             raise InvalidArgument("n_s must be positive")
         if len(self.means) != len(self.stds) or not self.means:
@@ -98,8 +104,8 @@ class SnrSetting:
     kind: str = "homoscedastic"
 
     def __post_init__(self):
-        if self.snr <= 0:
-            raise InvalidArgument("snr must be positive")
+        if not (math.isfinite(self.snr) and self.snr > 0):
+            raise InvalidArgument(f"snr must be a finite number > 0, got {self.snr}")
         if self.kind not in ("homoscedastic", "heteroscedastic"):
             raise InvalidArgument(f"unknown noise kind {self.kind!r}")
 
@@ -216,19 +222,22 @@ def sample_flows(network: FlowNetwork, cfg: FlowSamplerConfig, allow_undersample
     """Synthesize conserved steady-state samples for an arborescence.
 
     Sink edges draw from their assigned mixture component; every other
-    edge is the columnwise sum of its descendant sink edges, so the
+    edge is the sum of its child edges' rows, added in label order, so the
     conservation equations hold to float addition error.
+
+    Raises:
+        NotArborescence: the network is not an arborescence.
     """
-    if not is_arborescence(network):
+    order = _top_down(network)
+    if order is None:
         raise NotArborescence("flow sampling requires an arborescence")
     rng = np.random.default_rng(cfg.seed)
     e = network.edge_count
-    sinks = set(network.sink_nodes)
-    out_edges: dict[int, list[int]] = {}
+    children: dict[int, list[int]] = {}
     for idx, (src, _) in enumerate(network.edges):
-        out_edges.setdefault(src, []).append(idx)
+        children.setdefault(src, []).append(idx)
 
-    sink_idx = [idx for idx, (_, dst) in enumerate(network.edges) if dst in sinks]
+    sink_idx = [idx for idx, (_, dst) in enumerate(network.edges) if dst not in children]
     components = rng.integers(0, len(cfg.means), size=len(sink_idx))
 
     data = np.empty((e, cfg.n_s), dtype=np.float64)
@@ -238,23 +247,11 @@ def sample_flows(network: FlowNetwork, cfg: FlowSamplerConfig, allow_undersample
         size=(len(sink_idx), cfg.n_s),
     )
 
-    # accumulate bottom-up: process edges by decreasing target depth
-    depth: dict[int, int] = {}
-    root = next(iter(network.source_nodes))
-    order: list[int] = []
-    stack = [(root, 0)]
-    while stack:
-        node, d = stack.pop()
-        depth[node] = d
-        for idx in out_edges.get(node, ()):
-            order.append(idx)
-            stack.append((network.edges[idx][1], d + 1))
-    for idx in sorted(order, key=lambda i: depth[network.edges[i][1]], reverse=True):
-        dst = network.edges[idx][1]
-        if dst in sinks:
-            continue
-        child_rows = [data[j] for j in out_edges.get(dst, ())]
-        data[idx] = np.sum(child_rows, axis=0)
+    # bottom-up: every edge after all the edges below it
+    for idx in reversed(order):
+        below = children.get(network.edges[idx][1])
+        if below:
+            data[idx] = data[below].sum(axis=0)
 
     return FlowDataMatrix(data, allow_undersampled=allow_undersampled)
 

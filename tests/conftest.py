@@ -9,6 +9,12 @@ of its linear-algebra machinery.
 from __future__ import annotations
 
 import itertools
+import os
+
+# one BLAS thread, the setting perfbench measures at, before numpy loads;
+# the 1-vs-2-thread subprocess tests still run BLAS on two threads
+for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_name, "1")
 
 import numpy as np
 import pytest

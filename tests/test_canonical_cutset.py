@@ -132,10 +132,11 @@ class TestCanonicalize:
 
     def test_already_canonical_is_fixed_point(self):
         first = ft.canonicalize(demo_reduced_cutset())
-        again = ft.canonicalize(first.inner)
+        assert isinstance(first, ft.CutsetMatrix)
+        again = ft.canonicalize(first)
         assert again.provenance == ()
         assert np.array_equal(again.entries, first.entries)
-        assert again.branch_edges == first.branch_edges
+        assert again.column_labels == first.column_labels
 
     def test_star_row_untouched(self):
         cut = ft.CutsetMatrix(
@@ -146,11 +147,16 @@ class TestCanonicalize:
         assert canon.branch_edges == (1,)
 
     def test_constructor_rejects_positive_chord(self):
-        inner = ft.CutsetMatrix(
-            entries=np.array([[1, 0, 1]]), branch_edges=(1,), chord_edges=(2, 3)
-        )
         with pytest.raises(ValueError):
-            ft.CanonicalCutsetMatrix(inner=inner)
+            ft.CanonicalCutsetMatrix(
+                entries=np.array([[1, 0, 1]]), branch_edges=(1,), chord_edges=(2, 3)
+            )
+
+    def test_constructor_runs_the_cutset_checks(self):
+        with pytest.raises(ft.InvalidArgument, match="identity"):
+            ft.CanonicalCutsetMatrix(
+                entries=np.array([[0, 0, -1]]), branch_edges=(1,), chord_edges=(2, 3)
+            )
 
 
 class TestStructureLawsOnGeneratedTrees:

@@ -116,6 +116,17 @@ class TestArborescence:
         net = ft.FlowNetwork(4, ((2, 1), (3, 1), (1, 4)))
         assert not ft.is_arborescence(net)
 
+    @pytest.mark.parametrize("edges", [
+        ((1, 2), (3, 4)),                  # two roots
+        ((1, 2), (1, 3), (2, 4), (3, 4)),  # node 4 entered twice
+        ((1, 2), (3, 4), (4, 3)),          # a cycle the root cannot reach
+    ], ids=["two_roots", "entered_twice", "unreachable_cycle"])
+    def test_not_a_tree(self, edges):
+        net = ft.FlowNetwork(4, edges)
+        assert not ft.is_arborescence(net)
+        with pytest.raises(ft.NotArborescence):
+            ft.sample_flows(net, ft.FlowSamplerConfig(n_s=20, seed=0))
+
     def test_relabel_star(self, star_network):
         conv = ft.to_label_convention(star_network)
         assert conv.edges == ((4, 1), (1, 2), (1, 3))

@@ -22,6 +22,11 @@ class TestRunTrial:
         ok, _ = harness.run_trial(net, ft.SnrSetting(0.01), 12, flow_seed=1, noise_seed=2)
         assert ok is False
 
+    def test_alpha_outside_unit_interval_raises(self):
+        # before, the lane's refusal was counted as a missed trial
+        with pytest.raises(ft.InvalidArgument, match="alpha must lie in"):
+            harness.run_trial(tiny_net(), ft.SnrSetting(1e6), 60, 1, 2, alpha=2.0)
+
     def test_accepts_bare_number(self):
         ok, _ = harness.run_trial(tiny_net(), 1e6, 60, flow_seed=1, noise_seed=2)
         assert ok is True
@@ -47,6 +52,12 @@ class TestFindMinZ:
         with pytest.raises(ft.InvalidArgument, match=message):
             harness.find_min_z(net, ft.SnrSetting(0.01), z_list, trials=trials)
 
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, 2.0, float("nan")])
+    def test_alpha_outside_unit_interval_refused(self, alpha):
+        # run_trial would count every refused trial as a miss and return None
+        with pytest.raises(ft.InvalidArgument, match=r"alpha must lie in \(0, 1\)"):
+            harness.find_min_z(tiny_net(), ft.SnrSetting(1e9), (1, 2), trials=1, alpha=alpha)
+
 
 class TestSweep:
     def test_config_validated(self):
@@ -54,6 +65,29 @@ class TestSweep:
             harness.SweepConfig(families=())
         with pytest.raises(ValueError):
             harness.SweepConfig(trials=0)
+
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, 2.0, float("nan")])
+    def test_alpha_outside_unit_interval_rejected(self, alpha):
+        # each trial would catch the refusal and the sweep would report 0.0
+        with pytest.raises(ft.InvalidArgument, match="alpha must lie in"):
+            harness.SweepConfig(alpha=alpha)
+
+    @pytest.mark.parametrize("setting, message", [
+        ({"snr_list": (10.0, -1.0)}, "snr must be a finite number > 0"),
+        ({"snr_list": (float("nan"),)}, "snr must be a finite number > 0"),
+        ({"noise_kind": "pink"}, "unknown noise kind"),
+        ({"z_list": (0, 1)}, "z_list values must be >= 1"),
+    ])
+    def test_values_no_trial_can_use_rejected_before_the_run(self, setting, message):
+        # run_sweep would raise only after writing the CSV header
+        with pytest.raises(ft.InvalidArgument, match=message):
+            harness.SweepConfig(**setting)
+
+    @pytest.mark.parametrize("budget", [-1.0, 0.0, float("inf"), float("nan")])
+    def test_cell_budget_must_be_finite_and_positive(self, budget):
+        # a negative budget would stop every cell after its first trial
+        with pytest.raises(ft.InvalidArgument, match="cell_budget_s must be a finite number > 0"):
+            harness.SweepConfig(cell_budget_s=budget)
 
     def test_cell_budget_with_threads_rejected(self):
         # the threaded trial loop cannot stop early, so the budget would be ignored
@@ -72,29 +106,23 @@ class TestSweep:
         )
         out = tmp_path / "sweep.csv"
         result = harness.run_sweep(config, out_path=out)
-        assert result.min_z("binary", 0, 1e9) == 1
         # early stop: one row per (family, network, snr)
-        assert len(result.rows) == 1
-        assert out.read_text().count("\n") == 2
-
-    def test_to_csv_matches_streamed_file(self, tmp_path):
-        config = harness.SweepConfig(
-            families=("binary",),
-            networks_per_family=1,
-            snr_list=(1e9,),
-            z_list=(2,),
-            trials=2,
-            base_seed=3,
-            max_edges=20,
-        )
-        streamed = tmp_path / "a.csv"
-        result = harness.run_sweep(config, out_path=streamed)
-        rewritten = tmp_path / "b.csv"
-        result.to_csv(rewritten)
-        assert streamed.read_text() == rewritten.read_text()
+        (row,) = result.rows
+        assert (row.family, row.network_index, row.snr, row.z) == ("binary", 0, 1e9, 1)
+        assert row.is_min_z
+        lines = out.read_text().splitlines()
+        assert len(lines) == 2
+        assert lines[1].split(",")[4:] == ["1", "1.000000", "2", f"{row.median_seconds:.6g}", "1", "0"]
 
 
 class TestScalingBench:
+    @pytest.mark.parametrize("setting", [{"repeats": 0}, {"z": 0}, {"repeats": -2}])
+    def test_counts_below_one_refused(self, setting):
+        # repeats=0 returned NaN stage times and slopes
+        (name,) = setting
+        with pytest.raises(ft.InvalidArgument, match=f"{name} must be >= 1"):
+            ft.run_scaling_bench(sizes=(8,), **setting)
+
     def test_small_sizes(self):
         bench = ft.run_scaling_bench(sizes=(8, 16), repeats=1)
         assert bench.sizes == (8, 16)

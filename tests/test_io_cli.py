@@ -153,13 +153,6 @@ class TestResultJson:
 
 
 class TestMatrixAndReport:
-    def test_matrix_header(self, tmp_path):
-        path = tmp_path / "mat.csv"
-        ftio.dump_matrix_csv(np.array([[1, 0, -1]]), (2, 1, 3), path)
-        rows = list(csv.reader(path.open()))
-        assert rows[0] == ["x2", "x1", "x3"]
-        assert rows[1] == ["1", "0", "-1"]
-
     def test_report_nulls_non_finite(self):
         report = ft.RankTestReport(
             candidates=(3, 2),
@@ -244,6 +237,7 @@ class TestCli:
         ["--threads", "2", "--cell-budget", "5"],
         ["--z-max", "0"],
         ["--networks", "0"],
+        ["--cell-budget", "-1"],
     ])
     def test_sweep_config_rejection_exits_two(self, tmp_path, capsys, bad):
         out = tmp_path / "sweep.csv"

@@ -11,6 +11,7 @@ from flowtopo.nullspace import (
     PIVOT_THRESHOLD,
     RANK_TOL,
     ZERO_TOL_FLOOR,
+    cutset_from_shares,
     rref,
     sink_cutset,
     snap_signed_units,
@@ -90,6 +91,12 @@ class TestFlowDataMatrix:
     def test_undersampled_flag_warns(self):
         with pytest.warns(UserWarning):
             ft.FlowDataMatrix(np.ones((3, 3)), allow_undersampled=True)
+
+    @pytest.mark.parametrize("allow_undersampled", [False, True])
+    def test_no_edge_rows_rejected(self, allow_undersampled):
+        # before, the exact lane raised a bare ValueError, the noisy one an IndexError
+        with pytest.raises(ft.InvalidArgument, match="at least one edge row"):
+            ft.FlowDataMatrix(np.ones((0, 5)), allow_undersampled=allow_undersampled)
 
     def test_default_labels(self):
         d = ft.FlowDataMatrix(np.ones((2, 5)))
@@ -426,3 +433,31 @@ def test_demo_pipeline_reaches_truth(demo_flows, demo_truth):
     result = ft.reconstruct_exact(demo_flows, zero_tol=DEMO_ZERO_TOL)
     assert set(result.edges) == DEMO_EDGES
     assert ft.verify_against_truth(result, demo_truth)
+
+
+class TestCutsetFromShares:
+    @given(
+        st.integers(1, 8),
+        st.integers(1, 8),
+        st.sampled_from([(0.1, ft.NonIntegerCutset), (0.35, ft.SnapFailure)]),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_in_band_shares_are_always_canonical(self, m, k, lane, seed):
+        # 0/1 shares within the band snap to T, and [I | -T] on labels that
+        # split 1..e is canonical: no lane needs a guard around building it
+        band, error_cls = lane
+        rng = np.random.default_rng(seed)
+        t = rng.integers(0, 2, size=(m, k))
+        shares = t + rng.uniform(-0.99 * band, 0.99 * band, size=t.shape)
+        perm = rng.permutation(m + k)
+        sinks, others = perm[:k], perm[k:]
+        canon, chains = cutset_from_shares(shares, sinks, others, band, error_cls)
+        assert isinstance(canon, ft.CanonicalCutsetMatrix)
+        assert canon.provenance == ()
+        assert canon.m == m
+        assert sorted(canon.column_labels) == list(range(1, m + k + 1))
+        assert list(canon.branch_edges) == sorted(canon.branch_edges)
+        assert list(canon.chord_edges) == sorted(canon.chord_edges)
+        assert -canon.entries[:, m:].sum() == t.sum()
+        assert all(list(group) == sorted(group) for group in chains)

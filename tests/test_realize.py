@@ -7,10 +7,9 @@ from conftest import DEMO_CANONICAL, DEMO_EDGES, DEMO_ZERO_TOL
 
 
 def canon_from(entries, branches, chords) -> ft.CanonicalCutsetMatrix:
-    inner = ft.CutsetMatrix(
+    return ft.CanonicalCutsetMatrix(
         entries=np.asarray(entries), branch_edges=branches, chord_edges=chords
     )
-    return ft.CanonicalCutsetMatrix(inner=inner)
 
 
 def realize_by_row_loop(canon: ft.CanonicalCutsetMatrix, chain_policy: str = "row_order"):

@@ -51,6 +51,23 @@ class TestSpecs:
         with pytest.raises(ValueError):
             ft.SnrSetting(10.0, kind="pink")
 
+    @pytest.mark.parametrize("snr", [float("nan"), float("inf"), -1.0])
+    def test_snr_must_be_finite_and_positive(self, snr):
+        with pytest.raises(ft.InvalidArgument, match="snr must be a finite number > 0"):
+            ft.SnrSetting(snr)
+
+    @pytest.mark.parametrize("n_s", [2.5, 30.0, "30"])
+    def test_sampler_n_s_must_be_integral(self, n_s):
+        with pytest.raises(ft.InvalidArgument, match="n_s must be an integer"):
+            ft.FlowSamplerConfig(n_s=n_s, seed=1)
+
+    def test_sampler_accepts_numpy_integers(self):
+        cfg = ft.FlowSamplerConfig(n_s=np.int64(30), seed=1)
+        assert type(cfg.n_s) is int and cfg.n_s == 30
+        net = ft.generate_within("binary", 3, max_edges=20)
+        data = ft.sample_flows(net, cfg)
+        assert data.sample_count == 30
+
 
 class TestGeneration:
     def test_binary_two_layers(self):
@@ -150,6 +167,52 @@ class TestSampleFlows:
         net = ft.generate_within("thin_long", seed, max_edges=50)
         data = ft.sample_flows(net, ft.FlowSamplerConfig(n_s=2 * net.edge_count, seed=seed))
         assert conservation_residual(net, data.entries) < 1e-9
+
+
+def relabelled(net: ft.FlowNetwork, seed: int) -> ft.FlowNetwork:
+    """The same tree with its edges in random order and random node ids."""
+    rng = np.random.default_rng(seed)
+    ids = rng.permutation(net.node_count) + 1
+    order = rng.permutation(net.edge_count)
+    edges = tuple((int(ids[s - 1]), int(ids[t - 1])) for s, t in (net.edges[i] for i in order))
+    return ft.FlowNetwork(net.node_count, edges)
+
+
+class TestSamplerBits:
+    """Every sampled bit, from an oracle that walks the edge list: the sink
+    rows replay the sampler's two draws, and every other row is its
+    children's rows added one at a time in label order."""
+
+    @staticmethod
+    def check_bits(net: ft.FlowNetwork, cfg: ft.FlowSamplerConfig) -> None:
+        data = ft.sample_flows(net, cfg).entries
+        children = {}
+        for i, (s, _) in enumerate(net.edges):
+            children.setdefault(s, []).append(i)
+        sinks = [i for i, (_, t) in enumerate(net.edges) if t not in children]
+        rng = np.random.default_rng(cfg.seed)
+        comp = rng.integers(0, len(cfg.means), size=len(sinks))
+        draws = rng.normal(
+            np.asarray(cfg.means)[comp, None],
+            np.asarray(cfg.stds)[comp, None],
+            size=(len(sinks), cfg.n_s),
+        )
+        assert np.array_equal(data[sinks], draws)
+        for i, (_, t) in enumerate(net.edges):
+            if t in children:
+                below = children[t]
+                total = data[below[0]].copy()
+                for j in below[1:]:
+                    total = total + data[j]
+                assert np.array_equal(data[i], total), f"edge {i + 1}"
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    @pytest.mark.parametrize("seed", [0, 5, 9])
+    def test_generated_and_relabelled(self, family, seed):
+        net = ft.generate_within(family, seed, max_edges=80)
+        cfg = ft.FlowSamplerConfig(n_s=2 * net.edge_count, seed=seed + 100)
+        self.check_bits(net, cfg)
+        self.check_bits(relabelled(net, seed), cfg)
 
 
 class TestAddNoise:
