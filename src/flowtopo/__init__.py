@@ -10,8 +10,8 @@ unique arborescence with that cutset structure.  A noisy lane adds
 covariance whitening and picks the number of conservation relations by
 an eigenvalue-equality test on the whitened sample covariance; the same
 eigendecomposition's signal part picks the sinks by a pivoted QR that
-makes the same greedy choice, and one solve on the relations gives the
-canonical matrix for the same realization.
+makes the same greedy choice, and that QR's triangular factor gives the
+canonical matrix as the exact lane's does, for the same realization.
 ``reconstruct(data, noise=None)`` runs either lane: passing a noise model
 picks the noisy one.
 """

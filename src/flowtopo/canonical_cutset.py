@@ -11,7 +11,7 @@ lowest-level non-sink flow, hence the branch the canonical form wants.
 The canonical form is itself a ``CutsetMatrix``: :class:`CanonicalCutsetMatrix`
 adds the interchange history and checks the one property the canonical
 form adds, no positive chord entry.  :func:`canonicalize` and
-``nullspace.cutset_from_shares`` each construct it once, from entries that
+``nullspace.cutset_from_factor`` each construct it once, from entries that
 have that property by construction.
 
 All arithmetic here is exact integer arithmetic on snapped matrices; row

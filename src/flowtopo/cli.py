@@ -32,7 +32,6 @@ from .errors import (
     NotCanonicalizable,
     NotPositiveDefinite,
     NotUnique,
-    NoValidPartition,
     ParseError,
     RankZero,
     SnapFailure,
@@ -65,7 +64,6 @@ _ERROR_CODES: tuple[tuple[type, int], ...] = (
     (NonPositiveFlow, _EXIT_ORDER),
     (RankZero, _EXIT_ORDER),
     (FullDeficiency, _EXIT_ORDER),
-    (NoValidPartition, _EXIT_ORDER),
     (NoStableOrder, _EXIT_ORDER),
     (NonIntegerCutset, _EXIT_SNAP),
     (SnapFailure, _EXIT_SNAP),
@@ -126,23 +124,25 @@ def _level(text: str) -> float:
     return value
 
 
-def _positive(kind: type) -> Callable[[str], float]:
-    """Argument type for a flag that takes a finite ``kind`` value above 0."""
-    noun = "integer" if kind is int else "number"
+def _positive(kind: type, zero: bool = False) -> Callable[[str], float]:
+    """Argument type for a flag that takes a finite ``kind`` value above 0,
+    or at 0 too when ``zero`` is set."""
+    noun = ("non-negative " if zero else "positive ") + ("integer" if kind is int else "number")
 
     def parse(text: str) -> float:
         try:
             value = kind(text)
         except ValueError:
             value = math.nan
-        if not (math.isfinite(value) and value > 0):
-            raise argparse.ArgumentTypeError(f"must be a positive {noun}, got {text!r}")
+        if not (math.isfinite(value) and (value >= 0 if zero else value > 0)):
+            raise argparse.ArgumentTypeError(f"must be a {noun}, got {text!r}")
         return value
 
     return parse
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    seed = _positive(int, zero=True)
     parser = argparse.ArgumentParser(
         prog="flowtopo",
         description="Reconstruct conserved-network topology from steady-state edge flows.",
@@ -151,7 +151,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     gen = sub.add_parser("generate", help="draw a random arborescence network")
     gen.add_argument("--family", choices=FAMILIES, default="binary")
-    gen.add_argument("--seed", type=int, default=0)
+    gen.add_argument("--seed", type=seed, default=0)
     gen.add_argument("--layers", type=int, nargs=2, metavar=("LO", "HI"))
     gen.add_argument("--children", type=int, nargs=2, metavar=("LO", "HI"))
     gen.add_argument("--max-edges", type=int, help="redraw until the network fits")
@@ -159,7 +159,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     smp = sub.add_parser("sample", help="synthesize flow samples for a network")
     smp.add_argument("--network", type=Path, required=True)
-    smp.add_argument("--seed", type=int, default=0)
+    smp.add_argument("--seed", type=seed, default=0)
     group = smp.add_mutually_exclusive_group(required=True)
     group.add_argument("--n-s", type=_positive(int), help="sample count")
     group.add_argument("--z", type=_positive(int), help="sample count as a multiple of e")
@@ -203,7 +203,7 @@ def _build_parser() -> argparse.ArgumentParser:
     swp.add_argument("--z-max", type=int, default=50)
     swp.add_argument("--trials", type=int, default=100)
     swp.add_argument("--alpha", type=_level, default=DEFAULT_ALPHA)
-    swp.add_argument("--seed", type=int, default=0)
+    swp.add_argument("--seed", type=seed, default=0)
     swp.add_argument("--threads", type=int, default=1)
     swp.add_argument("--max-edges", type=int, default=300)
     swp.add_argument("--cell-budget", type=float, help="seconds allowed per cell")
@@ -213,28 +213,20 @@ def _build_parser() -> argparse.ArgumentParser:
     ben.add_argument("--sizes", type=int, nargs="+", default=[32, 64, 128, 256])
     ben.add_argument("--repeats", type=_positive(int), default=3)
     ben.add_argument("--z", type=_positive(int), default=2)
-    ben.add_argument("--seed", type=int, default=0)
+    ben.add_argument("--seed", type=seed, default=0)
     ben.add_argument("--out", type=Path, help="bench JSON path")
     return parser
 
 
 def _cmd_generate(args) -> int:
+    ranges = {
+        "layer_range": tuple(args.layers) if args.layers else None,
+        "children_range": tuple(args.children) if args.children else None,
+    }
     if args.max_edges is not None:
-        network = generate_within(
-            args.family,
-            args.seed,
-            max_edges=args.max_edges,
-            layer_range=tuple(args.layers) if args.layers else None,
-            children_range=tuple(args.children) if args.children else None,
-        )
+        network = generate_within(args.family, args.seed, max_edges=args.max_edges, **ranges)
     else:
-        spec = family_spec(
-            args.family,
-            args.seed,
-            layer_range=tuple(args.layers) if args.layers else None,
-            children_range=tuple(args.children) if args.children else None,
-        )
-        network = generate_arborescence(spec)
+        network = generate_arborescence(family_spec(args.family, args.seed, **ranges))
     io.dump_network(network, args.out)
     print(f"{args.family}: {network.edge_count} edges, root {network.node_count}")
     return 0
@@ -245,15 +237,13 @@ def _cmd_sample(args) -> int:
     n_s = args.n_s if args.n_s is not None else args.z * network.edge_count
     cfg = FlowSamplerConfig(n_s=n_s, seed=args.seed)
     data = sample_flows(network, cfg, allow_undersampled=True)
-    prefix = args.out
+    kind = "exact"
     if args.snr is not None:
-        noisy, model = add_noise(data, SnrSetting(args.snr, args.noise_kind), seed=args.seed + 1)
-        io.dump_data_csv(noisy, prefix.with_suffix(".csv"))
-        io.dump_noise_model(model, prefix.with_suffix(".noise.json"))
-        print(f"wrote {n_s} noisy samples for {network.edge_count} edges")
-    else:
-        io.dump_data_csv(data, prefix.with_suffix(".csv"))
-        print(f"wrote {n_s} exact samples for {network.edge_count} edges")
+        data, model = add_noise(data, SnrSetting(args.snr, args.noise_kind), seed=args.seed + 1)
+        io.dump_noise_model(model, args.out.with_suffix(".noise.json"))
+        kind = "noisy"
+    io.dump_data_csv(data, args.out.with_suffix(".csv"))
+    print(f"wrote {n_s} {kind} samples for {network.edge_count} edges")
     return 0
 
 

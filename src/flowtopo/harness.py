@@ -30,6 +30,7 @@ from .synth import (
     FAMILIES,
     FlowSamplerConfig,
     SnrSetting,
+    _check_seed,
     add_noise,
     binary_network_with_edges,
     generate_within,
@@ -79,6 +80,7 @@ class SweepConfig:
         if min(self.z_list) < 1:
             raise InvalidArgument(f"z_list values must be >= 1, got {min(self.z_list)}")
         _check_alpha(self.alpha)
+        _check_seed("base_seed", self.base_seed)
         if self.cell_budget_s is not None:
             if not (math.isfinite(self.cell_budget_s) and self.cell_budget_s > 0):
                 raise InvalidArgument(
@@ -199,6 +201,7 @@ def find_min_z(
         raise InvalidArgument("z_list must be nonempty")
     if trials < 1:
         raise InvalidArgument(f"trials must be >= 1, got {trials}")
+    _check_seed("base_seed", base_seed)
     e = network.edge_count
     for z in sorted(z_list):
         ok_all = True
@@ -217,7 +220,14 @@ def run_sweep(config: SweepConfig, out_path: str | Path | None = None) -> SweepR
     """Full protocol: per family, draw networks, scan SNR and z ascending
     with early stop at the first all-exact z.  When out_path is given,
     rows stream to the CSV as they finish so an interrupted run leaves a
-    usable partial file."""
+    usable partial file.  Every network is drawn before the file is
+    opened, so a draw that cannot fit (``EmptySpec``) leaves no file."""
+    networks = [
+        (fam_i, family, net_i, generate_within(family, seed, max_edges=config.max_edges))
+        for fam_i, family in enumerate(config.families)
+        for net_i in range(config.networks_per_family)
+        for seed in _seeds(config.base_seed, fam_i, net_i, count=1)
+    ]
     rows: list[SweepRow] = []
     sink = open(out_path, "w", encoding="utf-8", newline="") if out_path else None
     writer = csv.writer(sink) if sink else None
@@ -227,40 +237,35 @@ def run_sweep(config: SweepConfig, out_path: str | Path | None = None) -> SweepR
                 ["family", "network", "e", "snr", "z", "accuracy", "trials",
                  "median_seconds", "min_z_flag", "aborted"]
             )
-        for fam_i, family in enumerate(config.families):
-            for net_i in range(config.networks_per_family):
-                net_seed = _seeds(config.base_seed, fam_i, net_i, count=1)[0]
-                network = generate_within(family, net_seed, max_edges=config.max_edges)
-                for snr_value in config.snr_list:
-                    snr = SnrSetting(snr_value, config.noise_kind)
-                    found_min = False
-                    for z in sorted(config.z_list):
-                        acc, done, med, aborted = _run_cell(
-                            network, snr, z, config, (fam_i, net_i)
-                        )
-                        is_min = not found_min and done == config.trials and acc == 1.0
-                        row = SweepRow(
-                            family=family,
-                            network_index=net_i,
-                            edge_count=network.edge_count,
-                            snr=snr_value,
-                            z=z,
-                            accuracy=acc,
-                            trials_done=done,
-                            median_seconds=med,
-                            is_min_z=is_min,
-                            aborted=aborted,
-                        )
-                        rows.append(row)
-                        if writer:
-                            writer.writerow([
-                                family, net_i, network.edge_count, f"{snr_value:g}", z,
-                                f"{acc:.6f}", done, f"{med:.6g}", int(is_min), int(aborted),
-                            ])
-                            sink.flush()
-                        if is_min:
-                            found_min = True
-                            break
+        for fam_i, family, net_i, network in networks:
+            for snr_value in config.snr_list:
+                snr = SnrSetting(snr_value, config.noise_kind)
+                found_min = False
+                for z in sorted(config.z_list):
+                    acc, done, med, aborted = _run_cell(network, snr, z, config, (fam_i, net_i))
+                    is_min = not found_min and done == config.trials and acc == 1.0
+                    row = SweepRow(
+                        family=family,
+                        network_index=net_i,
+                        edge_count=network.edge_count,
+                        snr=snr_value,
+                        z=z,
+                        accuracy=acc,
+                        trials_done=done,
+                        median_seconds=med,
+                        is_min_z=is_min,
+                        aborted=aborted,
+                    )
+                    rows.append(row)
+                    if writer:
+                        writer.writerow([
+                            family, net_i, network.edge_count, f"{snr_value:g}", z,
+                            f"{acc:.6f}", done, f"{med:.6g}", int(is_min), int(aborted),
+                        ])
+                        sink.flush()
+                    if is_min:
+                        found_min = True
+                        break
     finally:
         if sink:
             sink.close()
@@ -318,6 +323,7 @@ def run_scaling_bench(
     for name, value in (("repeats", repeats), ("z", z)):
         if value < 1:
             raise InvalidArgument(f"{name} must be >= 1, got {value}")
+    _check_seed("seed", seed)
     stage_names = ("cutset", "alg2", "total")
     per_stage: dict[str, list[float]] = {name: [] for name in stage_names}
     m_values: list[int] = []

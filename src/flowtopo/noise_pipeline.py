@@ -3,22 +3,19 @@ end-to-end entry point, ``reconstruct``.
 
 Both lanes pick the sink edges first, by pivoting on the largest residual
 norm of the edges' flow rows scaled to unit total, and read the canonical
-cutset ``[I | -T]`` off that choice (``nullspace.cutset_from_shares``).
-The exact lane takes one pivoted Cholesky factorization of the scaled
-rows' e x e Gram matrix (``nullspace.sink_cutset``): the diagonal gives
-the rank, and the triangular factor gives the sinks below every other
-edge.  The noisy lane reads the samples once, into the e x e Gram
-matrix, and works in e x e space from there: one Cholesky
-factor of the error covariance whitens the Gram matrix from both sides,
-and one symmetric eigendecomposition of that whitened sample covariance
-feeds a sequential eigenvalue-equality test, vectorized over all
-candidates, that picks the conservation-law count m.  The e - m largest
-eigenpairs, less the unit noise floor, are the denoised signal that a
-pivoted QR picks the sinks from; the same Cholesky factor back-transforms
-the eigenvectors of the m smallest (the null basis) into the laws, and
-one m x m solve on their non-sink columns gives T.  Both lanes end in the
-same realization.  ``reconstruct_exact`` and ``reconstruct_noisy`` call
-``reconstruct`` for one lane each.
+cutset ``[I | -T]`` off the triangular factor of that pivoting, through
+one reduction path (``nullspace.cutset_from_factor``).  The exact lane
+takes one pivoted Cholesky factorization of the scaled rows' e x e Gram
+matrix (``nullspace.sink_cutset``), whose diagonal gives the rank.  The
+noisy lane reads the samples once, into the e x e Gram matrix, and works
+in e x e space from there: one Cholesky factor of the error covariance
+whitens the Gram matrix from both sides, and one symmetric
+eigendecomposition of that whitened sample covariance feeds a sequential
+eigenvalue-equality test, vectorized over all candidates, that picks the
+conservation-law count m.  The e - m largest eigenpairs, less the unit
+noise floor, are the denoised signal that a pivoted QR picks the sinks
+from.  Both lanes end in the same realization.  ``reconstruct_exact`` and
+``reconstruct_noisy`` call ``reconstruct`` for one lane each.
 """
 
 from __future__ import annotations
@@ -39,13 +36,12 @@ from .errors import (
     NonPositiveFlow,
     NoStableOrder,
     NotPositiveDefinite,
-    NoValidPartition,
     SnapFailure,
 )
 from .nullspace import (
     EXACT_ZERO_TOL,
     FlowDataMatrix,
-    cutset_from_shares,
+    cutset_from_factor,
     edge_totals,
     sink_cutset,
 )
@@ -293,9 +289,12 @@ def _noisy_cutset(
     Gram matrix of the flow rows scaled to unit total (over n_s), so QR
     with column pivoting of ``F^T`` picks the sinks as
     ``nullspace.sink_cutset``'s pivoted Cholesky factorization does on
-    noise-free rows.  The laws ``N``, the null vectors mapped back by
-    ``L^-T``, then give every other edge's share of each sink flow,
-    ``-N_B^-1 N_C`` on the non-sink columns B and the sink columns C.
+    noise-free rows, and its ``R`` gives the shares of the sink flows
+    (``nullspace.cutset_from_factor``), with the order test's e - m as rank.
+
+    Raises:
+        SnapFailure: the weakest signal eigenvalue is not above the unit
+            noise floor, or a share does not snap.
     """
     e = y.shape[0]
     try:
@@ -305,20 +304,15 @@ def _noisy_cutset(
             f"{exc}; the noisy lane needs uncentred flows: pass the raw samples "
             "and declare a known error offset as NoiseModel.mean, not mean-removed rows"
         ) from None
-    signal = vecs[:, m:] * np.sqrt(np.maximum(lams[m:] - 1.0, 0.0))
+    if not lams[m] > 1.0:
+        raise SnapFailure(
+            f"the weakest of the {e - m} signal eigenvalues, {lams[m]:.4g}, does not "
+            "clear the unit noise floor: no sink can be told from noise"
+        )
+    signal = vecs[:, m:] * np.sqrt(lams[m:] - 1.0)
     factor = (lower @ signal) / totals[:, None]
-    (_, _), _, piv = sla.qr(
-        factor.T, mode="raw", pivoting=True, overwrite_a=True, check_finite=False
-    )
-    sinks, others = piv[: e - m], piv[e - m :]
-    laws = sla.solve_triangular(
-        lower, vecs[:, :m], lower=True, trans="T", check_finite=False
-    ).T
-    try:
-        shares = -np.linalg.solve(laws[:, others], laws[:, sinks])
-    except np.linalg.LinAlgError as exc:
-        raise NoValidPartition(f"the non-sink columns of the laws are singular: {exc}") from None
-    return cutset_from_shares(shares, sinks, others, DEFAULT_SNAP_BAND, SnapFailure)
+    r, piv = sla.qr(factor.T, mode="r", pivoting=True, overwrite_a=True, check_finite=False)
+    return cutset_from_factor(r, piv, e - m, totals, DEFAULT_SNAP_BAND, SnapFailure)
 
 
 def reconstruct(
@@ -349,8 +343,7 @@ def reconstruct(
     covariance of ``whiten(data, noise)`` without forming the e x n_s
     whitened samples.  The order test at level ``alpha`` picks the law
     count m; its e - m largest eigenpairs, less the noise floor, pick the
-    sinks by a pivoted QR, ``L^-T`` maps its null basis back to the laws,
-    and one solve on their non-sink columns gives the canonical cutset;
+    sinks by a pivoted QR whose ``R`` gives the canonical cutset;
     ``diagnostics`` adds the order test's ``rank_test``, the
     ``singular_values`` and the ``chain_groups``.  Both lanes end in
     ``realize_topology``; under ``chain_policy="strict"`` a reported
@@ -366,10 +359,10 @@ def reconstruct(
         RankZero: the exact lane finds no conservation law.
         NotPositiveDefinite: bad covariance.
         NoStableOrder: the order test rejects every candidate.
-        NoValidPartition: the noisy laws are singular on the non-sink
-            columns.
         NonIntegerCutset, SnapFailure: a sink share falls outside the
-            exact or the noisy lane's snap band, or snaps to -1.
+            exact or the noisy lane's snap band, is not finite, or snaps
+            to -1; SnapFailure also when a noisy signal eigenvalue is not
+            above the noise floor.
         NotArborescence: the chord sets are not nested the way an
             arborescence requires.
         AmbiguousParent: under ``chain_policy="strict"``, an equal-flow
@@ -386,10 +379,9 @@ def reconstruct(
         if zero_tol is not None:
             raise InvalidArgument("zero_tol is the exact lane's cutoff; it takes no noise model")
         y = _centred_samples(data, noise)
-        gram = _gram(y)
         lower = _cholesky_lower(noise)
         # whitened sample covariance L^-1 G L^-T, by two e x e triangular solves
-        half = sla.solve_triangular(lower, gram, lower=True, check_finite=False)
+        half = sla.solve_triangular(lower, _gram(y), lower=True, check_finite=False)
         s_y = sla.solve_triangular(lower, half.T, lower=True, check_finite=False)
         report, lams, vecs = _order_test(
             s_y, data.sample_count, DEFAULT_ALPHA if alpha is None else alpha

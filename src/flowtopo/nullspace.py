@@ -2,14 +2,14 @@
 
 Every edge flow is a 0/1 sum of sink flows, so after scaling each edge's
 samples to unit total, a greedy pivot on the largest residual norm picks
-the sink edges.  The exact lane needs no null basis: one pivoted Cholesky
-factorization of the e x e Gram matrix of the scaled rows makes those
-pivot choices, its diagonal gives the rank, and its triangular factor
-gives which sinks lie below every other edge (:func:`sink_cutset`).  The
-noisy lane picks its sinks the same way, by a pivoted QR of the signal
-part of the whitened covariance, and solves for the shares on its null
-basis (``noise_pipeline``).  Both lanes snap those shares and emit the
-canonical cutset matrix ``[I | -T]`` through :func:`cutset_from_shares`.
+the sink edges.  Neither lane needs a null basis.  The exact lane takes
+one pivoted Cholesky factorization of the e x e Gram matrix of the scaled
+rows: it makes those pivot choices and its diagonal gives the rank
+(:func:`sink_cutset`).  The noisy lane picks its sinks the same way, by a
+pivoted QR of the signal part of the whitened covariance
+(``noise_pipeline``).  Either triangular factor also says which sinks lie
+below every other edge: :func:`cutset_from_factor` reads the shares off
+it, snaps them and emits the canonical cutset matrix ``[I | -T]``.
 
 The staged route, which neither lane takes any more, works from a basis
 of the conservation laws.  The samples of a conserved network lie in the
@@ -190,9 +190,9 @@ def sink_cutset(
     ``Xn^T``, with ``U`` equal to that QR's ``R`` up to signs.  It stops at
     the first pivot with ``U_kk`` at or below ``zero_tol`` times ``U_00``:
     the pivots before it are the sinks, the other m edges carry the laws,
-    and ``U11^-1 U12``, unscaled, is T on them.  :func:`cutset_from_shares`
-    snaps T and emits ``[I | -T]``; among equal flows the pivot follows
-    rounding, and it settles which edge of an equal-flow chain is the sink.
+    and :func:`cutset_from_factor` reads T off ``U`` and emits
+    ``[I | -T]``; among equal flows the pivot follows rounding, and it
+    settles which edge of an equal-flow chain is the sink.
 
     Squaring the condition number puts a pivot that is zero in exact
     arithmetic near ``sqrt(eps)`` of the first, so ``zero_tol`` must be at
@@ -202,7 +202,7 @@ def sink_cutset(
     Returns the canonical cutset, the pivot magnitudes ``U_kk`` with the
     refused pivot (the largest diagonal left in the trailing block) at
     index ``e - m`` and zeros after it, and the equal-flow groups
-    (:func:`cutset_from_shares`).
+    (:func:`cutset_from_factor`).
 
     Raises:
         InvalidArgument: ``zero_tol`` is below ``ZERO_TOL_FLOOR`` or not
@@ -232,18 +232,13 @@ def sink_cutset(
     if rank == e:
         raise RankZero("no conservation relation found at the given tolerance")
     piv = piv.astype(np.intp) - 1
-    sinks, others = piv[:rank], piv[rank:]
-    upper = u[:rank, rank:]
     # dpstrf leaves the trailing block unfactored; the pivot it refused is
     # the largest diagonal of that block's Schur complement
     norms = np.zeros(e)
     norms[:rank] = np.diagonal(u)[:rank]
-    norms[rank] = np.sqrt(max((diag[others] - (upper**2).sum(axis=0)).max(), 0.0))
+    norms[rank] = np.sqrt(max((diag[piv[rank:]] - (u[:rank, rank:] ** 2).sum(axis=0)).max(), 0.0))
     norms.setflags(write=False)
-    # scaled rows: x_j / s_j = sum_i W_ij x_i / s_i, so T_ji = s_j W_ij / s_i
-    w = sla.solve_triangular(u[:rank, :rank], upper, check_finite=False)
-    shares = (w * sums[others] / sums[sinks, None]).T
-    canon, chains = cutset_from_shares(shares, sinks, others, DEFAULT_ROUND_TOL, NonIntegerCutset)
+    canon, chains = cutset_from_factor(u, piv, rank, sums, DEFAULT_ROUND_TOL, NonIntegerCutset)
     return canon, norms, chains
 
 
@@ -264,16 +259,20 @@ def edge_totals(samples: np.ndarray) -> np.ndarray:
     return sums
 
 
-def cutset_from_shares(
-    shares: np.ndarray, sinks: np.ndarray, others: np.ndarray, band: float, error_cls: type
+def cutset_from_factor(
+    r: np.ndarray, piv: np.ndarray, rank: int, totals: np.ndarray, band: float, error_cls: type
 ) -> tuple[CanonicalCutsetMatrix, tuple[tuple[int, ...], ...]]:
-    """The canonical cutset ``[I | -T]`` from the estimated share of each
-    sink flow in each non-sink flow, shared by both lanes.
+    """The canonical cutset ``[I | -T]`` from the pivoted triangular factor
+    that picked the sinks, shared by both lanes.
 
-    ``shares[i, j]`` estimates how much of the flow of sink edge
-    ``sinks[j]`` edge ``others[i]`` carries (0-based labels); snapped, it is
-    T, 1 where the sink lies below the edge and 0 elsewhere.  Branches and
-    chords come out each in label order, with no interchanges.
+    ``r`` factors the edges' flow rows scaled to unit total, columns in
+    pivot order (the exact lane's Cholesky ``U``, the noisy lane's QR
+    ``R``); ``piv`` gives each column's 0-based edge, ``totals`` each
+    edge's total.  The first ``rank`` pivots are the sinks.  Scaled rows
+    obey ``x_j / s_j = sum_i W_ij x_i / s_i`` with ``W = R11^-1 R12``, so
+    non-sink j carries ``T_ji = s_j W_ij / s_i`` of sink i's flow; snapped,
+    T is 1 where the sink lies below the edge and 0 elsewhere.  Branches
+    and chords come out each in label order, with no interchanges.
 
     Among equal flows (an equal-flow chain: a run of single-child edges)
     the data cannot tell the edges apart.  A non-sink whose T row is the
@@ -282,21 +281,20 @@ def cutset_from_shares(
     Non-sinks with equal T rows above several sinks form a mid-tree chain,
     whose order realization settles by the same convention.
 
-    Returns the canonical cutset and the equal-flow groups, each a tuple of
-    labels in ascending order (a sink's group ends in the sink), the
-    groups by last label.
+    Returns the canonical cutset and the equal-flow groups by last label,
+    each a tuple of labels in ascending order (a sink's ends in the sink).
 
     Raises:
-        error_cls: a share is farther than ``band`` from 0 or 1, or snaps
-            to -1.
+        error_cls: a share is farther than ``band`` from 0 or 1, is not
+            finite, or snaps to -1.
     """
+    sinks, others = piv[:rank].copy(), piv[rank:].copy()
+    w = sla.solve_triangular(r[:rank, :rank], r[:rank, rank:], check_finite=False)
+    shares = (w * totals[others] / totals[sinks, None]).T
     t = snap_signed_units(shares, band, error_cls)
     if (t < 0).any():
         i, j = np.argwhere(t < 0)[0]
-        raise error_cls(
-            f"edge {others[i] + 1} draws a negative share of sink flow {sinks[j] + 1}"
-        )
-    sinks, others = sinks.copy(), others.copy()
+        raise error_cls(f"edge {others[i] + 1} draws a negative share of sink flow {sinks[j] + 1}")
 
     # equal-flow groups: a non-sink with a single sink below carries that
     # sink's flow; the group's largest label becomes the sink
@@ -390,16 +388,18 @@ def to_fcutset_form(basis: NullBasis, partition: Partition) -> CutsetMatrix:
 
 def snap_signed_units(values: np.ndarray, band: float, error_cls: type) -> np.ndarray:
     """Round entries to the nearest of {-1, 0, +1}; any entry farther than
-    ``band`` from its target raises ``error_cls``."""
+    ``band`` from its target, or not finite, raises ``error_cls``."""
     values = np.asarray(values, dtype=np.float64)
     nearest = np.clip(np.rint(values), -1, 1)
     delta = np.abs(values - nearest)
     worst = float(delta.max()) if delta.size else 0.0
-    if worst > band:
+    # a NaN fails this test too, and argmax finds it
+    if not worst <= band:
         i, j = np.unravel_index(int(np.argmax(delta)), delta.shape)
+        off = f"{worst:.4f} from the nearest of -1/0/+1, beyond the {band} band"
         raise error_cls(
-            f"entry {values[i, j]:+.4f} at ({i}, {j}) is {worst:.4f} from the nearest "
-            f"of -1/0/+1, beyond the {band} band"
+            f"entry {values[i, j]:+.4f} at ({i}, {j}) is "
+            + (off if np.isfinite(values[i, j]) else "not finite")
         )
     return nearest.astype(np.int64)
 

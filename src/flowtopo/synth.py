@@ -44,6 +44,12 @@ class _EdgeBudgetExceeded(Exception):
     """Internal: a bounded draw outgrew its edge budget."""
 
 
+def _check_seed(name: str, seed: int) -> None:
+    """Refuse a negative seed, which numpy's seeding rejects untyped."""
+    if seed < 0:
+        raise InvalidArgument(f"{name} must be a non-negative integer, got {seed}")
+
+
 @dataclass(frozen=True)
 class ArborescenceSpec:
     family: str
@@ -54,6 +60,7 @@ class ArborescenceSpec:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise InvalidArgument(f"unknown family {self.family!r}")
+        _check_seed("seed", self.seed)
         lr = (int(self.layer_range[0]), int(self.layer_range[1]))
         cr = (int(self.children_range[0]), int(self.children_range[1]))
         object.__setattr__(self, "layer_range", lr)
@@ -90,6 +97,7 @@ class FlowSamplerConfig:
             raise InvalidArgument(f"n_s must be an integer, got {self.n_s!r}") from None
         if self.n_s < 1:
             raise InvalidArgument("n_s must be positive")
+        _check_seed("seed", self.seed)
         if len(self.means) != len(self.stds) or not self.means:
             raise InvalidArgument("means and stds must be equal-length and nonempty")
         if any(v <= 0 for v in self.means) or any(v <= 0 for v in self.stds):
@@ -177,6 +185,7 @@ def generate_within(
     Raises:
         EmptySpec: no draw fit within max_attempts.
     """
+    _check_seed("seed", seed)
     for attempt in range(max_attempts):
         ss = np.random.SeedSequence([int(seed), attempt])
         spec = family_spec(
@@ -265,6 +274,7 @@ def add_noise(
     variance divided by snr; heteroscedastic mode scales each edge's own
     variance.  Returns the exact model used, for downstream whitening.
     """
+    _check_seed("seed", seed)
     rng = np.random.default_rng(seed)
     signal_var = np.var(data.entries, axis=1, ddof=1)
     if np.all(signal_var <= 0):

@@ -94,6 +94,12 @@ class TestSweep:
         with pytest.raises(ValueError):
             harness.SweepConfig(threads=2, cell_budget_s=1.0)
 
+    def test_draw_that_cannot_fit_leaves_no_file(self, tmp_path):
+        out = tmp_path / "sweep.csv"
+        with pytest.raises(ft.EmptySpec):
+            harness.run_sweep(harness.SweepConfig(max_edges=1), out_path=out)
+        assert not out.exists()
+
     def test_small_sweep_finds_min_z(self, tmp_path):
         config = harness.SweepConfig(
             families=("binary",),

@@ -308,6 +308,13 @@ class TestCli:
         assert err.startswith("error: reconstruct: --zero-tol: zero_tol must lie in"), err
         assert not (tmp_path / "res.json").exists()
 
+    def test_negative_seed_exits_two(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["generate", "--seed", "-1", "--out", str(tmp_path / "net.json")])
+        assert exc.value.code == 2
+        assert "argument --seed: must be a non-negative integer" in capsys.readouterr().err
+        assert not (tmp_path / "net.json").exists()
+
     def test_noise_and_sigma2_exclusive(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["reconstruct", "--data", str(tmp_path / "run.csv"),

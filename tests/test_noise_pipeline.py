@@ -13,6 +13,7 @@ from scipy import linalg as sla
 from scipy.stats import chi2
 
 import flowtopo as ft
+from flowtopo import noise_pipeline, nullspace
 from flowtopo.noise_pipeline import (
     DEFAULT_ALPHA,
     DEFAULT_SNAP_BAND,
@@ -415,6 +416,57 @@ class TestReconstructNoisy:
                 noisy, model
             )
 
+    @pytest.mark.parametrize("family", ft.synth.FAMILIES)
+    def test_shares_match_law_solve(self, family, monkeypatch):
+        # the shares read off the pivoted QR's R equal -N_B^-1 N_C on the
+        # laws N, the null vectors mapped back by L^-T
+        seen = {}
+        real_factor, real_snap = noise_pipeline.cutset_from_factor, nullspace.snap_signed_units
+
+        def factor(r, piv, rank, *args):
+            seen["sinks"], seen["others"] = piv[:rank].copy(), piv[rank:].copy()
+            return real_factor(r, piv, rank, *args)
+
+        def snap(values, *args):
+            seen["shares"] = np.array(values)
+            return real_snap(values, *args)
+
+        monkeypatch.setattr(noise_pipeline, "cutset_from_factor", factor)
+        monkeypatch.setattr(nullspace, "snap_signed_units", snap)
+        children = (3, 7) if family == "fat_short" else None
+        for seed in (0, 1, 2):
+            net = ft.generate_within(family, seed, max_edges=40, children_range=children)
+            data = ft.sample_flows(net, ft.FlowSamplerConfig(n_s=50 * net.edge_count, seed=seed))
+            noisy, model = ft.add_noise(data, ft.SnrSetting(100.0), seed=seed + 100)
+            report = ft.reconstruct_noisy(noisy, model).diagnostics["rank_test"]
+            lower = np.linalg.cholesky(model.covariance)
+            laws = sla.solve_triangular(lower, report.null_vectors, lower=True, trans="T").T
+            want = -np.linalg.solve(laws[:, seen["others"]], laws[:, seen["sinks"]])
+            np.testing.assert_allclose(seen["shares"], want, rtol=0, atol=1e-9)
+
+    def test_one_pivoted_qr_and_no_solve(self, monkeypatch):
+        real, calls = sla.qr, []
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(sla, "qr", counted)
+        monkeypatch.setattr(np.linalg, "solve", lambda *a, **k: pytest.fail("solve called"))
+        net = binary_net()
+        noisy, model = noisy_sample(net, 50, 100.0, seed=3)
+        assert ft.verify_against_truth(ft.reconstruct_noisy(noisy, model), net)
+        assert [(c["mode"], c["pivoting"]) for c in calls] == [("r", True)]
+
+    @pytest.mark.parametrize("sigma2", [1e6, 1e8, 1e12])
+    def test_overstated_variance_hits_noise_floor(self, sigma2):
+        # every signal eigenvalue sits below the unit floor of whitened
+        # noise: a typed refusal, not a singular triangular solve
+        net = binary_net()
+        data = ft.sample_flows(net, ft.FlowSamplerConfig(n_s=50 * net.edge_count, seed=4))
+        with pytest.raises(ft.SnapFailure, match="noise floor"):
+            ft.reconstruct_noisy(data, ft.NoiseModel.isotropic(sigma2, net.edge_count))
+
     def test_memory_linear_in_data(self):
         # no n_s x n_s intermediate: the peak stays a small multiple of the data
         net = ft.binary_network_with_edges(62)
@@ -776,11 +828,23 @@ def test_lanes_run_none_of_the_staged_stages(monkeypatch):
     lambda: ft.CutsetMatrix(np.eye(2, dtype=int), (1,), (2, 3)),
     lambda: ft.CutsetMatrix(np.array([[1, 2]]), (1,), (2,)),
     lambda: ft.CutsetMatrix(np.array([[1, 1, -1]]), (1, 2), (3,)),
+    lambda: ft.generate_within("binary", -1),
+    lambda: ft.ArborescenceSpec("binary", (3, 3), (2, 2), seed=-1),
+    lambda: ft.FlowSamplerConfig(n_s=30, seed=-1),
+    lambda: ft.add_noise(
+        ft.sample_flows(binary_net(), ft.FlowSamplerConfig(n_s=30, seed=1)),
+        ft.SnrSetting(10.0),
+        seed=-1,
+    ),
+    lambda: ft.run_scaling_bench(sizes=(8,), seed=-1),
+    lambda: ft.find_min_z(binary_net(), ft.SnrSetting(10.0), (2,), trials=1, base_seed=-1),
+    lambda: ft.SweepConfig(base_seed=-1),
 ], ids=["whiten-size", "reconstruct-size", "alpha", "zero-tol", "alpha-without-noise",
         "zero-tol-with-noise", "chain-policy", "data", "sigma2", "per-edge", "noise-kind",
         "sampler", "snr", "spec", "family", "bench-network", "add-noise", "sweep", "bench-sizes",
         "gaussian-data", "zeroed-row", "self-loop", "node-id", "no-edges", "partition",
-        "cutset-shape", "cutset-entries", "cutset-identity"])
+        "cutset-shape", "cutset-entries", "cutset-identity", "seed-within", "seed-spec",
+        "seed-sampler", "seed-add-noise", "seed-bench", "seed-min-z", "seed-sweep"])
 def test_argument_errors_are_typed(call):
     # still a ValueError for callers that catch that, and a FlowtopoError
     with pytest.raises(ft.InvalidArgument) as exc:

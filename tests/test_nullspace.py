@@ -11,7 +11,7 @@ from flowtopo.nullspace import (
     PIVOT_THRESHOLD,
     RANK_TOL,
     ZERO_TOL_FLOOR,
-    cutset_from_shares,
+    cutset_from_factor,
     rref,
     sink_cutset,
     snap_signed_units,
@@ -267,6 +267,16 @@ class TestSnapAndRref:
         with pytest.raises(ft.SnapFailure):
             snap_signed_units(np.array([[0.5]]), band=0.35, error_cls=ft.SnapFailure)
 
+    @pytest.mark.parametrize("band, error_cls", [
+        (0.1, ft.NonIntegerCutset), (0.35, ft.SnapFailure),
+    ])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_snap_refuses_non_finite(self, band, error_cls, bad):
+        # a NaN is no farther than any band by comparison, and would cast
+        # to the smallest int64
+        with pytest.raises(error_cls, match="not finite"):
+            snap_signed_units(np.array([[bad, 1.0]]), band=band, error_cls=error_cls)
+
     def test_snap_custom_error_class(self):
         with pytest.raises(ft.NonIntegerCutset):
             snap_signed_units(np.array([[2.4]]), band=0.35, error_cls=ft.NonIntegerCutset)
@@ -451,8 +461,9 @@ class TestCutsetFromShares:
         t = rng.integers(0, 2, size=(m, k))
         shares = t + rng.uniform(-0.99 * band, 0.99 * band, size=t.shape)
         perm = rng.permutation(m + k)
-        sinks, others = perm[:k], perm[k:]
-        canon, chains = cutset_from_shares(shares, sinks, others, band, error_cls)
+        # with unit totals, W = R11^-1 R12 of [I | shares^T] is the shares
+        r = np.hstack([np.eye(k), shares.T])
+        canon, chains = cutset_from_factor(r, perm, k, np.ones(m + k), band, error_cls)
         assert isinstance(canon, ft.CanonicalCutsetMatrix)
         assert canon.provenance == ()
         assert canon.m == m
