@@ -17,7 +17,6 @@ picks the noisy one.
 """
 
 from .errors import (
-    AmbiguousParent,
     DisconnectedNetwork,
     EmptySpec,
     FlowtopoError,
@@ -88,7 +87,6 @@ from .harness import SweepConfig, find_min_z, run_scaling_bench, run_sweep
 __version__ = "0.1.0"
 
 __all__ = [
-    "AmbiguousParent",
     "ArborescenceSpec",
     "CanonicalCutsetMatrix",
     "CutsetMatrix",

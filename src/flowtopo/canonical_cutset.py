@@ -7,6 +7,10 @@ transformations) move the tree toward that arborescence: within each cutset
 row of an arborescence conservation graph exactly one coefficient carries a
 sign different from all the others, and the edge holding it is the cutset's
 lowest-level non-sink flow, hence the branch the canonical form wants.
+An equal-flow chain (a run of single-child edges) gives identical columns
+that no sign tells apart; :func:`canonicalize` then puts the smaller label
+above, the ordered-label convention that realization also applies when it
+reports the chains.
 
 The canonical form is itself a ``CutsetMatrix``: :class:`CanonicalCutsetMatrix`
 adds the interchange history and checks the one property the canonical
@@ -66,19 +70,18 @@ def _swap_and_reduce(entries: np.ndarray, labels: list[int], k: int, l: int) -> 
         raise NotCanonicalizable("row operations left the {-1, 0, +1} range")
 
 
-def canonicalize(cutset: CutsetMatrix, normalize_labels: bool = True) -> CanonicalCutsetMatrix:
+def canonicalize(cutset: CutsetMatrix) -> CanonicalCutsetMatrix:
     """Transform a valid cutset matrix so all branches are non-sink edges.
 
     The interchange target of a row is found through its sign-unique
-    coefficient.
+    coefficient.  Rows whose branch label exceeds one of their negative
+    chords are repaired too: equal-flow chain segments (single-child
+    paths) produce structurally identical columns that sign logic cannot
+    tell apart, and under the ordered labeling convention the smaller
+    label is the shallower edge, which those interchanges restore.
 
     Args:
         cutset: f-cutset matrix of an arborescence conservation graph.
-        normalize_labels: also repair rows whose branch label exceeds one of
-            its negative chords.  Equal-flow chain segments (single-child
-            paths) produce structurally identical columns that sign logic
-            cannot tell apart; under the ordered labeling convention the
-            smaller label is the shallower edge, which this pass restores.
 
     Raises:
         NotUnique: a row offers no unambiguous interchange target.
@@ -91,16 +94,14 @@ def canonicalize(cutset: CutsetMatrix, normalize_labels: bool = True) -> Canonic
     provenance: list[tuple[int, int, int]] = []
 
     # each pass acts on the first unsettled row, one with a positive chord
-    # or, under normalize_labels, a -1 chord labelled below its branch, and
-    # makes one interchange, since that can unsettle rows already visited
+    # or a -1 chord labelled below its branch, and makes one interchange,
+    # since that can unsettle rows already visited
     max_swaps = 4 * m + 16
     for _ in range(max_swaps):
         chords = entries[:, m:]
         lab = np.asarray(labels)
         negative = chords == -1
-        unsettled = (chords > 0).any(axis=1)
-        if normalize_labels:
-            unsettled |= (negative & (lab[m:] < lab[:m, None])).any(axis=1)
+        unsettled = (chords > 0).any(axis=1) | (negative & (lab[m:] < lab[:m, None])).any(axis=1)
         if not unsettled.any():
             break
         k = int(np.argmax(unsettled))

@@ -16,7 +16,6 @@ from typing import Callable
 
 from . import harness, io
 from .errors import (
-    AmbiguousParent,
     DisconnectedNetwork,
     EmptySpec,
     FlowtopoError,
@@ -70,7 +69,6 @@ _ERROR_CODES: tuple[tuple[type, int], ...] = (
     (NotUnique, _EXIT_REALIZE),
     (NotCanonicalizable, _EXIT_REALIZE),
     (NotArborescence, _EXIT_REALIZE),
-    (AmbiguousParent, _EXIT_REALIZE),
     (NotASpanningTree, _EXIT_REALIZE),
     (LabelMismatch, _EXIT_REALIZE),
 )

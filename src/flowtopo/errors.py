@@ -87,10 +87,6 @@ class NotArborescence(FlowtopoError):
     """Chord-set structure is inconsistent with any arborescence."""
 
 
-class AmbiguousParent(FlowtopoError):
-    """Two candidate parent branches cannot be distinguished."""
-
-
 class LabelMismatch(FlowtopoError):
     """Result and reference use different edge-label universes."""
 

@@ -17,6 +17,7 @@ Conventions, fixed across the whole package:
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -25,6 +26,15 @@ import numpy as np
 from .errors import DisconnectedNetwork, InvalidArgument, NoInternalNodes, NotASpanningTree
 
 ENVIRONMENT = 0
+
+
+def _integer(name: str, value: object) -> int:
+    """``value`` as an int; a float or another non-integral value raises
+    ``InvalidArgument`` naming ``name``."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise InvalidArgument(f"{name} must be an integer, got {value!r}") from None
 
 
 class _UnionFind:
@@ -71,7 +81,12 @@ class FlowNetwork:
     edges: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "edges", tuple((int(s), int(t)) for s, t in self.edges))
+        object.__setattr__(self, "node_count", _integer("node_count", self.node_count))
+        try:
+            edges = tuple((int(s), int(t)) for s, t in self.edges)
+        except (TypeError, ValueError):
+            raise InvalidArgument("edges must be (source, target) pairs of node ids") from None
+        object.__setattr__(self, "edges", edges)
         if self.node_count < 1:
             raise InvalidArgument("node_count must be positive")
         if not self.edges:

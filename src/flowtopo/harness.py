@@ -22,7 +22,7 @@ from typing import Any, Callable
 import numpy as np
 
 from .errors import FlowtopoError, InvalidArgument
-from .graph_model import FlowNetwork
+from .graph_model import FlowNetwork, _integer
 from .noise_pipeline import DEFAULT_ALPHA, reconstruct_exact, reconstruct_noisy
 from .nullspace import sink_cutset
 from .realize import realize_topology, verify_against_truth
@@ -71,6 +71,11 @@ class SweepConfig:
         for name in ("families", "snr_list", "z_list"):
             if not getattr(self, name):
                 raise InvalidArgument(f"{name} must be nonempty")
+        for family in self.families:
+            if family not in FAMILIES:
+                raise InvalidArgument(f"unknown family {family!r} in families")
+        for name in ("trials", "networks_per_family", "threads", "max_edges"):
+            object.__setattr__(self, name, _integer(name, getattr(self, name)))
         for name in ("trials", "networks_per_family", "threads"):
             if getattr(self, name) < 1:
                 raise InvalidArgument(f"{name} must be >= 1, got {getattr(self, name)}")
@@ -277,7 +282,6 @@ class ScalingBench:
     sizes: tuple[int, ...]
     m_values: tuple[int, ...]
     stage_seconds: dict[str, tuple[float, ...]] = field(default_factory=dict)
-    total_seconds: tuple[float, ...] = ()
     slope_total: float = math.nan
     slope_alg2_vs_m: float = math.nan
     slope_cutset: float = math.nan
@@ -318,10 +322,11 @@ def run_scaling_bench(
     factorization and the canonical cutset), ``alg2`` realization and
     ``total`` the whole ``reconstruct_exact``.
     """
+    sizes = tuple(_integer("each of sizes", v) for v in sizes)
     if list(sizes) != sorted(sizes) or not sizes or sizes[0] < 2:
         raise InvalidArgument("sizes must be ascending edge counts of at least 2")
     for name, value in (("repeats", repeats), ("z", z)):
-        if value < 1:
+        if _integer(name, value) < 1:
             raise InvalidArgument(f"{name} must be >= 1, got {value}")
     _check_seed("seed", seed)
     stage_names = ("cutset", "alg2", "total")
@@ -335,7 +340,7 @@ def run_scaling_bench(
         data = sample_flows(network, cfg, allow_undersampled=z * e <= e)
         samples = {name: [] for name in stage_names}
         for _ in range(repeats):
-            canon, _, _ = sink_cutset(data)
+            canon, _ = sink_cutset(data)
             samples["cutset"].append(_timed(lambda: sink_cutset(data)))
             samples["alg2"].append(_timed(lambda: realize_topology(canon)))
             samples["total"].append(_timed(lambda: reconstruct_exact(data)))
@@ -346,7 +351,6 @@ def run_scaling_bench(
         sizes=tuple(sizes),
         m_values=tuple(m_values),
         stage_seconds={name: tuple(vals) for name, vals in per_stage.items()},
-        total_seconds=tuple(per_stage["total"]),
         slope_total=_loglog_slope(sizes_arr, np.array(per_stage["total"])),
         slope_alg2_vs_m=_loglog_slope(
             np.array(m_values, dtype=float), np.array(per_stage["alg2"])

@@ -193,6 +193,8 @@ def load_result(path: str | Path) -> ReconstructionResult:
         raise ParseError(f"{path}: need 'root' and [src, dst] 'edges'") from exc
     if root != len(edges) + 1:
         raise ParseError(f"{path}: root must be edge count + 1, got {root}")
+    if sorted(t for _, t in edges) != list(range(1, root)):
+        raise ParseError(f"{path}: edge targets must be each of 1..{root - 1} exactly once")
     return ReconstructionResult(edges=edges)
 
 

@@ -14,8 +14,9 @@ eigendecomposition of that whitened sample covariance feeds a sequential
 eigenvalue-equality test, vectorized over all candidates, that picks the
 conservation-law count m.  The e - m largest eigenpairs, less the unit
 noise floor, are the denoised signal that a pivoted QR picks the sinks
-from.  Both lanes end in the same realization.  ``reconstruct_exact`` and
-``reconstruct_noisy`` call ``reconstruct`` for one lane each.
+from.  Both lanes end in the same realization, which reports the
+equal-flow chains whose order the data cannot fix.  ``reconstruct_exact``
+and ``reconstruct_noisy`` call ``reconstruct`` for one lane each.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from scipy.special import chdtrc
 
 from .canonical_cutset import CanonicalCutsetMatrix
 from .errors import (
-    AmbiguousParent,
     InvalidArgument,
     NonPositiveFlow,
     NoStableOrder,
@@ -279,7 +279,7 @@ def estimate_model_order(whitened: FlowDataMatrix, alpha: float = DEFAULT_ALPHA)
 
 def _noisy_cutset(
     y: np.ndarray, lower: np.ndarray, lams: np.ndarray, vecs: np.ndarray, m: int
-) -> tuple[CanonicalCutsetMatrix, tuple[tuple[int, ...], ...]]:
+) -> CanonicalCutsetMatrix:
     """The canonical cutset from the order test's eigendecomposition of the
     whitened sample covariance, sinks first.
 
@@ -321,7 +321,6 @@ def reconstruct(
     *,
     alpha: float | None = None,
     zero_tol: float | None = None,
-    chain_policy: str = "row_order",
 ) -> ReconstructionResult:
     """Reconstruct the arborescence behind the samples.
 
@@ -334,20 +333,20 @@ def reconstruct(
     matrix squares the condition number, so flows whose sink samples vary
     by less than about 1e-5 of their mean look equal and fail to snap.
     ``diagnostics`` adds those ``pivot_norms`` (with the refused pivot
-    after them) and the ``chain_groups`` of equal-flow edges, whose order
-    the data cannot fix and the ordered-label convention settles.  With a
-    noise model, the samples are read once, into the e x e Gram matrix
-    ``G = Y Y^T / n_s`` (less any declared mean, as in ``whiten``), which
-    the one Cholesky factor ``L`` of the error covariance whitens from
-    both sides: ``L^-1 G L^-T`` equals ``estimate_model_order``'s
-    covariance of ``whiten(data, noise)`` without forming the e x n_s
-    whitened samples.  The order test at level ``alpha`` picks the law
+    after them).  With a noise model, the samples are read once, into the
+    e x e Gram matrix ``G = Y Y^T / n_s`` (less any declared mean, as in
+    ``whiten``), which the one Cholesky factor ``L`` of the error
+    covariance whitens from both sides: ``L^-1 G L^-T`` equals
+    ``estimate_model_order``'s covariance of ``whiten(data, noise)``
+    without forming the e x n_s whitened samples.  The order test at level ``alpha`` picks the law
     count m; its e - m largest eigenpairs, less the noise floor, pick the
     sinks by a pivoted QR whose ``R`` gives the canonical cutset;
-    ``diagnostics`` adds the order test's ``rank_test``, the
-    ``singular_values`` and the ``chain_groups``.  Both lanes end in
-    ``realize_topology``; under ``chain_policy="strict"`` a reported
-    chain group raises ``AmbiguousParent`` first.
+    ``diagnostics`` adds the order test's ``rank_test`` and the
+    ``singular_values``.  Both lanes end in ``realize_topology``, whose
+    ``diagnostics`` give the ``canonical`` matrix and the ``chain_groups``
+    of equal-flow edges, whose order the data cannot fix and the
+    ordered-label convention settles; a caller that must refuse such an
+    answer tests ``chain_groups``.
 
     Raises:
         InvalidArgument: ``alpha`` without a noise model, ``zero_tol``
@@ -365,16 +364,12 @@ def reconstruct(
             above the noise floor.
         NotArborescence: the chord sets are not nested the way an
             arborescence requires.
-        AmbiguousParent: under ``chain_policy="strict"``, an equal-flow
-            chain whose order the data cannot fix.
     """
     if noise is None:
         if alpha is not None:
             raise InvalidArgument("alpha is the noisy lane's test level; it needs a noise model")
-        canon, pivot_norms, chains = sink_cutset(
-            data, EXACT_ZERO_TOL if zero_tol is None else zero_tol
-        )
-        extra = {"pivot_norms": pivot_norms, "chain_groups": chains}
+        canon, pivot_norms = sink_cutset(data, EXACT_ZERO_TOL if zero_tol is None else zero_tol)
+        extra = {"pivot_norms": pivot_norms}
     else:
         if zero_tol is not None:
             raise InvalidArgument("zero_tol is the exact lane's cutoff; it takes no noise model")
@@ -386,18 +381,13 @@ def reconstruct(
         report, lams, vecs = _order_test(
             s_y, data.sample_count, DEFAULT_ALPHA if alpha is None else alpha
         )
-        canon, chains = _noisy_cutset(y, lower, lams, vecs, report.chosen_m)
+        canon = _noisy_cutset(y, lower, lams, vecs, report.chosen_m)
         # singular values of Y_s / sqrt(n_s), recovered from its Gram spectrum
         extra = {
             "rank_test": report,
             "singular_values": tuple(math.sqrt(v) for v in report.eigenvalues),
-            "chain_groups": chains,
         }
-    if chain_policy == "strict" and chains:
-        raise AmbiguousParent(
-            f"edges {chains[0]} carry equal flows; their stacking order is not identifiable"
-        )
-    result = realize_topology(canon, chain_policy=chain_policy)
+    result = realize_topology(canon)
     return replace(result, diagnostics={**result.diagnostics, **extra})
 
 
@@ -405,16 +395,13 @@ def reconstruct_noisy(
     data: FlowDataMatrix,
     noise: NoiseModel,
     alpha: float = DEFAULT_ALPHA,
-    chain_policy: str = "row_order",
 ) -> ReconstructionResult:
     """The noisy lane of :func:`reconstruct`."""
-    return reconstruct(data, noise, alpha=alpha, chain_policy=chain_policy)
+    return reconstruct(data, noise, alpha=alpha)
 
 
 def reconstruct_exact(
-    data: FlowDataMatrix,
-    zero_tol: float = EXACT_ZERO_TOL,
-    chain_policy: str = "row_order",
+    data: FlowDataMatrix, zero_tol: float = EXACT_ZERO_TOL
 ) -> ReconstructionResult:
     """The exact (noise-free) lane of :func:`reconstruct`."""
-    return reconstruct(data, zero_tol=zero_tol, chain_policy=chain_policy)
+    return reconstruct(data, zero_tol=zero_tol)

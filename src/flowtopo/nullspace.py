@@ -9,7 +9,10 @@ rows: it makes those pivot choices and its diagonal gives the rank
 pivoted QR of the signal part of the whitened covariance
 (``noise_pipeline``).  Either triangular factor also says which sinks lie
 below every other edge: :func:`cutset_from_factor` reads the shares off
-it, snaps them and emits the canonical cutset matrix ``[I | -T]``.
+it, snaps them and emits the canonical cutset matrix ``[I | -T]``.  The
+data cannot order the edges of an equal-flow chain; where one ends in a
+sink, the chain's largest label takes the sink's seat, and realization
+orders and reports every chain by that same ordered-label convention.
 
 The staged route, which neither lane takes any more, works from a basis
 of the conservation laws.  The samples of a conserved network lie in the
@@ -176,7 +179,7 @@ def estimate_null_basis(data: FlowDataMatrix, zero_tol: float = DEFAULT_ZERO_TOL
 
 def sink_cutset(
     data: FlowDataMatrix, zero_tol: float = EXACT_ZERO_TOL
-) -> tuple[CanonicalCutsetMatrix, np.ndarray, tuple[tuple[int, ...], ...]]:
+) -> tuple[CanonicalCutsetMatrix, np.ndarray]:
     """The canonical cutset of noise-free data from one pivoted Cholesky
     factorization.
 
@@ -199,10 +202,9 @@ def sink_cutset(
     least ``ZERO_TOL_FLOOR``, and flows whose sink samples vary by less
     than about 1e-5 of their mean cannot be told apart from equal flows.
 
-    Returns the canonical cutset, the pivot magnitudes ``U_kk`` with the
-    refused pivot (the largest diagonal left in the trailing block) at
-    index ``e - m`` and zeros after it, and the equal-flow groups
-    (:func:`cutset_from_factor`).
+    Returns the canonical cutset and the pivot magnitudes ``U_kk``, with
+    the refused pivot (the largest diagonal left in the trailing block) at
+    index ``e - m`` and zeros after it.
 
     Raises:
         InvalidArgument: ``zero_tol`` is below ``ZERO_TOL_FLOOR`` or not
@@ -238,8 +240,7 @@ def sink_cutset(
     norms[:rank] = np.diagonal(u)[:rank]
     norms[rank] = np.sqrt(max((diag[piv[rank:]] - (u[:rank, rank:] ** 2).sum(axis=0)).max(), 0.0))
     norms.setflags(write=False)
-    canon, chains = cutset_from_factor(u, piv, rank, sums, DEFAULT_ROUND_TOL, NonIntegerCutset)
-    return canon, norms, chains
+    return cutset_from_factor(u, piv, rank, sums, DEFAULT_ROUND_TOL, NonIntegerCutset), norms
 
 
 def edge_totals(samples: np.ndarray) -> np.ndarray:
@@ -261,7 +262,7 @@ def edge_totals(samples: np.ndarray) -> np.ndarray:
 
 def cutset_from_factor(
     r: np.ndarray, piv: np.ndarray, rank: int, totals: np.ndarray, band: float, error_cls: type
-) -> tuple[CanonicalCutsetMatrix, tuple[tuple[int, ...], ...]]:
+) -> CanonicalCutsetMatrix:
     """The canonical cutset ``[I | -T]`` from the pivoted triangular factor
     that picked the sinks, shared by both lanes.
 
@@ -276,13 +277,10 @@ def cutset_from_factor(
 
     Among equal flows (an equal-flow chain: a run of single-child edges)
     the data cannot tell the edges apart.  A non-sink whose T row is the
-    unit row of a sink shares that sink's flow; in each such group the
+    unit row of a sink shares that sink's flow; in each such run the
     largest label is taken as the sink, the ordered-label convention.
-    Non-sinks with equal T rows above several sinks form a mid-tree chain,
-    whose order realization settles by the same convention.
-
-    Returns the canonical cutset and the equal-flow groups by last label,
-    each a tuple of labels in ascending order (a sink's ends in the sink).
+    Realization settles the rest of every chain by the same convention and
+    reports the chains (``realize.realize_topology``).
 
     Raises:
         error_cls: a share is farther than ``band`` from 0 or 1, is not
@@ -296,39 +294,22 @@ def cutset_from_factor(
         i, j = np.argwhere(t < 0)[0]
         raise error_cls(f"edge {others[i] + 1} draws a negative share of sink flow {sinks[j] + 1}")
 
-    # equal-flow groups: a non-sink with a single sink below carries that
-    # sink's flow; the group's largest label becomes the sink
-    sizes = t.sum(axis=1)
-    single = np.flatnonzero(sizes == 1)
-    groups: dict[int, list[tuple[int, int]]] = {}
+    # an equal-flow chain ending in a sink: a non-sink whose T row is the
+    # unit row of sink i carries that sink's flow, and X_j equals X_i; the
+    # run's largest label takes the sink's seat.  Rows of one run are equal,
+    # so which of them takes which label leaves the matrix unchanged
+    single = np.flatnonzero(t.sum(axis=1) == 1)
     for row, i in zip(single.tolist(), t[single].argmax(axis=1).tolist()):
-        groups.setdefault(i, []).append((int(others[row]), row))
-    chains = []
-    for i, members in groups.items():
-        sink = int(sinks[i])
-        chains.append(tuple(sorted([sink + 1] + [lab + 1 for lab, _ in members])))
-        top, row = max(members)
-        if top > sink:
-            # X_top equals X_sink: the sink's column and top's row trade labels
-            others[row], sinks[i] = sink, top
-    # mid-tree chains: equal T rows above several sinks.  Equal rows share
-    # their size and first sink, so only rows that share both are compared
-    multi = np.flatnonzero(sizes > 1)
-    key = sizes[multi] * t.shape[1] + t.argmax(axis=1)[multi]
-    equal: dict[bytes, list[int]] = {}
-    for row in multi[np.bincount(key)[key] > 1].tolist():
-        equal.setdefault(t[row].tobytes(), []).append(int(others[row]) + 1)
-    chains += [tuple(sorted(labels)) for labels in equal.values() if len(labels) > 1]
-    chains.sort(key=lambda group: group[-1])
+        if others[row] > sinks[i]:
+            others[row], sinks[i] = sinks[i], others[row]
 
     # T is 0/1 and the labels split 1..e, so [I | -T] is canonical by construction
     rows, cols = np.argsort(others), np.argsort(sinks)
-    canon = CanonicalCutsetMatrix(
+    return CanonicalCutsetMatrix(
         entries=np.hstack([np.eye(len(others), dtype=np.int64), -t[rows][:, cols]]),
         branch_edges=tuple(others[rows] + 1),
         chord_edges=tuple(sinks[cols] + 1),
     )
-    return canon, tuple(chains)
 
 
 def find_valid_partition(basis: NullBasis) -> Partition:

@@ -9,6 +9,12 @@ sink edge hangs off the deepest row that carries it as a chord.  A row
 disjoint from every earlier row is another top-level branch out of the
 source; single-top-branch inputs never hit that case.
 
+Realization is also the one place that reports equal-flow chains: runs of
+single-child edges carry identical flows, so no data orders them.  Their
+rows hold the same chord set, and each takes the previous one as its
+parent, so the ordered-label convention (the smaller label is the
+shallower edge) settles the run.
+
 Node naming follows the incoming-edge convention: the node entered by edge
 ``i`` is node ``i`` and the source is node ``e + 1``, which makes a
 reconstruction directly comparable to a ground-truth network relabeled the
@@ -23,7 +29,7 @@ from typing import Any, Mapping
 import numpy as np
 
 from .canonical_cutset import CanonicalCutsetMatrix
-from .errors import AmbiguousParent, InvalidArgument, LabelMismatch, NotArborescence
+from .errors import InvalidArgument, LabelMismatch, NotArborescence
 from .graph_model import FlowNetwork
 
 
@@ -37,7 +43,6 @@ class ReconstructionResult:
     """
 
     edges: tuple[tuple[int, int], ...]
-    node_labels: Mapping[int, int] = field(default_factory=dict)
     diagnostics: Mapping[str, Any] = field(default_factory=dict)
 
     @property
@@ -54,30 +59,22 @@ class ReconstructionResult:
         return FlowNetwork(node_count=self.edge_count + 1, edges=ordered)
 
 
-def realize_topology(
-    canon: CanonicalCutsetMatrix, chain_policy: str = "row_order"
-) -> ReconstructionResult:
+def realize_topology(canon: CanonicalCutsetMatrix) -> ReconstructionResult:
     """Realize the unique arborescence consistent with a canonical cutset
     matrix.
 
-    Args:
-        canon: canonical cutset matrix.
-        chain_policy: how to parent a branch when several candidate rows
-            carry identical chord sets, which happens exactly on equal-flow
-            chain segments.  "row_order" (default) trusts the ordered
-            labeling convention and picks the deepest earlier row;
-            "strict" raises instead.
+    ``diagnostics`` holds the ``canonical`` matrix and the
+    ``chain_groups``: each equal-flow chain as its labels in ascending
+    order, groups sorted by last label.  A group is a run of branches with
+    one chord set, plus that chord when the set has one member.  The data
+    cannot order a group's edges; the ordered-label convention does, and a
+    caller that must refuse such an answer tests ``chain_groups``.
 
     Raises:
-        InvalidArgument: unknown ``chain_policy``, or the branch and chord
-            labels are not exactly 1..e.
+        InvalidArgument: the branch and chord labels are not exactly 1..e.
         NotArborescence: chord sets are not nested the way an arborescence
             requires.
-        AmbiguousParent: under ``chain_policy="strict"``, a branch has the
-            same chord set as its candidate parent.
     """
-    if chain_policy not in ("row_order", "strict"):
-        raise InvalidArgument(f"unknown chain_policy {chain_policy!r}")
     m, e = canon.m, canon.edge_count
     # with labels 1..e the result is a tree by construction: each branch's
     # parent is an earlier row or the source, each sink hangs off one row
@@ -104,22 +101,8 @@ def realize_topology(
     has_parent = earlier.any(axis=1)
     parent = m - 1 - np.argmax(earlier[:, ::-1], axis=1)
     bad = (size == 0) | (has_parent & (overlap[np.arange(m), parent] != size))
-    first_bad = int(np.argmax(bad)) if bad.any() else m
-
-    if chain_policy == "strict":
-        # a containing parent of equal size holds the same set.  An earlier
-        # twin of row k meets it, so k's parent (the last earlier row meeting
-        # k) lies at or after the twin; sizes descend, so the parent has k's
-        # size and, if it contains k, is a twin itself: no pair escapes
-        same = np.flatnonzero(has_parent[:first_bad] & (size[parent] == size)[:first_bad])
-        if same.size:
-            k = int(same[0])
-            raise AmbiguousParent(
-                f"branches {branches[k]} and {branches[parent[k]]} carry identical "
-                "chord sets; their stacking order is not identifiable"
-            )
-    if first_bad < m:
-        k = first_bad
+    if bad.any():
+        k = int(np.argmax(bad))
         if size[k] == 0:
             raise NotArborescence(f"branch {branches[k]} carries no sink edge")
         raise NotArborescence(
@@ -140,16 +123,30 @@ def realize_topology(
     src = [branches[p] if h else e + 1 for p, h in zip(parent.tolist(), has_parent.tolist())]
     src += [branches[p] for p in sink_parent.tolist()]
 
-    edges = tuple((src[i], x_e[i]) for i in range(e))
+    # equal-flow chains.  A containing parent of equal size holds the same
+    # chord set, so such rows link into runs, each rooted at a first row
+    # whose parent (if any) is larger; a parent sorts before its child, so
+    # its root is settled first.  A run whose set is one sink ends in it.
+    # Only the linked rows and the one-sink rows are visited.
+    linked = has_parent & (size[parent] == size)
+    root = np.arange(m)
+    runs: dict[int, set[int]] = {}
+    for k in np.flatnonzero(linked | (size == 1)).tolist():
+        if linked[k]:
+            root[k] = root[parent[k]]
+        r = int(root[k])
+        runs.setdefault(r, {branches[r]}).add(branches[k])
+    chains = []
+    for r, labels in runs.items():
+        if size[r] == 1:
+            labels.add(canon.chord_edges[int(np.argmax(member[r]))])
+        if len(labels) > 1:
+            chains.append(tuple(sorted(labels)))
+    chains.sort(key=lambda group: group[-1])
+
     return ReconstructionResult(
-        edges=edges,
-        node_labels={lab: lab for lab in range(1, e + 1)},
-        diagnostics={
-            "m": m,
-            "dependent_edges": canon.branch_edges,
-            "independent_edges": canon.chord_edges,
-            "canonical": canon,
-        },
+        edges=tuple((src[i], x_e[i]) for i in range(e)),
+        diagnostics={"canonical": canon, "chain_groups": tuple(chains)},
     )
 
 

@@ -16,13 +16,12 @@ relabeling step.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import EmptySpec, InvalidArgument, NotArborescence
-from .graph_model import FlowNetwork, _top_down
+from .graph_model import FlowNetwork, _integer, _top_down
 from .noise_pipeline import NoiseModel
 from .nullspace import FlowDataMatrix
 
@@ -91,17 +90,14 @@ class FlowSamplerConfig:
     def __post_init__(self):
         object.__setattr__(self, "means", tuple(float(v) for v in self.means))
         object.__setattr__(self, "stds", tuple(float(v) for v in self.stds))
-        try:
-            object.__setattr__(self, "n_s", operator.index(self.n_s))
-        except TypeError:
-            raise InvalidArgument(f"n_s must be an integer, got {self.n_s!r}") from None
+        object.__setattr__(self, "n_s", _integer("n_s", self.n_s))
         if self.n_s < 1:
             raise InvalidArgument("n_s must be positive")
         _check_seed("seed", self.seed)
         if len(self.means) != len(self.stds) or not self.means:
             raise InvalidArgument("means and stds must be equal-length and nonempty")
-        if any(v <= 0 for v in self.means) or any(v <= 0 for v in self.stds):
-            raise InvalidArgument("means and stds must be positive")
+        if not all(math.isfinite(v) and v > 0 for v in self.means + self.stds):
+            raise InvalidArgument("means and stds must be finite and positive")
 
 
 @dataclass(frozen=True)
@@ -207,6 +203,7 @@ def binary_network_with_edges(e: int) -> FlowNetwork:
     """Deterministic benchmark network with exactly e edges: the deepest
     full binary tree with at most e edges, padded to the exact count by
     extra sink children on the last internal node."""
+    e = _integer("e", e)
     if e < 2:
         raise InvalidArgument("need at least 2 edges")
     depth = 1

@@ -49,6 +49,13 @@ class TestNetworkJson:
         with pytest.raises(ft.ParseError):
             ftio.load_network(tmp_path / "absent.json")
 
+    def test_network_rejection_becomes_parse_error(self, tmp_path):
+        # FlowNetwork refuses the self-loop with InvalidArgument
+        path = tmp_path / "net.json"
+        path.write_text(json.dumps({"nodes": 3, "edges": [[3, 1], [1, 1]]}))
+        with pytest.raises(ft.ParseError, match="self-loop"):
+            ftio.load_network(path)
+
 
 class TestDataCsv:
     def test_round_trip(self, tmp_path):
@@ -149,6 +156,13 @@ class TestResultJson:
         path = tmp_path / "result.json"
         path.write_text(json.dumps({"root": 5, "edges": [[5, 1], [1, 2]]}))
         with pytest.raises(ft.ParseError):
+            ftio.load_result(path)
+
+    @pytest.mark.parametrize("edges", [[[4, 1], [1, 1], [1, 3]], [[3, 1], [1, 5]]])
+    def test_targets_must_be_each_label_once(self, tmp_path, edges):
+        path = tmp_path / "result.json"
+        path.write_text(json.dumps({"root": len(edges) + 1, "edges": edges}))
+        with pytest.raises(ft.ParseError, match="each of 1"):
             ftio.load_result(path)
 
 
@@ -371,5 +385,4 @@ class TestExitCodeMap:
         assert _exit_code(ft.SnapFailure("x")) == 4
         assert _exit_code(ft.NonIntegerCutset("x")) == 4
         assert _exit_code(ft.NotArborescence("x")) == 5
-        assert _exit_code(ft.AmbiguousParent("x")) == 5
         assert _exit_code(ft.LabelMismatch("x")) == 5

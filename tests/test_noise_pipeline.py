@@ -583,12 +583,10 @@ class TestReconstructNoisy:
             hits += 1
         assert hits >= 27
 
-    def test_strict_raises_on_reported_chain(self):
+    def test_descendant_first_chain_reported(self):
         noisy, model = noisy_sample(DESCENDANT_FIRST_CHAIN, 50, 1000.0, 7)
         result = ft.reconstruct_noisy(noisy, model)
         assert result.diagnostics["chain_groups"] == ((1, 2),)
-        with pytest.raises(ft.AmbiguousParent):
-            ft.reconstruct_noisy(noisy, model, chain_policy="strict")
 
     def test_outcome_independent_of_blas_threads(self):
         net = ft.generate_within("thin_long", 13, max_edges=60)
@@ -638,12 +636,6 @@ class TestReconstructExact:
         result = ft.reconstruct_exact(data)
         assert ft.verify_against_truth(result, net)
 
-    def test_chain_policy_forwarded(self):
-        net = ft.generate_arborescence(ft.ArborescenceSpec("thin_long", (4, 4), (1, 1), seed=2))
-        data = ft.sample_flows(net, ft.FlowSamplerConfig(n_s=10, seed=2))
-        with pytest.raises(ft.AmbiguousParent):
-            ft.reconstruct_exact(data, chain_policy="strict")
-
     def test_diagnostics_carry_pivot_norms(self):
         net = binary_net()
         data = ft.sample_flows(net, ft.FlowSamplerConfig(n_s=2 * net.edge_count, seed=3))
@@ -652,7 +644,7 @@ class TestReconstructExact:
             (1e-3, ft.reconstruct_exact(data, zero_tol=1e-3)),
         ):
             norms = result.diagnostics["pivot_norms"]
-            e, m = net.edge_count, result.diagnostics["m"]
+            e, m = net.edge_count, result.diagnostics["canonical"].m
             assert m == len(net.internal_nodes)
             assert "singular_values" not in result.diagnostics
             # the rank gap at the chosen m: the sinks' pivots clear the
@@ -691,12 +683,10 @@ class TestReconstructExact:
             groups = result.diagnostics["chain_groups"]
             assert collapsed(result.as_network(), groups) == collapsed(net, groups), index
 
-    def test_strict_raises_on_reported_chain(self):
+    def test_descendant_first_chain_reported(self):
         data = ft.sample_flows(DESCENDANT_FIRST_CHAIN, ft.FlowSamplerConfig(n_s=10, seed=3))
         result = ft.reconstruct_exact(data)
         assert result.diagnostics["chain_groups"] == ((1, 2),)
-        with pytest.raises(ft.AmbiguousParent):
-            ft.reconstruct_exact(data, chain_policy="strict")
 
     def test_chain_groups_independent_of_blas_threads(self):
         # among equal flows LAPACK's pivot follows rounding, which the
@@ -802,9 +792,6 @@ def test_lanes_run_none_of_the_staged_stages(monkeypatch):
         ft.NoiseModel.isotropic(1.0, 3),
         zero_tol=1e-6,
     ),
-    lambda: ft.reconstruct_exact(
-        ft.sample_flows(binary_net(), ft.FlowSamplerConfig(n_s=30, seed=1)), chain_policy="x"
-    ),
     lambda: ft.FlowDataMatrix(np.full((2, 5), np.nan)),
     lambda: ft.NoiseModel.isotropic(0.0, 3),
     lambda: ft.NoiseModel.per_edge(np.array([1.0, -1.0])),
@@ -839,12 +826,26 @@ def test_lanes_run_none_of_the_staged_stages(monkeypatch):
     lambda: ft.run_scaling_bench(sizes=(8,), seed=-1),
     lambda: ft.find_min_z(binary_net(), ft.SnrSetting(10.0), (2,), trials=1, base_seed=-1),
     lambda: ft.SweepConfig(base_seed=-1),
+    lambda: ft.SweepConfig(trials=2.5),
+    lambda: ft.SweepConfig(networks_per_family=1.5),
+    lambda: ft.SweepConfig(threads=1.5),
+    lambda: ft.SweepConfig(max_edges=20.5),
+    lambda: ft.SweepConfig(families=("bogus",)),
+    lambda: ft.run_scaling_bench(sizes=(3.5, 8)),
+    lambda: ft.binary_network_with_edges(2.5),
+    lambda: ft.FlowSamplerConfig(n_s=30, seed=1, means=(math.nan,), stds=(1.0,)),
+    lambda: ft.FlowSamplerConfig(n_s=30, seed=1, means=(1.0,), stds=(math.inf,)),
+    lambda: ft.FlowNetwork(3, ((1,),)),
+    lambda: ft.FlowNetwork(2.5, ((1, 2),)),
 ], ids=["whiten-size", "reconstruct-size", "alpha", "zero-tol", "alpha-without-noise",
-        "zero-tol-with-noise", "chain-policy", "data", "sigma2", "per-edge", "noise-kind",
+        "zero-tol-with-noise", "data", "sigma2", "per-edge", "noise-kind",
         "sampler", "snr", "spec", "family", "bench-network", "add-noise", "sweep", "bench-sizes",
         "gaussian-data", "zeroed-row", "self-loop", "node-id", "no-edges", "partition",
         "cutset-shape", "cutset-entries", "cutset-identity", "seed-within", "seed-spec",
-        "seed-sampler", "seed-add-noise", "seed-bench", "seed-min-z", "seed-sweep"])
+        "seed-sampler", "seed-add-noise", "seed-bench", "seed-min-z", "seed-sweep",
+        "sweep-trials-float", "sweep-networks-float", "sweep-threads-float",
+        "sweep-max-edges-float", "sweep-family", "bench-sizes-float", "bench-network-float",
+        "sampler-nan-mean", "sampler-inf-std", "edge-not-pair", "node-count-float"])
 def test_argument_errors_are_typed(call):
     # still a ValueError for callers that catch that, and a FlowtopoError
     with pytest.raises(ft.InvalidArgument) as exc:

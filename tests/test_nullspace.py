@@ -354,7 +354,7 @@ class TestSinkCutset:
         for seed in range(6):
             net = ft.generate_within(family, 200 + seed, max_edges=120)
             data = ft.sample_flows(net, ft.FlowSamplerConfig(n_s=2 * net.edge_count, seed=seed))
-            canon, norms, _ = sink_cutset(data)
+            canon, norms = sink_cutset(data)
             basis = ft.estimate_null_basis(data)
             staged = ft.canonicalize(staged_cutset(basis))
             assert by_label(canon) == by_label(staged)
@@ -363,10 +363,10 @@ class TestSinkCutset:
             assert np.count_nonzero(norms <= EXACT_ZERO_TOL * norms[0]) == basis.m
 
     def test_demo_table_at_loose_tol(self, demo_flows):
-        canon, _, groups = sink_cutset(demo_flows, zero_tol=DEMO_ZERO_TOL)
+        canon, _ = sink_cutset(demo_flows, zero_tol=DEMO_ZERO_TOL)
         assert canon.branch_edges == (1, 2, 6)
         assert canon.chord_edges == (3, 4, 5, 7, 8)
-        assert groups == ()
+        assert ft.realize_topology(canon).diagnostics["chain_groups"] == ()
 
     def test_full_rank_data_raises(self):
         rng = np.random.default_rng(1)
@@ -404,7 +404,7 @@ class TestSinkCutset:
             sink_cutset(star_data(), zero_tol=zero_tol)
 
     def test_zero_tol_at_floor_accepted(self):
-        canon, _, _ = sink_cutset(star_data(), zero_tol=ZERO_TOL_FLOOR)
+        canon, _ = sink_cutset(star_data(), zero_tol=ZERO_TOL_FLOOR)
         assert canon.m == 1
 
     @pytest.mark.parametrize("spread", [1e-4, 1e-6])
@@ -463,7 +463,7 @@ class TestCutsetFromShares:
         perm = rng.permutation(m + k)
         # with unit totals, W = R11^-1 R12 of [I | shares^T] is the shares
         r = np.hstack([np.eye(k), shares.T])
-        canon, chains = cutset_from_factor(r, perm, k, np.ones(m + k), band, error_cls)
+        canon = cutset_from_factor(r, perm, k, np.ones(m + k), band, error_cls)
         assert isinstance(canon, ft.CanonicalCutsetMatrix)
         assert canon.provenance == ()
         assert canon.m == m
@@ -471,4 +471,3 @@ class TestCutsetFromShares:
         assert list(canon.branch_edges) == sorted(canon.branch_edges)
         assert list(canon.chord_edges) == sorted(canon.chord_edges)
         assert -canon.entries[:, m:].sum() == t.sum()
-        assert all(list(group) == sorted(group) for group in chains)

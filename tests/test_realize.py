@@ -12,9 +12,9 @@ def canon_from(entries, branches, chords) -> ft.CanonicalCutsetMatrix:
     )
 
 
-def realize_by_row_loop(canon: ft.CanonicalCutsetMatrix, chain_policy: str = "row_order"):
+def realize_by_row_loop(canon: ft.CanonicalCutsetMatrix):
     """Set-by-set nesting search: the reference for realize_topology's
-    vectorized one.  Returns the edge tuple."""
+    vectorized one.  Returns the edge tuple and the chain groups."""
     m, e = canon.m, canon.edge_count
     if m == 0 or e == m:
         raise ft.NotArborescence("need at least one branch and one chord")
@@ -45,21 +45,8 @@ def realize_by_row_loop(canon: ft.CanonicalCutsetMatrix, chain_policy: str = "ro
                     f"chord sets of branches {branches[k]} and {branches[p]} "
                     "intersect without containment"
                 )
-        if parent < 0:
-            continue
-        if chain_policy == "strict":
-            if sets[k] == sets[parent]:
-                raise ft.AmbiguousParent(
-                    f"branches {branches[k]} and {branches[parent]} carry identical "
-                    "chord sets; their stacking order is not identifiable"
-                )
-            twins = [p for p in range(k) if p != parent and sets[p] == sets[parent]]
-            if twins:
-                raise ft.AmbiguousParent(
-                    f"rows {twins + [parent]} offer identical chord sets for "
-                    f"branch {branches[k]}"
-                )
-        src[k] = x_e[parent]
+        if parent >= 0:
+            src[k] = x_e[parent]
     for j in range(m, e):
         carriers = np.flatnonzero(sorted_entries[:, j] == -1)
         if carriers.size == 0:
@@ -68,21 +55,34 @@ def realize_by_row_loop(canon: ft.CanonicalCutsetMatrix, chain_policy: str = "ro
     edges = tuple((src[i], x_e[i]) for i in range(e))
     if not ft.is_arborescence(ft.ReconstructionResult(edges=edges).as_network()):
         raise ft.NotArborescence("realized edge list failed arborescence validation")
-    return edges
+    return edges, chain_groups_by_chord_set(canon)
 
 
-def realize_outcome(fn, canon, chain_policy):
-    """The edges, or the error class and message."""
+def chain_groups_by_chord_set(canon: ft.CanonicalCutsetMatrix) -> tuple[tuple[int, ...], ...]:
+    """The reference grouping of equal-flow chains: branches with identical
+    chord sets, plus the chord when the set has one member; groups of two
+    or more labels, each ascending, sorted by last label."""
+    m = canon.m
+    by_set: dict[frozenset, list[int]] = {}
+    for k, branch in enumerate(canon.branch_edges):
+        chords = frozenset(canon.chord_edges[int(c)] for c in np.flatnonzero(canon.entries[k, m:]))
+        by_set.setdefault(chords, []).append(branch)
+    groups = [sorted(b + list(s)) if len(s) == 1 else sorted(b) for s, b in by_set.items()]
+    return tuple(sorted((tuple(g) for g in groups if len(g) > 1), key=lambda g: g[-1]))
+
+
+def realize_outcome(fn, canon):
+    """The edges and the chain groups, or the error class and message."""
     try:
-        out = fn(canon, chain_policy)
+        out = fn(canon)
     except ft.FlowtopoError as exc:
         return type(exc), str(exc)
-    return out if isinstance(out, tuple) else out.edges
+    return out if isinstance(out, tuple) else (out.edges, out.diagnostics["chain_groups"])
 
 
-def assert_matches_row_loop(canon, chain_policy="row_order"):
-    got = realize_outcome(ft.realize_topology, canon, chain_policy)
-    assert got == realize_outcome(realize_by_row_loop, canon, chain_policy)
+def assert_matches_row_loop(canon):
+    got = realize_outcome(ft.realize_topology, canon)
+    assert got == realize_outcome(realize_by_row_loop, canon)
     return got
 
 
@@ -97,8 +97,10 @@ class TestRealizeTopology:
         assert set(result.edges) == DEMO_EDGES
 
     def test_demo_node_labels_identity(self):
+        # node i is the node edge i enters, and the source is node e + 1
         result = ft.realize_topology(demo_canon())
-        assert result.node_labels == {lab: lab for lab in range(1, 9)}
+        assert sorted(t for _, t in result.edges) == list(range(1, 9))
+        assert result.as_network().source_nodes == {9}
 
     def test_as_network_round_trip(self, demo_truth):
         result = ft.realize_topology(demo_canon())
@@ -118,15 +120,7 @@ class TestRealizeTopology:
         entries = [[1, 0, -1], [0, 1, -1]]
         result = ft.realize_topology(canon_from(entries, (1, 2), (3,)))
         assert set(result.edges) == {(4, 1), (1, 2), (2, 3)}
-
-    def test_chain_strict_policy_raises(self):
-        entries = [[1, 0, -1], [0, 1, -1]]
-        with pytest.raises(ft.AmbiguousParent):
-            ft.realize_topology(canon_from(entries, (1, 2), (3,)), chain_policy="strict")
-
-    def test_unknown_policy(self):
-        with pytest.raises(ValueError):
-            ft.realize_topology(demo_canon(), chain_policy="loose")
+        assert result.diagnostics["chain_groups"] == ((1, 2, 3),)
 
     def test_all_branches_no_chords(self):
         with pytest.raises(ft.NotArborescence):
@@ -161,28 +155,34 @@ class TestNestingMatchesRowLoop:
             net = ft.generate_within(family, 300 + seed, max_edges=160)
             data = ft.sample_flows(net, ft.FlowSamplerConfig(n_s=2 * net.edge_count, seed=seed))
             canon = ft.reconstruct_exact(data).diagnostics["canonical"]
-            assert_matches_row_loop(canon, "strict")
-            assert set(assert_matches_row_loop(canon)) == set(net.edges)
+            edges, _ = assert_matches_row_loop(canon)
+            assert set(edges) == set(net.edges)
 
-    @pytest.mark.parametrize("entries, branches, chords, policy, message", [
-        ([[1, 0, -1, -1, 0], [0, 1, 0, -1, -1]], (1, 2), (3, 4, 5), "row_order",
-         "intersect without containment"),
-        ([[1, 0, -1, 0], [0, 1, -1, 0]], (1, 2), (3, 4), "row_order",
-         "sink edge 4 appears in no cutset"),
-        ([[1, 0, -1], [0, 1, 0]], (1, 2), (3,), "row_order", "branch 2 carries no sink edge"),
-        ([[1, 0, -1], [0, 1, -1]], (1, 2), (3,), "strict", "identical chord sets"),
-        # chain 1 -> 2 above a branching node 4: the chain pair trips first
-        ([[1, 0, 0, -1, -1, -1], [0, 1, 0, -1, -1, -1], [0, 0, 1, 0, -1, -1]],
-         (1, 2, 4), (3, 5, 6), "strict", "branches 2 and 1 carry identical"),
+    @pytest.mark.parametrize("entries, branches, chords, rows, message", [
+        (entries, branches, chords, rows, message)
+        for rows in ("row_order", "reversed")
+        for entries, branches, chords, message in [
+            ([[1, 0, -1, -1, 0], [0, 1, 0, -1, -1]], (1, 2), (3, 4, 5),
+             "intersect without containment"),
+            ([[1, 0, -1, 0], [0, 1, -1, 0]], (1, 2), (3, 4), "sink edge 4 appears in no cutset"),
+            ([[1, 0, -1], [0, 1, 0]], (1, 2), (3,), "branch 2 carries no sink edge"),
+        ]
     ])
-    def test_errors(self, entries, branches, chords, policy, message):
-        got = assert_matches_row_loop(canon_from(entries, branches, chords), policy)
-        assert got[0] in (ft.NotArborescence, ft.AmbiguousParent)
+    def test_errors(self, entries, branches, chords, rows, message):
+        # realization sorts the rows itself, so their given order changes
+        # nothing, the error included
+        entries = np.asarray(entries)
+        if rows == "reversed":
+            m = len(branches)
+            entries = np.hstack([np.eye(m, dtype=int), entries[::-1, m:]])
+            branches = branches[::-1]
+        got = assert_matches_row_loop(canon_from(entries, branches, chords))
+        assert got[0] is ft.NotArborescence
         assert message in got[1]
 
     def test_random_chord_blocks(self):
         # small random blocks, half of them nested, cover every branch of
-        # both policies, errors included
+        # realization, errors and chains included
         rng = np.random.default_rng(0)
         seen = set()
         for _ in range(600):
@@ -193,15 +193,15 @@ class TestNestingMatchesRowLoop:
                     block[k] = block[int(rng.integers(0, k))] * (rng.random(c) < 0.7)
             labels = tuple(int(v) for v in rng.permutation(m + c) + 1)
             canon = canon_from(np.hstack([np.eye(m, dtype=int), block]), labels[:m], labels[m:])
-            for policy in ("row_order", "strict"):
-                got = assert_matches_row_loop(canon, policy)
-                if isinstance(got[0], type):
-                    seen.add(got[0])
-                    continue
-                # realization is not re-validated; its output is a tree anyway
-                seen.add("edges")
-                assert ft.is_arborescence(ft.ReconstructionResult(edges=got).as_network())
-        assert seen == {"edges", ft.NotArborescence, ft.AmbiguousParent}
+            got = assert_matches_row_loop(canon)
+            if isinstance(got[0], type):
+                seen.add(got[0])
+                continue
+            # realization is not re-validated; its output is a tree anyway
+            edges, chains = got
+            seen.add("chains" if chains else "edges")
+            assert ft.is_arborescence(ft.ReconstructionResult(edges=edges).as_network())
+        assert seen == {"edges", "chains", ft.NotArborescence}
 
 
 class TestVerifyAgainstTruth:

@@ -2,11 +2,15 @@
 
 import ast
 import importlib
+import inspect
+import re
 from pathlib import Path
 
 import flowtopo as ft
+from flowtopo import errors
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+PACKAGE = Path(ft.__file__).resolve().parent
 
 
 def traced_names() -> tuple[str, ...]:
@@ -34,3 +38,19 @@ def test_traced_names_resolve():
 
 def test_exports_resolve():
     assert [name for name in ft.__all__ if not hasattr(ft, name)] == []
+
+
+def test_every_error_class_is_used():
+    # a class that only the hierarchy, the exports and the exit-code map
+    # name is one that nothing raises
+    sources = "\n".join(
+        path.read_text(encoding="utf-8")
+        for path in PACKAGE.glob("*.py")
+        if path.name not in ("errors.py", "__init__.py", "cli.py")
+    )
+    classes = [
+        name for name, cls in inspect.getmembers(errors, inspect.isclass)
+        if issubclass(cls, ft.FlowtopoError)
+    ]
+    assert classes
+    assert [name for name in classes if not re.search(rf"\b{name}\b", sources)] == []
