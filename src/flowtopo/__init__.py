@@ -17,18 +17,15 @@ picks the noisy one.
 """
 
 from .errors import (
-    DisconnectedNetwork,
     EmptySpec,
     FlowtopoError,
     FullDeficiency,
     InvalidArgument,
     LabelMismatch,
-    NoInternalNodes,
     NonIntegerCutset,
     NonPositiveFlow,
     NoStableOrder,
     NotArborescence,
-    NotASpanningTree,
     NotCanonicalizable,
     NotPositiveDefinite,
     NotUnique,
@@ -38,13 +35,9 @@ from .errors import (
     SnapFailure,
 )
 from .graph_model import (
-    ENVIRONMENT,
     CutsetMatrix,
     FlowNetwork,
-    build_conservation_graph,
-    fcutset_matrix,
     is_arborescence,
-    reduced_incidence_matrix,
     to_label_convention,
 )
 from .nullspace import (
@@ -90,9 +83,7 @@ __all__ = [
     "ArborescenceSpec",
     "CanonicalCutsetMatrix",
     "CutsetMatrix",
-    "DisconnectedNetwork",
     "EmptySpec",
-    "ENVIRONMENT",
     "FlowDataMatrix",
     "FlowNetwork",
     "FlowSamplerConfig",
@@ -100,13 +91,11 @@ __all__ = [
     "FullDeficiency",
     "InvalidArgument",
     "LabelMismatch",
-    "NoInternalNodes",
     "NoiseModel",
     "NonIntegerCutset",
     "NonPositiveFlow",
     "NoStableOrder",
     "NotArborescence",
-    "NotASpanningTree",
     "NotCanonicalizable",
     "NotPositiveDefinite",
     "NotUnique",
@@ -122,12 +111,10 @@ __all__ = [
     "SweepConfig",
     "add_noise",
     "binary_network_with_edges",
-    "build_conservation_graph",
     "canonicalize",
     "estimate_model_order",
     "estimate_null_basis",
     "family_spec",
-    "fcutset_matrix",
     "find_min_z",
     "find_valid_partition",
     "generate_arborescence",
@@ -137,7 +124,6 @@ __all__ = [
     "reconstruct",
     "reconstruct_exact",
     "reconstruct_noisy",
-    "reduced_incidence_matrix",
     "run_scaling_bench",
     "run_sweep",
     "sample_flows",

@@ -74,11 +74,13 @@ def canonicalize(cutset: CutsetMatrix) -> CanonicalCutsetMatrix:
     """Transform a valid cutset matrix so all branches are non-sink edges.
 
     The interchange target of a row is found through its sign-unique
-    coefficient.  Rows whose branch label exceeds one of their negative
-    chords are repaired too: equal-flow chain segments (single-child
-    paths) produce structurally identical columns that sign logic cannot
-    tell apart, and under the ordered labeling convention the smaller
-    label is the shallower edge, which those interchanges restore.
+    coefficient.  A row whose branch label exceeds its only negative chord
+    is repaired too: that branch and chord carry the same flow (an
+    equal-flow chain, a single-child path), so sign logic cannot tell
+    their columns apart, and under the ordered labeling convention the
+    smaller label is the shallower edge, which the interchange restores.
+    Rows with several negative chords carry different flows and keep
+    their labels, so networks labelled in any order settle.
 
     Args:
         cutset: f-cutset matrix of an arborescence conservation graph.
@@ -94,27 +96,26 @@ def canonicalize(cutset: CutsetMatrix) -> CanonicalCutsetMatrix:
     provenance: list[tuple[int, int, int]] = []
 
     # each pass acts on the first unsettled row, one with a positive chord
-    # or a -1 chord labelled below its branch, and makes one interchange,
-    # since that can unsettle rows already visited
+    # or with a single -1 chord, labelled below its branch, and makes one
+    # interchange, since that can unsettle rows already visited
     max_swaps = 4 * m + 16
     for _ in range(max_swaps):
         chords = entries[:, m:]
         lab = np.asarray(labels)
         negative = chords == -1
-        unsettled = (chords > 0).any(axis=1) | (negative & (lab[m:] < lab[:m, None])).any(axis=1)
+        single = negative.sum(axis=1) == 1
+        below = single & (negative & (lab[m:] < lab[:m, None])).any(axis=1)
+        unsettled = (chords > 0).any(axis=1) | below
         if not unsettled.any():
             break
         k = int(np.argmax(unsettled))
-        if (chords[k] > 0).any():
-            neg = np.flatnonzero(negative[k])
-            if neg.size != 1:
-                raise NotUnique(
-                    f"row {k} has {neg.size} negative chords alongside positive ones"
-                )
-            l = m + int(neg[0])
-        else:
-            below = np.flatnonzero(negative[k] & (lab[m:] < lab[k]))
-            l = m + int(below[np.argmin(lab[m:][below])])
+        if not single[k]:
+            raise NotUnique(
+                f"row {k} has {negative[k].sum()} negative chords alongside positive ones"
+            )
+        # the row's one -1 chord: its sign-unique coefficient, or the chain
+        # edge that carries the branch's flow under a smaller label
+        l = m + int(np.argmax(negative[k]))
         outgoing, incoming = labels[k], labels[l]
         _swap_and_reduce(entries, labels, k, l)
         provenance.append((k, outgoing, incoming))

@@ -16,18 +16,15 @@ from typing import Callable
 
 from . import harness, io
 from .errors import (
-    DisconnectedNetwork,
     EmptySpec,
     FlowtopoError,
     FullDeficiency,
     InvalidArgument,
     LabelMismatch,
-    NoInternalNodes,
     NonIntegerCutset,
     NonPositiveFlow,
     NoStableOrder,
     NotArborescence,
-    NotASpanningTree,
     NotCanonicalizable,
     NotPositiveDefinite,
     NotUnique,
@@ -35,6 +32,7 @@ from .errors import (
     RankZero,
     SnapFailure,
 )
+from .graph_model import to_label_convention
 from .noise_pipeline import DEFAULT_ALPHA, NoiseModel, reconstruct
 from .nullspace import EXACT_ZERO_TOL, ZERO_TOL_FLOOR
 from .realize import to_dot, verify_against_truth
@@ -57,8 +55,6 @@ _EXIT_REALIZE = 5
 _ERROR_CODES: tuple[tuple[type, int], ...] = (
     (ParseError, _EXIT_PARSE),
     (EmptySpec, _EXIT_PARSE),
-    (DisconnectedNetwork, _EXIT_PARSE),
-    (NoInternalNodes, _EXIT_PARSE),
     (NotPositiveDefinite, _EXIT_PARSE),
     (NonPositiveFlow, _EXIT_ORDER),
     (RankZero, _EXIT_ORDER),
@@ -69,7 +65,6 @@ _ERROR_CODES: tuple[tuple[type, int], ...] = (
     (NotUnique, _EXIT_REALIZE),
     (NotCanonicalizable, _EXIT_REALIZE),
     (NotArborescence, _EXIT_REALIZE),
-    (NotASpanningTree, _EXIT_REALIZE),
     (LabelMismatch, _EXIT_REALIZE),
 )
 
@@ -281,7 +276,8 @@ def _cmd_reconstruct(args) -> int:
 
 def _cmd_verify(args) -> int:
     result = io.load_result(args.result)
-    network = io.load_network(args.network)
+    # any 1-based node numbering: relabel to the result's convention
+    network = to_label_convention(io.load_network(args.network))
     if verify_against_truth(result, network):
         print("match")
         return 0

@@ -22,24 +22,6 @@ class InvalidArgument(FlowtopoError, ValueError):
 
 
 # ---------------------------------------------------------------------------
-# graph construction
-
-
-class DisconnectedNetwork(FlowtopoError):
-    """The underlying graph is not connected (or the environment node
-    would end up isolated)."""
-
-
-class NoInternalNodes(FlowtopoError):
-    """The network has no non-source, non-sink node, so no conservation
-    equation exists."""
-
-
-class NotASpanningTree(FlowtopoError):
-    """A proposed branch set contains a cycle or does not span all nodes."""
-
-
-# ---------------------------------------------------------------------------
 # null-space learning
 
 

@@ -16,7 +16,7 @@ from typing import Any
 import numpy as np
 
 from .errors import ParseError
-from .graph_model import FlowNetwork
+from .graph_model import FlowNetwork, _integer
 from .noise_pipeline import NoiseModel, RankTestReport
 from .nullspace import FlowDataMatrix
 from .realize import ReconstructionResult
@@ -44,15 +44,16 @@ def load_network(path: str | Path) -> FlowNetwork:
     "labels": optional permutation of 1..e giving each row's edge label}."""
     doc = _read_json(path)
     try:
-        nodes = int(doc["nodes"])
-        raw_edges = [(int(s), int(t)) for s, t in doc["edges"]]
+        # raw values: FlowNetwork refuses a fractional id, which int() would truncate
+        nodes = doc["nodes"]
+        raw_edges = [(s, t) for s, t in doc["edges"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"{path}: need integer 'nodes' and [src, dst] 'edges'") from exc
     e = len(raw_edges)
     labels = doc.get("labels")
     if labels is not None:
         try:
-            labels = [int(v) for v in labels]
+            labels = [_integer("labels", v) for v in labels]
         except (TypeError, ValueError) as exc:
             raise ParseError(f"{path}: labels must be integers") from exc
         if sorted(labels) != list(range(1, e + 1)):

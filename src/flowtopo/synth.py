@@ -44,8 +44,9 @@ class _EdgeBudgetExceeded(Exception):
 
 
 def _check_seed(name: str, seed: int) -> None:
-    """Refuse a negative seed, which numpy's seeding rejects untyped."""
-    if seed < 0:
+    """Refuse a non-integral or negative seed: numpy's seeding rejects
+    either untyped, and ``int()`` would truncate a float silently."""
+    if _integer(name, seed) < 0:
         raise InvalidArgument(f"{name} must be a non-negative integer, got {seed}")
 
 

@@ -56,6 +56,18 @@ class TestNetworkJson:
         with pytest.raises(ft.ParseError, match="self-loop"):
             ftio.load_network(path)
 
+    @pytest.mark.parametrize("doc", [
+        {"nodes": 3.7, "edges": [[3, 1], [1, 2]]},
+        {"nodes": 3, "edges": [[3, 1], [1, 1.9]]},
+        {"nodes": 3, "edges": [[3, 1], [1, 2]], "labels": [2, 1.9]},
+    ], ids=["node_count", "endpoint", "label"])
+    def test_fractional_ids_rejected(self, tmp_path, doc):
+        # int() would truncate each of these to a valid network
+        path = tmp_path / "net.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ft.ParseError, match="integer"):
+            ftio.load_network(path)
+
 
 class TestDataCsv:
     def test_round_trip(self, tmp_path):
@@ -197,6 +209,36 @@ class TestCli:
         assert (tmp_path / "res.dot").exists()
         assert main(["verify", "--result", str(tmp_path / "res.json"),
                      "--network", str(net_path)]) == 0
+
+    def test_verify_accepts_any_node_numbering(self, tmp_path, capsys):
+        net = ft.generate_within("binary", 3, max_edges=20)
+        ftio.dump_network(net, tmp_path / "net.json")
+        self.run_ok(["sample", "--network", str(tmp_path / "net.json"), "--z", "3",
+                     "--seed", "2", "--out", str(tmp_path / "run")])
+        self.run_ok(["reconstruct", "--data", str(tmp_path / "run.csv"),
+                     "--out", str(tmp_path / "res")])
+        # the same tree with its node ids shuffled
+        ids = np.random.default_rng(0).permutation(net.node_count) + 1
+        shuffled = ft.FlowNetwork(net.node_count, [(ids[s - 1], ids[t - 1]) for s, t in net.edges])
+        assert shuffled.edges != net.edges
+        ftio.dump_network(shuffled, tmp_path / "shuffled.json")
+        capsys.readouterr()
+        assert main(["verify", "--result", str(tmp_path / "res.json"),
+                     "--network", str(tmp_path / "shuffled.json")]) == 0
+        assert capsys.readouterr().out == "match\n"
+
+    def test_verify_refuses_a_reference_that_is_not_a_tree(self, tmp_path):
+        self.run_ok(["generate", "--family", "binary", "--seed", "4",
+                     "--layers", "2", "2", "--out", str(tmp_path / "net.json")])
+        self.run_ok(["sample", "--network", str(tmp_path / "net.json"), "--z", "3",
+                     "--seed", "2", "--out", str(tmp_path / "run")])
+        self.run_ok(["reconstruct", "--data", str(tmp_path / "run.csv"),
+                     "--out", str(tmp_path / "res")])
+        # six edges over seven nodes, node 2 entered twice
+        ftio.dump_network(ft.FlowNetwork(7, ((7, 1), (7, 2), (1, 2), (1, 4), (2, 5), (2, 6))),
+                          tmp_path / "bad.json")
+        assert main(["verify", "--result", str(tmp_path / "res.json"),
+                     "--network", str(tmp_path / "bad.json")]) == 2
 
     def test_verify_mismatch_exits_one(self, tmp_path):
         a = tmp_path / "a.json"

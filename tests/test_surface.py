@@ -9,7 +9,8 @@ from pathlib import Path
 import flowtopo as ft
 from flowtopo import errors
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACING = ROOT / "perfbench" / "tracing.py"
 PACKAGE = Path(ft.__file__).resolve().parent
 
 
@@ -54,3 +55,21 @@ def test_every_error_class_is_used():
     ]
     assert classes
     assert [name for name in classes if not re.search(rf"\b{name}\b", sources)] == []
+
+
+def test_every_export_is_used():
+    # an export that no module, no perfbench file and no acceptance
+    # criterion names is one that no path runs
+    paths = [path for path in PACKAGE.glob("*.py") if path.name != "__init__.py"]
+    paths += sorted((ROOT / "perfbench").glob("*.py"))
+    paths.append(ROOT / "tests" / "test_acceptance.py")
+    used = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.add(node.name)
+    assert [name for name in ft.__all__ if name not in used] == []

@@ -61,6 +61,14 @@ class TestSpecs:
         with pytest.raises(ft.InvalidArgument, match="n_s must be an integer"):
             ft.FlowSamplerConfig(n_s=n_s, seed=1)
 
+    @pytest.mark.parametrize("call", [
+        lambda: ft.FlowSamplerConfig(n_s=30, seed=2.5),
+        lambda: ft.generate_within("binary", 2.5),
+    ], ids=["sampler_config", "generate_within"])
+    def test_float_seed_refused(self, call):
+        with pytest.raises(ft.InvalidArgument, match="seed must be an integer"):
+            call()
+
     def test_sampler_accepts_numpy_integers(self):
         cfg = ft.FlowSamplerConfig(n_s=np.int64(30), seed=1)
         assert type(cfg.n_s) is int and cfg.n_s == 30
