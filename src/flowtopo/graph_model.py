@@ -26,12 +26,15 @@ from .errors import InvalidArgument
 
 
 def _integer(name: str, value: object) -> int:
-    """``value`` as an int; a float or another non-integral value raises
-    ``InvalidArgument`` naming ``name``."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise InvalidArgument(f"{name} must be an integer, got {value!r}") from None
+    """``value`` as an int; a bool, a float or another non-integral value
+    raises ``InvalidArgument`` naming ``name``."""
+    # operator.index takes True as 1, so a JSON true would pass as node id 1
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise InvalidArgument(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -111,8 +114,8 @@ class CutsetMatrix:
         entries = np.asarray(self.entries, dtype=np.int64)
         entries.setflags(write=False)
         object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "branch_edges", tuple(int(b) for b in self.branch_edges))
-        object.__setattr__(self, "chord_edges", tuple(int(c) for c in self.chord_edges))
+        object.__setattr__(self, "branch_edges", tuple(map(int, self.branch_edges)))
+        object.__setattr__(self, "chord_edges", tuple(map(int, self.chord_edges)))
         m = len(self.branch_edges)
         e = m + len(self.chord_edges)
         if entries.shape != (m, e):

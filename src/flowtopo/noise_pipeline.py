@@ -17,6 +17,12 @@ noise floor, are the denoised signal that a pivoted QR picks the sinks
 from.  Both lanes end in the same realization, which reports the
 equal-flow chains whose order the data cannot fix.  ``reconstruct_exact``
 and ``reconstruct_noisy`` call ``reconstruct`` for one lane each.
+
+The inputs are checked once, by ``FlowDataMatrix`` and ``NoiseModel``;
+past that the noisy lane calls LAPACK directly, as ``scipy.linalg`` would
+but without its argument checks: ``dpotrf`` for the Cholesky factor,
+``dtrtrs`` for the whitening solves (``nullspace.solve_lower``) and
+``dgeqp3`` for the pivoted QR.  The eigendecomposition is numpy's ``eigh``.
 """
 
 from __future__ import annotations
@@ -44,6 +50,7 @@ from .nullspace import (
     cutset_from_factor,
     edge_totals,
     sink_cutset,
+    solve_lower,
 )
 from .realize import ReconstructionResult, realize_topology
 
@@ -78,7 +85,8 @@ class NoiseModel:
             raise InvalidArgument("covariance must be a square matrix")
         if not np.isfinite(cov).all():
             raise InvalidArgument("covariance contains non-finite entries")
-        if not np.allclose(cov, cov.T, rtol=1e-8, atol=1e-12):
+        # np.allclose's rule (rtol 1e-8, atol 1e-12) on the finite entries
+        if not (np.abs(cov - cov.T) <= 1e-12 + 1e-8 * np.abs(cov.T)).all():
             raise InvalidArgument("covariance must be symmetric")
         if self.mean is not None:
             mu = np.asarray(self.mean, dtype=np.float64)
@@ -130,10 +138,10 @@ class RankTestReport:
     null_vectors: np.ndarray | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "candidates", tuple(int(k) for k in self.candidates))
-        object.__setattr__(self, "statistics", tuple(float(v) for v in self.statistics))
-        object.__setattr__(self, "p_values", tuple(float(v) for v in self.p_values))
-        object.__setattr__(self, "eigenvalues", tuple(float(v) for v in self.eigenvalues))
+        object.__setattr__(self, "candidates", tuple(map(int, self.candidates)))
+        object.__setattr__(self, "statistics", tuple(map(float, self.statistics)))
+        object.__setattr__(self, "p_values", tuple(map(float, self.p_values)))
+        object.__setattr__(self, "eigenvalues", tuple(map(float, self.eigenvalues)))
         if len(self.candidates) != len(self.p_values) or len(self.candidates) != len(self.statistics):
             raise InvalidArgument("per-candidate lists must have equal length")
         if self.chosen_m not in self.candidates:
@@ -147,10 +155,16 @@ class RankTestReport:
 
 
 def _cholesky_lower(noise: NoiseModel) -> np.ndarray:
-    try:
-        return sla.cholesky(noise.covariance, lower=True, check_finite=False)
-    except sla.LinAlgError as exc:
-        raise NotPositiveDefinite(f"covariance is not positive definite: {exc}") from exc
+    # LAPACK dpotrf, the call scipy.linalg.cholesky makes, with its message
+    lower, info = sla.lapack.dpotrf(noise.covariance, lower=1, clean=1)
+    if info > 0:
+        raise NotPositiveDefinite(
+            f"covariance is not positive definite: {info}-th leading minor "
+            "of the array is not positive definite"
+        )
+    if info < 0:
+        raise ValueError(f"illegal value in {-info}-th argument of internal potrf")
+    return lower
 
 
 def _warn(message: str) -> None:
@@ -196,7 +210,7 @@ def whiten(data: FlowDataMatrix, noise: NoiseModel) -> FlowDataMatrix:
         NotPositiveDefinite: the covariance admits no Cholesky factor.
     """
     y = _centred_samples(data, noise)
-    y_s = sla.solve_triangular(_cholesky_lower(noise), y, lower=True, check_finite=False)
+    y_s = solve_lower(_cholesky_lower(noise), y)
     return FlowDataMatrix(y_s, allow_undersampled=data.allow_undersampled)
 
 
@@ -249,12 +263,12 @@ def _order_test(
     last = int(accepted[0]) + 1
     chosen = int(ks[last - 1])
     report = RankTestReport(
-        candidates=tuple(ks[:last]),
-        statistics=tuple(stats[:last]),
-        p_values=tuple(pvals[:last]),
+        candidates=tuple(ks[:last].tolist()),
+        statistics=tuple(stats[:last].tolist()),
+        p_values=tuple(pvals[:last].tolist()),
         chosen_m=chosen,
         alpha=alpha,
-        eigenvalues=tuple(lams[::-1]),
+        eigenvalues=tuple(lams[::-1].tolist()),
         null_vectors=vecs[:, :chosen],
     )
     return report, lams, vecs
@@ -311,8 +325,14 @@ def _noisy_cutset(
         )
     signal = vecs[:, m:] * np.sqrt(lams[m:] - 1.0)
     factor = (lower @ signal) / totals[:, None]
-    r, piv = sla.qr(factor.T, mode="r", pivoting=True, overwrite_a=True, check_finite=False)
-    return cutset_from_factor(r, piv, e - m, totals, DEFAULT_SNAP_BAND, SnapFailure)
+    # LAPACK dgeqp3 on F^T (Fortran-ordered, overwritten) at the workspace
+    # it asks for, as scipy.linalg.qr calls it; R is its upper triangle, and
+    # cutset_from_factor reads no entry below it
+    work = sla.lapack.dgeqp3(factor.T, lwork=-1, overwrite_a=1)[-2]
+    r, jpvt, _, _, info = sla.lapack.dgeqp3(factor.T, lwork=int(work[0]), overwrite_a=1)
+    if info < 0:
+        raise ValueError(f"illegal value in {-info}th argument of internal geqp3")
+    return cutset_from_factor(r, jpvt - 1, e - m, totals, DEFAULT_SNAP_BAND, SnapFailure)
 
 
 def reconstruct(
@@ -376,8 +396,7 @@ def reconstruct(
         y = _centred_samples(data, noise)
         lower = _cholesky_lower(noise)
         # whitened sample covariance L^-1 G L^-T, by two e x e triangular solves
-        half = sla.solve_triangular(lower, _gram(y), lower=True, check_finite=False)
-        s_y = sla.solve_triangular(lower, half.T, lower=True, check_finite=False)
+        s_y = solve_lower(lower, solve_lower(lower, _gram(y)).T)
         report, lams, vecs = _order_test(
             s_y, data.sample_count, DEFAULT_ALPHA if alpha is None else alpha
         )
@@ -385,7 +404,7 @@ def reconstruct(
         # singular values of Y_s / sqrt(n_s), recovered from its Gram spectrum
         extra = {
             "rank_test": report,
-            "singular_values": tuple(math.sqrt(v) for v in report.eigenvalues),
+            "singular_values": tuple(np.sqrt(lams[::-1]).tolist()),
         }
     result = realize_topology(canon)
     return replace(result, diagnostics={**result.diagnostics, **extra})

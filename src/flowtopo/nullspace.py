@@ -13,6 +13,9 @@ it, snaps them and emits the canonical cutset matrix ``[I | -T]``.  The
 data cannot order the edges of an equal-flow chain; where one ends in a
 sink, the chain's largest label takes the sink's seat, and realization
 orders and reports every chain by that same ordered-label convention.
+Both lanes call LAPACK directly on inputs ``FlowDataMatrix`` has
+checked: ``dpstrf`` for the exact lane's factorization and ``dtrtrs``
+(:func:`solve_lower`) for the shares ``R11^-1 R12`` in either lane.
 
 The staged route, which neither lane takes any more, works from a basis
 of the conservation laws.  The samples of a conserved network lie in the
@@ -268,8 +271,10 @@ def cutset_from_factor(
 
     ``r`` factors the edges' flow rows scaled to unit total, columns in
     pivot order (the exact lane's Cholesky ``U``, the noisy lane's QR
-    ``R``); ``piv`` gives each column's 0-based edge, ``totals`` each
-    edge's total.  The first ``rank`` pivots are the sinks.  Scaled rows
+    ``R`` as ``dgeqp3`` leaves it, reflectors below the diagonal); only
+    the upper triangle of its first ``rank`` rows is read.  ``piv`` gives
+    each column's 0-based edge, ``totals`` each edge's total.  The first
+    ``rank`` pivots are the sinks.  Scaled rows
     obey ``x_j / s_j = sum_i W_ij x_i / s_i`` with ``W = R11^-1 R12``, so
     non-sink j carries ``T_ji = s_j W_ij / s_i`` of sink i's flow; snapped,
     T is 1 where the sink lies below the edge and 0 elsewhere.  Branches
@@ -287,7 +292,9 @@ def cutset_from_factor(
             finite, or snaps to -1.
     """
     sinks, others = piv[:rank].copy(), piv[rank:].copy()
-    w = sla.solve_triangular(r[:rank, :rank], r[:rank, rank:], check_finite=False)
+    # W = R11^-1 R12 as the transposed lower system R11^T, so LAPACK reads
+    # only R11's upper triangle and any reflectors below it are ignored
+    w = solve_lower(r[:rank, :rank].T, r[:rank, rank:], trans=1)
     shares = (w * totals[others] / totals[sinks, None]).T
     t = snap_signed_units(shares, band, error_cls)
     if (t < 0).any():
@@ -305,11 +312,32 @@ def cutset_from_factor(
 
     # T is 0/1 and the labels split 1..e, so [I | -T] is canonical by construction
     rows, cols = np.argsort(others), np.argsort(sinks)
+    m, e = len(others), len(piv)
+    entries = np.zeros((m, e), dtype=np.int64)
+    entries.ravel()[:: e + 1] = 1
+    np.negative(t[rows][:, cols], out=entries[:, m:])
     return CanonicalCutsetMatrix(
-        entries=np.hstack([np.eye(len(others), dtype=np.int64), -t[rows][:, cols]]),
-        branch_edges=tuple(others[rows] + 1),
-        chord_edges=tuple(sinks[cols] + 1),
+        entries=entries,
+        branch_edges=tuple((others[rows] + 1).tolist()),
+        chord_edges=tuple((sinks[cols] + 1).tolist()),
     )
+
+
+def solve_lower(a: np.ndarray, b: np.ndarray, trans: int = 0) -> np.ndarray:
+    """``a^-1 b``, or ``a^-T b`` with ``trans=1``, reading only the lower
+    triangle of ``a``: one LAPACK ``dtrtrs`` call, the one
+    ``scipy.linalg.solve_triangular`` makes for such a system, without its
+    argument checks.
+
+    Raises:
+        LinAlgError: a zero on the diagonal, with scipy's message.
+    """
+    x, info = sla.lapack.dtrtrs(a, b, lower=1, trans=trans)
+    if info > 0:
+        raise sla.LinAlgError(f"singular matrix: resolution failed at diagonal {info - 1}")
+    if info < 0:
+        raise ValueError(f"illegal value in {-info}-th argument of internal trtrs")
+    return x
 
 
 def find_valid_partition(basis: NullBasis) -> Partition:

@@ -97,7 +97,7 @@ def realize_topology(canon: CanonicalCutsetMatrix) -> ReconstructionResult:
     # which must contain it
     counts = member.astype(np.float64)
     overlap = counts @ counts.T
-    earlier = np.tril(overlap > 0, -1)
+    earlier = (overlap > 0) & np.tri(m, k=-1, dtype=bool)
     has_parent = earlier.any(axis=1)
     parent = m - 1 - np.argmax(earlier[:, ::-1], axis=1)
     bad = (size == 0) | (has_parent & (overlap[np.arange(m), parent] != size))
@@ -145,7 +145,7 @@ def realize_topology(canon: CanonicalCutsetMatrix) -> ReconstructionResult:
     chains.sort(key=lambda group: group[-1])
 
     return ReconstructionResult(
-        edges=tuple((src[i], x_e[i]) for i in range(e)),
+        edges=tuple(zip(src, x_e)),
         diagnostics={"canonical": canon, "chain_groups": tuple(chains)},
     )
 

@@ -248,17 +248,22 @@ def sample_flows(network: FlowNetwork, cfg: FlowSamplerConfig, allow_undersample
     components = rng.integers(0, len(cfg.means), size=len(sink_idx))
 
     data = np.empty((e, cfg.n_s), dtype=np.float64)
-    data[sink_idx] = rng.normal(
-        np.asarray(cfg.means)[components, None],
-        np.asarray(cfg.stds)[components, None],
-        size=(len(sink_idx), cfg.n_s),
-    )
+    # what Generator.normal computes per entry, loc + scale * z, from the
+    # same stream of standard normals
+    draws = rng.standard_normal((len(sink_idx), cfg.n_s))
+    draws *= np.asarray(cfg.stds)[components, None]
+    draws += np.asarray(cfg.means)[components, None]
+    data[sink_idx] = draws
 
-    # bottom-up: every edge after all the edges below it
+    # bottom-up: every edge after all the edges below it, its children's
+    # rows added one at a time in label order
     for idx in reversed(order):
         below = children.get(network.edges[idx][1])
         if below:
-            data[idx] = data[below].sum(axis=0)
+            row = data[idx]
+            row[:] = data[below[0]]
+            for child in below[1:]:
+                row += data[child]
 
     return FlowDataMatrix(data, allow_undersampled=allow_undersampled)
 
@@ -274,7 +279,13 @@ def add_noise(
     """
     _check_seed("seed", seed)
     rng = np.random.default_rng(seed)
-    signal_var = np.var(data.entries, axis=1, ddof=1)
+    # np.var(ddof=1)'s own operations, without its dispatch; the e x n_s
+    # deviations are freed before the noise is drawn, as np.var frees them
+    y, n = data.entries, data.sample_count
+    dev = y - y.sum(axis=1, keepdims=True) / n
+    dev *= dev
+    signal_var = dev.sum(axis=1) / (n - 1)
+    del dev
     if np.all(signal_var <= 0):
         raise InvalidArgument("signal variance is zero on every edge")
     if snr.kind == "homoscedastic":

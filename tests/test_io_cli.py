@@ -68,6 +68,19 @@ class TestNetworkJson:
         with pytest.raises(ft.ParseError, match="integer"):
             ftio.load_network(path)
 
+    @pytest.mark.parametrize("doc, field", [
+        ({"nodes": 2, "edges": [[True, 2]]}, "edge source"),
+        ({"nodes": True, "edges": [[1, 2]]}, "node_count"),
+        ({"nodes": 3, "edges": [[3, 1], [1, 2]], "labels": [True, 2]}, "labels"),
+    ], ids=["endpoint", "node_count", "label"])
+    def test_bool_ids_rejected(self, tmp_path, doc, field):
+        # JSON true would otherwise pass as 1
+        path = tmp_path / "net.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ft.ParseError, match="integer") as exc:
+            ftio.load_network(path)
+        assert field in str(exc.value) + str(exc.value.__cause__)
+
 
 class TestDataCsv:
     def test_round_trip(self, tmp_path):
@@ -271,6 +284,13 @@ class TestCli:
         bad = tmp_path / "bad.csv"
         bad.write_text("not,a,header\n")
         assert main(["reconstruct", "--data", str(bad)]) == 2
+
+    def test_bool_node_id_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "net.json"
+        path.write_text(json.dumps({"nodes": 2, "edges": [[True, 2]]}))
+        assert main(["sample", "--network", str(path), "--z", "3", "--seed", "2",
+                     "--out", str(tmp_path / "run")]) == 2
+        assert "edge source must be an integer, got True" in capsys.readouterr().err
 
     def test_no_structure_exits_three(self, tmp_path):
         rng = np.random.default_rng(0)

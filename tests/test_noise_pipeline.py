@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -208,6 +209,28 @@ class TestNoiseModel:
         with pytest.raises(ValueError):
             ft.NoiseModel(kind="homoscedastic", covariance=np.array([[1.0, 0.5], [0.0, 1.0]]))
 
+    @pytest.mark.parametrize("rel, accepted", [(5e-9, True), (1e-6, False)])
+    def test_symmetry_tolerance(self, rel, accepted):
+        cov = np.array([[4.0, 1.0], [1.0 + rel, 3.0]])
+        if accepted:
+            ft.NoiseModel(kind="homoscedastic", covariance=cov)
+        else:
+            with pytest.raises(ft.InvalidArgument, match="symmetric"):
+                ft.NoiseModel(kind="homoscedastic", covariance=cov)
+
+    @pytest.mark.parametrize("scale", [1e-4, 1.0, 1e6])
+    def test_symmetry_rule_is_allclose(self, scale):
+        # the boundary of np.allclose(C, C^T, rtol=1e-8, atol=1e-12), where
+        # atol dominates (tiny entries) and where rtol does
+        for rel in np.geomspace(1e-9, 1e-7, 81):
+            cov = scale * np.array([[4.0, 1.0], [1.0 + rel, 3.0]])
+            try:
+                ft.NoiseModel(kind="homoscedastic", covariance=cov)
+                accepted = True
+            except ft.InvalidArgument:
+                accepted = False
+            assert accepted == np.allclose(cov, cov.T, rtol=1e-8, atol=1e-12), rel
+
     def test_non_finite(self):
         with pytest.raises(ValueError):
             ft.NoiseModel(kind="homoscedastic", covariance=np.array([[np.inf]]))
@@ -272,6 +295,15 @@ class TestWhiten:
         model = ft.NoiseModel(kind="homoscedastic", covariance=np.ones((2, 2)))
         with pytest.raises(ft.NotPositiveDefinite):
             ft.whiten(data, model)
+
+    def test_degenerate_covariance_message_is_scipys(self):
+        cov = np.array([[4.0, 1.0, 0.0], [1.0, 4.0, 2.0], [0.0, 2.0, 1.0]])
+        with pytest.raises(np.linalg.LinAlgError) as scipy_error:
+            sla.cholesky(cov, lower=True)
+        model = ft.NoiseModel(kind="heteroscedastic", covariance=cov)
+        want = f"covariance is not positive definite: {scipy_error.value}"
+        with pytest.raises(ft.NotPositiveDefinite, match=re.escape(want)):
+            ft.whiten(ft.FlowDataMatrix(np.ones((3, 5))), model)
 
 
 class TestModelOrder:
@@ -445,18 +477,31 @@ class TestReconstructNoisy:
             np.testing.assert_allclose(seen["shares"], want, rtol=0, atol=1e-9)
 
     def test_one_pivoted_qr_and_no_solve(self, monkeypatch):
-        real, calls = sla.qr, []
+        # one dgeqp3 factorization; its lwork = -1 workspace query is no QR
+        real, calls = sla.lapack.dgeqp3, []
 
         def counted(*args, **kwargs):
             calls.append(kwargs)
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(sla, "qr", counted)
+        monkeypatch.setattr(sla.lapack, "dgeqp3", counted)
         monkeypatch.setattr(np.linalg, "solve", lambda *a, **k: pytest.fail("solve called"))
         net = binary_net()
         noisy, model = noisy_sample(net, 50, 100.0, seed=3)
         assert ft.verify_against_truth(ft.reconstruct_noisy(noisy, model), net)
-        assert [(c["mode"], c["pivoting"]) for c in calls] == [("r", True)]
+        assert len([c for c in calls if c.get("lwork") != -1]) == 1
+
+    def test_no_scipy_wrapper_on_either_lane(self, monkeypatch):
+        # both lanes and whiten call LAPACK directly, never the checked
+        # scipy.linalg wrappers
+        for name in ("qr", "cholesky", "solve_triangular"):
+            monkeypatch.setattr(sla, name, lambda *a, _n=name, **k: pytest.fail(f"{_n} called"))
+        net = binary_net()
+        noisy, model = noisy_sample(net, 50, 100.0, seed=3)
+        assert ft.verify_against_truth(ft.reconstruct_noisy(noisy, model), net)
+        assert ft.whiten(noisy, model).entries.shape == noisy.entries.shape
+        data = ft.sample_flows(net, ft.FlowSamplerConfig(n_s=2 * net.edge_count, seed=3))
+        assert ft.verify_against_truth(ft.reconstruct_exact(data), net)
 
     @pytest.mark.parametrize("sigma2", [1e6, 1e8, 1e12])
     def test_overstated_variance_hits_noise_floor(self, sigma2):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,6 +17,7 @@ from flowtopo.nullspace import (
     rref,
     sink_cutset,
     snap_signed_units,
+    solve_lower,
 )
 
 from conftest import (
@@ -443,6 +446,30 @@ def test_demo_pipeline_reaches_truth(demo_flows, demo_truth):
     result = ft.reconstruct_exact(demo_flows, zero_tol=DEMO_ZERO_TOL)
     assert set(result.edges) == DEMO_EDGES
     assert ft.verify_against_truth(result, demo_truth)
+
+
+class TestSolveLower:
+    @pytest.mark.parametrize("trans", [0, 1])
+    def test_same_bits_as_solve_triangular(self, trans):
+        rng = np.random.default_rng(3)
+        a = np.asfortranarray(np.tril(rng.standard_normal((6, 6))) + 4 * np.eye(6))
+        b = rng.standard_normal((6, 5))
+        want = sla.solve_triangular(a, b, lower=True, trans=trans)
+        assert np.array_equal(solve_lower(a, b, trans=trans), want)
+
+    def test_singular_message_is_scipys(self):
+        a = np.asfortranarray(np.tril(np.ones((3, 3))))
+        a[1, 1] = 0.0
+        with pytest.raises(np.linalg.LinAlgError) as scipy_error:
+            sla.solve_triangular(a, np.ones((3, 2)), lower=True)
+        with pytest.raises(np.linalg.LinAlgError, match=re.escape(str(scipy_error.value))):
+            solve_lower(a, np.ones((3, 2)))
+
+    def test_singular_factor_in_cutset_from_factor(self):
+        # a zero on R11's diagonal: the solve refuses with scipy's message
+        r = np.array([[1.0, 0.5, 0.5], [0.0, 0.0, 0.5]])
+        with pytest.raises(np.linalg.LinAlgError, match="resolution failed at diagonal 1"):
+            cutset_from_factor(r, np.arange(3), 2, np.ones(3), 0.1, ft.NonIntegerCutset)
 
 
 class TestCutsetFromShares:

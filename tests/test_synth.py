@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -68,6 +70,15 @@ class TestSpecs:
     def test_float_seed_refused(self, call):
         with pytest.raises(ft.InvalidArgument, match="seed must be an integer"):
             call()
+
+    @pytest.mark.parametrize("kwargs, field", [
+        ({"n_s": True, "seed": 1}, "n_s"),
+        ({"n_s": 30, "seed": False}, "seed"),
+    ], ids=["n_s", "seed"])
+    def test_sampler_bool_refused(self, kwargs, field):
+        # operator.index takes a bool as 0 or 1
+        with pytest.raises(ft.InvalidArgument, match=f"{field} must be an integer"):
+            ft.FlowSamplerConfig(**kwargs)
 
     def test_sampler_accepts_numpy_integers(self):
         cfg = ft.FlowSamplerConfig(n_s=np.int64(30), seed=1)
@@ -221,6 +232,44 @@ class TestSamplerBits:
         cfg = ft.FlowSamplerConfig(n_s=2 * net.edge_count, seed=seed + 100)
         self.check_bits(net, cfg)
         self.check_bits(relabelled(net, seed), cfg)
+
+
+class TestSamplerDigests:
+    """SHA-256 of sampled and noisy bits, frozen from a reference run: any
+    change to the draws or the order of the float operations shows.  The
+    binary net adds two children per row, the fat_short net four, and the
+    thin_long net also copies single children."""
+
+    DIGESTS = {
+        "binary": (
+            "aa3aadd36db514f3622497d49df238f3c0cc8e16679274be4078b2b10b5ebed5",
+            "bcb3ec15f0cbc08f89b2b9aa6d0ab2ff4935f86b054b430ce093ef7cc5730b72",
+            "f96aff631f27f4c17ad0f489bec073c0b8180cc720656f424ed34570d7cbd260",
+        ),
+        "fat_short": (
+            "43039efe1f9d98c0761a5283fdb01c17f0e772d9d897ac3dbdc490e13515e952",
+            "a62df808d098ea74e0502b5927ab19f92170212e11413df94bc2d15661467d5e",
+            "22e43ca13d3c1864f4d44f2db678aba985e58d2835862c45382f9fa33ea99c85",
+        ),
+        "thin_long": (
+            "c5a01b8f6511843448b675d998e8b0ff161e8324861088ddcfe390610d8107f3",
+            "cc8b68c8f5182319cc4881420434acd3d6a371f51b7a37315fc931274b8fc85a",
+            "c32ef3ff62c031e008f3de7dff9346b0fa08a8a68127313e350452f638daacb1",
+        ),
+    }
+
+    @pytest.mark.parametrize("family, seed, children", [
+        ("binary", 11, None), ("fat_short", 12, (3, 7)), ("thin_long", 13, None),
+    ])
+    def test_digests(self, family, seed, children):
+        net = ft.generate_within(family, seed, max_edges=40, children_range=children)
+        data = ft.sample_flows(net, ft.FlowSamplerConfig(n_s=5 * net.edge_count, seed=21))
+        digests = [hashlib.sha256(data.entries.tobytes()).hexdigest()]
+        for kind in ("homoscedastic", "heteroscedastic"):
+            noisy, model = ft.add_noise(data, ft.SnrSetting(20.0, kind), seed=22)
+            blob = noisy.entries.tobytes() + model.covariance.tobytes()
+            digests.append(hashlib.sha256(blob).hexdigest())
+        assert tuple(digests) == self.DIGESTS[family]
 
 
 class TestAddNoise:
