@@ -18,16 +18,13 @@ from . import harness, io
 from .errors import (
     EmptySpec,
     FlowtopoError,
-    FullDeficiency,
     InvalidArgument,
     LabelMismatch,
     NonIntegerCutset,
     NonPositiveFlow,
     NoStableOrder,
     NotArborescence,
-    NotCanonicalizable,
     NotPositiveDefinite,
-    NotUnique,
     ParseError,
     RankZero,
     SnapFailure,
@@ -58,12 +55,9 @@ _ERROR_CODES: tuple[tuple[type, int], ...] = (
     (NotPositiveDefinite, _EXIT_PARSE),
     (NonPositiveFlow, _EXIT_ORDER),
     (RankZero, _EXIT_ORDER),
-    (FullDeficiency, _EXIT_ORDER),
     (NoStableOrder, _EXIT_ORDER),
     (NonIntegerCutset, _EXIT_SNAP),
     (SnapFailure, _EXIT_SNAP),
-    (NotUnique, _EXIT_REALIZE),
-    (NotCanonicalizable, _EXIT_REALIZE),
     (NotArborescence, _EXIT_REALIZE),
     (LabelMismatch, _EXIT_REALIZE),
 )
@@ -89,7 +83,6 @@ _FLAGS = {
         "z_list": "--z-max",
         "trials": "--trials",
         "networks_per_family": "--networks",
-        "threads": "--threads",
         "cell_budget_s": "--cell-budget",
     },
     "bench": {"sizes": "--sizes"},
@@ -197,7 +190,6 @@ def _build_parser() -> argparse.ArgumentParser:
     swp.add_argument("--trials", type=int, default=100)
     swp.add_argument("--alpha", type=_level, default=DEFAULT_ALPHA)
     swp.add_argument("--seed", type=seed, default=0)
-    swp.add_argument("--threads", type=int, default=1)
     swp.add_argument("--max-edges", type=int, default=300)
     swp.add_argument("--cell-budget", type=float, help="seconds allowed per cell")
     swp.add_argument("--out", type=Path, required=True, help="sweep CSV path")
@@ -295,11 +287,10 @@ def _cmd_sweep(args) -> int:
         alpha=args.alpha,
         base_seed=args.seed,
         max_edges=args.max_edges,
-        threads=args.threads,
         cell_budget_s=args.cell_budget,
     )
-    result = harness.run_sweep(config, out_path=args.out)
-    print(f"wrote {len(result.rows)} sweep rows to {args.out}")
+    rows = harness.run_sweep(config, out_path=args.out)
+    print(f"wrote {len(rows)} sweep rows to {args.out}")
     return 0
 
 

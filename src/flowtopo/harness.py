@@ -14,7 +14,6 @@ import csv
 import math
 import time
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable
@@ -62,7 +61,6 @@ class SweepConfig:
     base_seed: int = 0
     max_edges: int = 300
     noise_kind: str = "homoscedastic"
-    threads: int = 1
     # wall-clock allowance per cell; pathological low-SNR cells get cut off
     cell_budget_s: float | None = None
 
@@ -74,14 +72,15 @@ class SweepConfig:
         for family in self.families:
             if family not in FAMILIES:
                 raise InvalidArgument(f"unknown family {family!r} in families")
-        for name in ("trials", "networks_per_family", "threads", "max_edges"):
+        for name in ("trials", "networks_per_family", "max_edges"):
             object.__setattr__(self, name, _integer(name, getattr(self, name)))
-        for name in ("trials", "networks_per_family", "threads"):
+        for name in ("trials", "networks_per_family"):
             if getattr(self, name) < 1:
                 raise InvalidArgument(f"{name} must be >= 1, got {getattr(self, name)}")
         # a value no trial can use fails here, not after the CSV header is out
         for snr in self.snr_list:
             SnrSetting(snr, self.noise_kind)
+        object.__setattr__(self, "z_list", tuple(_integer("z_list", z) for z in self.z_list))
         if min(self.z_list) < 1:
             raise InvalidArgument(f"z_list values must be >= 1, got {min(self.z_list)}")
         _check_alpha(self.alpha)
@@ -91,9 +90,6 @@ class SweepConfig:
                 raise InvalidArgument(
                     f"cell_budget_s must be a finite number > 0, got {self.cell_budget_s}"
                 )
-            if self.threads > 1:
-                # threaded trials run to completion; a budget could not stop them
-                raise InvalidArgument("cell_budget_s needs threads = 1")
 
 
 @dataclass(frozen=True)
@@ -108,12 +104,6 @@ class SweepRow:
     median_seconds: float
     is_min_z: bool
     aborted: bool = False
-
-
-@dataclass(frozen=True)
-class SweepResult:
-    rows: tuple[SweepRow, ...]
-    config: SweepConfig
 
 
 def run_trial(
@@ -133,6 +123,8 @@ def run_trial(
     _check_alpha(alpha)
     if not isinstance(snr, SnrSetting):
         snr = SnrSetting(float(snr))
+    # catch_warnings saves and restores the process-wide filter list, so
+    # trials must not overlap in one interpreter
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         cfg = FlowSamplerConfig(n_s=n_s, seed=flow_seed)
@@ -157,40 +149,24 @@ def _run_cell(
     """Accuracy, completed trials, median seconds, aborted flag."""
     fam_i, net_i = coord
     n_s = z * network.edge_count
-    seeds = [
-        _seeds(config.base_seed, fam_i, net_i, z, trial)
-        for trial in range(config.trials)
-    ]
     timings: list[float] = []
     hits = 0
-    done = 0
     aborted = False
     start = time.perf_counter()
-
-    def one(seed_pair: tuple[int, ...]) -> tuple[bool, float]:
-        return run_trial(network, snr, n_s, seed_pair[0], seed_pair[1], config.alpha)
-
-    if config.threads > 1:
-        with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            for ok, secs in pool.map(one, seeds):
-                hits += ok
-                timings.append(secs)
-                done += 1
-    else:
-        for pair in seeds:
-            ok, secs = one(pair)
-            hits += ok
-            timings.append(secs)
-            done += 1
-            if (
-                config.cell_budget_s is not None
-                and time.perf_counter() - start > config.cell_budget_s
-                and done < config.trials
-            ):
-                aborted = True
-                break
-    accuracy = hits / done if done else 0.0
-    return accuracy, done, float(np.median(timings)) if timings else 0.0, aborted
+    for trial in range(config.trials):
+        flow_seed, noise_seed = _seeds(config.base_seed, fam_i, net_i, z, trial)
+        ok, secs = run_trial(network, snr, n_s, flow_seed, noise_seed, config.alpha)
+        hits += ok
+        timings.append(secs)
+        if (
+            config.cell_budget_s is not None
+            and time.perf_counter() - start > config.cell_budget_s
+            and len(timings) < config.trials
+        ):
+            aborted = True
+            break
+    # config.trials >= 1, so at least one trial ran
+    return hits / len(timings), len(timings), float(np.median(timings)), aborted
 
 
 def find_min_z(
@@ -204,24 +180,22 @@ def find_min_z(
     """Scan z ascending; return the first z whose every trial is exact."""
     if not z_list:
         raise InvalidArgument("z_list must be nonempty")
-    if trials < 1:
+    z_list = sorted(_integer("z_list", z) for z in z_list)
+    if z_list[0] < 1:
+        raise InvalidArgument(f"z_list values must be >= 1, got {z_list[0]}")
+    if _integer("trials", trials) < 1:
         raise InvalidArgument(f"trials must be >= 1, got {trials}")
     _check_seed("base_seed", base_seed)
     e = network.edge_count
-    for z in sorted(z_list):
-        ok_all = True
-        for trial in range(trials):
-            fs, ns = _seeds(base_seed, 0, 0, z, trial)
-            ok, _ = run_trial(network, snr, z * e, fs, ns, alpha)
-            if not ok:
-                ok_all = False
-                break
-        if ok_all:
+    for z in z_list:
+        seeds = (_seeds(base_seed, 0, 0, z, trial) for trial in range(trials))
+        # all() stops at the first inexact trial
+        if all(run_trial(network, snr, z * e, fs, ns, alpha)[0] for fs, ns in seeds):
             return z
     return None
 
 
-def run_sweep(config: SweepConfig, out_path: str | Path | None = None) -> SweepResult:
+def run_sweep(config: SweepConfig, out_path: str | Path | None = None) -> tuple[SweepRow, ...]:
     """Full protocol: per family, draw networks, scan SNR and z ascending
     with early stop at the first all-exact z.  When out_path is given,
     rows stream to the CSV as they finish so an interrupted run leaves a
@@ -274,7 +248,7 @@ def run_sweep(config: SweepConfig, out_path: str | Path | None = None) -> SweepR
     finally:
         if sink:
             sink.close()
-    return SweepResult(rows=tuple(rows), config=config)
+    return tuple(rows)
 
 
 @dataclass(frozen=True)

@@ -80,23 +80,30 @@ def load_data_csv(
 ) -> FlowDataMatrix:
     """Sample CSV.  Default layout: header `edge,s1,...`, one row per edge
     with its label in the first column.  Transposed layout: header lists
-    the edge labels, one row per sample."""
+    the edge labels, one row per sample.  Rows are parsed as they are
+    read, so no more than one row is held as text."""
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
-            rows = [row for row in csv.reader(fh) if row and any(c.strip() for c in row)]
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from exc
-    if len(rows) < 2:
-        raise ParseError(f"{path}: need a header row and at least one data row")
-    header, body = rows[0], rows[1:]
-    try:
+            rows = (row for row in csv.reader(fh) if row and any(c.strip() for c in row))
+            header = next(rows, None)
+            labels: list[int] = []
+            body = []
+            for row in rows:
+                if not transposed:
+                    labels.append(int(row[0]))
+                    row = row[1:]
+                body.append(np.array(row, dtype=np.float64))
+        if not body:
+            raise ParseError(f"{path}: need a header row and at least one data row")
+        values = np.array(body)
         if transposed:
             labels = [int(c) for c in header]
-            values = np.array([[float(c) for c in row] for row in body]).T
-        else:
-            labels = [int(row[0]) for row in body]
-            values = np.array([[float(c) for c in row[1:]] for row in body])
-    except (TypeError, ValueError, IndexError) as exc:
+            if len(labels) != values.shape[1]:
+                raise ParseError(f"{path}: {len(labels)} edge labels for {values.shape[1]} columns")
+            values = values.T
+    except OSError as exc:
+        raise ParseError(f"cannot read {path}: {exc}") from exc
+    except ValueError as exc:
         raise ParseError(f"{path}: malformed sample table: {exc}") from exc
     e = len(labels)
     if sorted(labels) != list(range(1, e + 1)):

@@ -37,6 +37,8 @@ FAMILY_DEFAULTS = {
 
 DEFAULT_MEANS = (100.0, 200.0, 300.0)
 DEFAULT_STDS = (10.0, 20.0, 30.0)
+# draws generate_within makes before it gives up on the edge budget
+MAX_DRAW_ATTEMPTS = 200
 
 
 class _EdgeBudgetExceeded(Exception):
@@ -77,28 +79,22 @@ class ArborescenceSpec:
 
 @dataclass(frozen=True)
 class FlowSamplerConfig:
-    """Sink-flow distribution mixture plus sample count and seed.
+    """Sample count and seed for ``sample_flows``.
 
-    Each sink edge is assigned one mixture component uniformly at random,
-    once per network, and keeps it across all samples.
+    Sink flows follow a fixed Gaussian mixture, component ``k`` with mean
+    ``DEFAULT_MEANS[k]`` and standard deviation ``DEFAULT_STDS[k]``.  Each
+    sink edge is assigned one component uniformly at random, once per
+    network, and keeps it across all samples.
     """
 
     n_s: int
     seed: int
-    means: tuple[float, ...] = DEFAULT_MEANS
-    stds: tuple[float, ...] = DEFAULT_STDS
 
     def __post_init__(self):
-        object.__setattr__(self, "means", tuple(float(v) for v in self.means))
-        object.__setattr__(self, "stds", tuple(float(v) for v in self.stds))
         object.__setattr__(self, "n_s", _integer("n_s", self.n_s))
         if self.n_s < 1:
             raise InvalidArgument("n_s must be positive")
         _check_seed("seed", self.seed)
-        if len(self.means) != len(self.stds) or not self.means:
-            raise InvalidArgument("means and stds must be equal-length and nonempty")
-        if not all(math.isfinite(v) and v > 0 for v in self.means + self.stds):
-            raise InvalidArgument("means and stds must be finite and positive")
 
 
 @dataclass(frozen=True)
@@ -171,7 +167,6 @@ def generate_within(
     family: str,
     seed: int,
     max_edges: int = 300,
-    max_attempts: int = 200,
     layer_range: tuple[int, int] | None = None,
     children_range: tuple[int, int] | None = None,
 ) -> FlowNetwork:
@@ -180,10 +175,10 @@ def generate_within(
     would overflow the budget.
 
     Raises:
-        EmptySpec: no draw fit within max_attempts.
+        EmptySpec: no draw fit within ``MAX_DRAW_ATTEMPTS`` attempts.
     """
     _check_seed("seed", seed)
-    for attempt in range(max_attempts):
+    for attempt in range(MAX_DRAW_ATTEMPTS):
         ss = np.random.SeedSequence([int(seed), attempt])
         spec = family_spec(
             family,
@@ -196,7 +191,7 @@ def generate_within(
         except _EdgeBudgetExceeded:
             continue
     raise EmptySpec(
-        f"no {family} draw within {max_edges} edges after {max_attempts} attempts"
+        f"no {family} draw within {max_edges} edges after {MAX_DRAW_ATTEMPTS} attempts"
     )
 
 
@@ -245,14 +240,14 @@ def sample_flows(network: FlowNetwork, cfg: FlowSamplerConfig, allow_undersample
         children.setdefault(src, []).append(idx)
 
     sink_idx = [idx for idx, (_, dst) in enumerate(network.edges) if dst not in children]
-    components = rng.integers(0, len(cfg.means), size=len(sink_idx))
+    components = rng.integers(0, len(DEFAULT_MEANS), size=len(sink_idx))
 
     data = np.empty((e, cfg.n_s), dtype=np.float64)
     # what Generator.normal computes per entry, loc + scale * z, from the
     # same stream of standard normals
     draws = rng.standard_normal((len(sink_idx), cfg.n_s))
-    draws *= np.asarray(cfg.stds)[components, None]
-    draws += np.asarray(cfg.means)[components, None]
+    draws *= np.asarray(DEFAULT_STDS)[components, None]
+    draws += np.asarray(DEFAULT_MEANS)[components, None]
     data[sink_idx] = draws
 
     # bottom-up: every edge after all the edges below it, its children's

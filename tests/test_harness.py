@@ -1,3 +1,6 @@
+import csv
+import warnings
+
 import numpy as np
 import pytest
 
@@ -45,6 +48,10 @@ class TestFindMinZ:
         ((1, 2, 3), 0, "trials must be >= 1, got 0"),
         ((1, 2, 3), -1, "trials must be >= 1, got -1"),
         ((), 2, "z_list must be nonempty"),
+        ((2.5,), 1, "z_list"),
+        ((0, 1), 1, "z_list values must be >= 1, got 0"),
+        ((3, -1), 1, "z_list values must be >= 1, got -1"),
+        ((1,), 2.5, "trials must be an integer"),
     ])
     def test_settings_sweep_config_refuses(self, z_list, trials, message):
         # with no trials every z would pass vacuously
@@ -89,11 +96,6 @@ class TestSweep:
         with pytest.raises(ft.InvalidArgument, match="cell_budget_s must be a finite number > 0"):
             harness.SweepConfig(cell_budget_s=budget)
 
-    def test_cell_budget_with_threads_rejected(self):
-        # the threaded trial loop cannot stop early, so the budget would be ignored
-        with pytest.raises(ValueError):
-            harness.SweepConfig(threads=2, cell_budget_s=1.0)
-
     def test_draw_that_cannot_fit_leaves_no_file(self, tmp_path):
         out = tmp_path / "sweep.csv"
         with pytest.raises(ft.EmptySpec):
@@ -111,14 +113,51 @@ class TestSweep:
             max_edges=20,
         )
         out = tmp_path / "sweep.csv"
-        result = harness.run_sweep(config, out_path=out)
         # early stop: one row per (family, network, snr)
-        (row,) = result.rows
+        (row,) = harness.run_sweep(config, out_path=out)
         assert (row.family, row.network_index, row.snr, row.z) == ("binary", 0, 1e9, 1)
         assert row.is_min_z
         lines = out.read_text().splitlines()
         assert len(lines) == 2
         assert lines[1].split(",")[4:] == ["1", "1.000000", "2", f"{row.median_seconds:.6g}", "1", "0"]
+
+    def test_cell_budget_cuts_every_cell_short(self, tmp_path):
+        config = harness.SweepConfig(
+            families=("binary",),
+            networks_per_family=1,
+            snr_list=(1e9,),
+            z_list=(1, 2, 3),
+            trials=3,
+            base_seed=3,
+            max_edges=20,
+            cell_budget_s=1e-9,
+        )
+        out = tmp_path / "sweep.csv"
+        rows = harness.run_sweep(config, out_path=out)
+        # a short-counted cell never counts as the minimum, so every z runs
+        assert [row.z for row in rows] == [1, 2, 3]
+        assert all(row.trials_done == 1 and row.aborted for row in rows)
+        assert not any(row.is_min_z for row in rows)
+        table = list(csv.DictReader(out.read_text().splitlines()))
+        assert [(r["trials"], r["min_z_flag"], r["aborted"]) for r in table] == [("1", "0", "1")] * 3
+
+    def test_trial_warnings_stay_inside_the_sweep(self):
+        # z = 1 is undersampled: every trial's lane warns, and the sweep
+        # must neither show those warnings nor leave its filter behind
+        config = harness.SweepConfig(
+            families=("binary",),
+            networks_per_family=1,
+            snr_list=(100.0,),
+            z_list=(1,),
+            trials=2,
+            max_edges=20,
+        )
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            filters = list(warnings.filters)
+            harness.run_sweep(config)
+            assert warnings.filters == filters
+        assert caught == []
 
 
 class TestScalingBench:

@@ -118,6 +118,21 @@ class TestDataCsv:
         with pytest.raises(ft.ParseError):
             ftio.load_data_csv(path, allow_undersampled=True)
 
+    def test_not_utf8(self, tmp_path):
+        # the decode error used to escape as a bare UnicodeDecodeError
+        path = tmp_path / "data.csv"
+        path.write_bytes(b"edge,s1\n1,\xff\n")
+        with pytest.raises(ft.ParseError, match="malformed sample table"):
+            ftio.load_data_csv(path, allow_undersampled=True)
+
+    @pytest.mark.parametrize("header", ["1,2,3,4", "1,2"])
+    def test_transposed_header_must_match_columns(self, tmp_path, header):
+        # more labels than columns raised IndexError; fewer dropped columns
+        path = tmp_path / "data_t.csv"
+        path.write_text(header + "\n" + "1,2.5,3\n4,5,6.5\n" * 4)
+        with pytest.raises(ft.ParseError, match="edge labels for 3 columns"):
+            ftio.load_data_csv(path, transposed=True)
+
 
 class TestNoiseModelJson:
     def test_shared_variance_round_trip(self, tmp_path):
@@ -310,7 +325,6 @@ class TestCli:
 
     @pytest.mark.parametrize("bad", [
         ["--trials", "0"],
-        ["--threads", "2", "--cell-budget", "5"],
         ["--z-max", "0"],
         ["--networks", "0"],
         ["--cell-budget", "-1"],
@@ -323,6 +337,17 @@ class TestCli:
         err = capsys.readouterr().err
         for flag in bad[::2]:
             assert flag in err
+
+    def test_threads_flag_refused(self, tmp_path, capsys):
+        # trials run one at a time; the old flag is an error, not dropped
+        out = tmp_path / "sweep.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--families", "binary", "--networks", "1", "--snr", "1e9",
+                  "--z-max", "1", "--trials", "1", "--max-edges", "20",
+                  "--threads", "2", "--out", str(out)])
+        assert exc.value.code == 2
+        assert "--threads" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", [
         ["reconstruct", "--data", "run.csv"],

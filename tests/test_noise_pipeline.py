@@ -873,13 +873,11 @@ def test_lanes_run_none_of_the_staged_stages(monkeypatch):
     lambda: ft.SweepConfig(base_seed=-1),
     lambda: ft.SweepConfig(trials=2.5),
     lambda: ft.SweepConfig(networks_per_family=1.5),
-    lambda: ft.SweepConfig(threads=1.5),
+    lambda: ft.SweepConfig(z_list=(2.5,)),
     lambda: ft.SweepConfig(max_edges=20.5),
     lambda: ft.SweepConfig(families=("bogus",)),
     lambda: ft.run_scaling_bench(sizes=(3.5, 8)),
     lambda: ft.binary_network_with_edges(2.5),
-    lambda: ft.FlowSamplerConfig(n_s=30, seed=1, means=(math.nan,), stds=(1.0,)),
-    lambda: ft.FlowSamplerConfig(n_s=30, seed=1, means=(1.0,), stds=(math.inf,)),
     lambda: ft.FlowNetwork(3, ((1,),)),
     lambda: ft.FlowNetwork(2.5, ((1, 2),)),
 ], ids=["whiten-size", "reconstruct-size", "alpha", "zero-tol", "alpha-without-noise",
@@ -888,9 +886,9 @@ def test_lanes_run_none_of_the_staged_stages(monkeypatch):
         "gaussian-data", "zeroed-row", "self-loop", "node-id", "no-edges", "partition",
         "cutset-shape", "cutset-entries", "cutset-identity", "seed-within", "seed-spec",
         "seed-sampler", "seed-add-noise", "seed-bench", "seed-min-z", "seed-sweep",
-        "sweep-trials-float", "sweep-networks-float", "sweep-threads-float",
+        "sweep-trials-float", "sweep-networks-float", "sweep-z-float",
         "sweep-max-edges-float", "sweep-family", "bench-sizes-float", "bench-network-float",
-        "sampler-nan-mean", "sampler-inf-std", "edge-not-pair", "node-count-float"])
+        "edge-not-pair", "node-count-float"])
 def test_argument_errors_are_typed(call):
     # still a ValueError for callers that catch that, and a FlowtopoError
     with pytest.raises(ft.InvalidArgument) as exc:
