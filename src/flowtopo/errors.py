@@ -2,10 +2,25 @@
 
 Every failure mode that callers are expected to handle gets its own class so
 the CLI can map error categories onto distinct exit codes.  All exceptions
-derive from :class:`FlowtopoError`.
+derive from :class:`FlowtopoError`.  Warnings go through :func:`warn`,
+which names the caller's line.
 """
 
 from __future__ import annotations
+
+import sys
+import warnings
+
+_PACKAGE = __name__.partition(".")[0]
+
+
+def warn(message: str) -> None:
+    """Warn at the first frame outside the package, so that the warning
+    names the caller's line through whichever entry point it came."""
+    level, frame = 2, sys._getframe(1)
+    while frame.f_globals.get("__name__", "").partition(".")[0] == _PACKAGE:
+        level, frame = level + 1, frame.f_back
+    warnings.warn(message, stacklevel=level)
 
 
 class FlowtopoError(Exception):

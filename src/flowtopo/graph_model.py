@@ -120,12 +120,15 @@ class CutsetMatrix:
         e = m + len(self.chord_edges)
         if entries.shape != (m, e):
             raise InvalidArgument(f"expected shape {(m, e)}, got {entries.shape}")
-        if set(self.branch_edges) & set(self.chord_edges):
+        if not set(self.branch_edges).isdisjoint(self.chord_edges):
             raise InvalidArgument("branch and chord labels overlap")
-        # two comparisons, not abs: np.abs leaves the most negative int64 negative
-        if not ((entries >= -1) & (entries <= 1)).all():
+        # the extremes, not abs: np.abs leaves the most negative int64 negative
+        if not (entries.min(initial=0) >= -1 and entries.max(initial=0) <= 1):
             raise InvalidArgument("cutset entries must be in {-1, 0, +1}")
-        if m and not np.array_equal(entries[:, :m], np.eye(m, dtype=np.int64)):
+        # with entries in {-1, 0, +1}, a unit diagonal and no other nonzero
+        # is the identity
+        lead = entries[:, :m]
+        if not ((lead.diagonal() == 1).all() and np.count_nonzero(lead) == m):
             raise InvalidArgument("leading columns do not form the identity")
 
     @property

@@ -297,8 +297,9 @@ def run_scaling_bench(
     ``total`` the whole ``reconstruct_exact``.
     """
     sizes = tuple(_integer("each of sizes", v) for v in sizes)
-    if list(sizes) != sorted(sizes) or not sizes or sizes[0] < 2:
-        raise InvalidArgument("sizes must be ascending edge counts of at least 2")
+    # a repeated size leaves the log-log fit without a slope to find
+    if not sizes or sizes[0] < 2 or any(a >= b for a, b in zip(sizes, sizes[1:])):
+        raise InvalidArgument("sizes must be strictly ascending edge counts of at least 2")
     for name, value in (("repeats", repeats), ("z", z)):
         if _integer(name, value) < 1:
             raise InvalidArgument(f"{name} must be >= 1, got {value}")

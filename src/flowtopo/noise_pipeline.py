@@ -21,15 +21,13 @@ and ``reconstruct_noisy`` call ``reconstruct`` for one lane each.
 The inputs are checked once, by ``FlowDataMatrix`` and ``NoiseModel``;
 past that the noisy lane calls LAPACK directly, as ``scipy.linalg`` would
 but without its argument checks: ``dpotrf`` for the Cholesky factor,
-``dtrtrs`` for the whitening solves (``nullspace.solve_lower``) and
+``dtrtrs`` for the whitening solves (``nullspace.triangular_solve``) and
 ``dgeqp3`` for the pivoted QR.  The eigendecomposition is numpy's ``eigh``.
 """
 
 from __future__ import annotations
 
 import math
-import sys
-import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -43,6 +41,7 @@ from .errors import (
     NoStableOrder,
     NotPositiveDefinite,
     SnapFailure,
+    warn,
 )
 from .nullspace import (
     EXACT_ZERO_TOL,
@@ -50,7 +49,7 @@ from .nullspace import (
     cutset_from_factor,
     edge_totals,
     sink_cutset,
-    solve_lower,
+    triangular_solve,
 )
 from .realize import ReconstructionResult, realize_topology
 
@@ -167,15 +166,6 @@ def _cholesky_lower(noise: NoiseModel) -> np.ndarray:
     return lower
 
 
-def _warn(message: str) -> None:
-    """Warn at the first frame outside this module, so that the warning
-    names the caller's line through whichever entry point it came."""
-    level, frame = 2, sys._getframe(1)
-    while frame.f_globals.get("__name__") == __name__:
-        level, frame = level + 1, frame.f_back
-    warnings.warn(message, stacklevel=level)
-
-
 def _centred_samples(data: FlowDataMatrix, noise: NoiseModel) -> np.ndarray:
     """The raw samples after a dimension check, less a declared nonzero
     error mean (with a warning), since the conservation model itself is
@@ -187,7 +177,7 @@ def _centred_samples(data: FlowDataMatrix, noise: NoiseModel) -> np.ndarray:
         )
     y = data.entries
     if noise.mean is not None and np.any(noise.mean != 0):
-        _warn("subtracting declared nonzero error mean")
+        warn("subtracting declared nonzero error mean")
         y = y - noise.mean[:, None]
     return y
 
@@ -210,7 +200,7 @@ def whiten(data: FlowDataMatrix, noise: NoiseModel) -> FlowDataMatrix:
         NotPositiveDefinite: the covariance admits no Cholesky factor.
     """
     y = _centred_samples(data, noise)
-    y_s = solve_lower(_cholesky_lower(noise), y)
+    y_s = triangular_solve(_cholesky_lower(noise), y)
     return FlowDataMatrix(y_s, allow_undersampled=data.allow_undersampled)
 
 
@@ -235,7 +225,7 @@ def _order_test(
         raise InvalidArgument("alpha must lie in (0, 1)")
     e = s_y.shape[0]
     if n_s < UNDERSAMPLE_WARN_FACTOR * e:
-        _warn(
+        warn(
             f"{n_s} samples for {e} edges is below the {UNDERSAMPLE_WARN_FACTOR}x "
             "guideline; the order test loses power"
         )
@@ -396,7 +386,7 @@ def reconstruct(
         y = _centred_samples(data, noise)
         lower = _cholesky_lower(noise)
         # whitened sample covariance L^-1 G L^-T, by two e x e triangular solves
-        s_y = solve_lower(lower, solve_lower(lower, _gram(y)).T)
+        s_y = triangular_solve(lower, triangular_solve(lower, _gram(y)).T)
         report, lams, vecs = _order_test(
             s_y, data.sample_count, DEFAULT_ALPHA if alpha is None else alpha
         )

@@ -428,6 +428,8 @@ class TestCli:
         ["bench", "--sizes", "1"],
         ["generate", "--layers", "3", "1", "--out", "net.json"],
         ["generate", "--children", "3", "1", "--family", "thin_long", "--out", "net.json"],
+        # a repeated size gave RankWarnings and a meaningless slope
+        ["bench", "--sizes", "8", "8", "--repeats", "1"],
     ])
     def test_invalid_argument_exits_two(self, tmp_path, capsys, argv):
         assert main([str(tmp_path / a) if a.endswith(".json") else a for a in argv]) == 2

@@ -880,6 +880,7 @@ def test_lanes_run_none_of_the_staged_stages(monkeypatch):
     lambda: ft.binary_network_with_edges(2.5),
     lambda: ft.FlowNetwork(3, ((1,),)),
     lambda: ft.FlowNetwork(2.5, ((1, 2),)),
+    lambda: ft.run_scaling_bench(sizes=(8, 8), repeats=1),
 ], ids=["whiten-size", "reconstruct-size", "alpha", "zero-tol", "alpha-without-noise",
         "zero-tol-with-noise", "data", "sigma2", "per-edge", "noise-kind",
         "sampler", "snr", "spec", "family", "bench-network", "add-noise", "sweep", "bench-sizes",
@@ -888,7 +889,7 @@ def test_lanes_run_none_of_the_staged_stages(monkeypatch):
         "seed-sampler", "seed-add-noise", "seed-bench", "seed-min-z", "seed-sweep",
         "sweep-trials-float", "sweep-networks-float", "sweep-z-float",
         "sweep-max-edges-float", "sweep-family", "bench-sizes-float", "bench-network-float",
-        "edge-not-pair", "node-count-float"])
+        "edge-not-pair", "node-count-float", "bench-sizes-repeated"])
 def test_argument_errors_are_typed(call):
     # still a ValueError for callers that catch that, and a FlowtopoError
     with pytest.raises(ft.InvalidArgument) as exc:

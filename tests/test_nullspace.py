@@ -1,4 +1,6 @@
 import re
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -17,7 +19,7 @@ from flowtopo.nullspace import (
     rref,
     sink_cutset,
     snap_signed_units,
-    solve_lower,
+    triangular_solve,
 )
 
 from conftest import (
@@ -94,6 +96,14 @@ class TestFlowDataMatrix:
     def test_undersampled_flag_warns(self):
         with pytest.warns(UserWarning):
             ft.FlowDataMatrix(np.ones((3, 3)), allow_undersampled=True)
+
+    def test_undersampled_warning_names_the_caller(self):
+        net = ft.binary_network_with_edges(14)
+        with pytest.warns(UserWarning, match="samples for") as record:
+            ft.FlowDataMatrix(np.ones((3, 3)), allow_undersampled=True)
+            ft.sample_flows(net, ft.FlowSamplerConfig(n_s=5, seed=0), allow_undersampled=True)
+        assert len(record) == 2
+        assert {w.filename for w in record} == {__file__}
 
     @pytest.mark.parametrize("allow_undersampled", [False, True])
     def test_no_edge_rows_rejected(self, allow_undersampled):
@@ -441,6 +451,34 @@ class TestSinkCutset:
         ft.reconstruct_exact(data)
         assert calls == [(30, 30)]
 
+    def test_every_magnitude_recovers_the_same_tree(self):
+        # the raw Gram product overflows past about 1e150 and underflows
+        # below about 1e-150; rows rescaled by powers of two recover both
+        net = ft.binary_network_with_edges(30)
+        data = ft.sample_flows(net, ft.FlowSamplerConfig(n_s=60, seed=0))
+        want = ft.reconstruct_exact(data).edges
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for k in range(-300, 301):
+                result = ft.reconstruct_exact(ft.FlowDataMatrix(data.entries * 10.0**k))
+                assert result.edges == want, k
+                assert ft.verify_against_truth(result, net), k
+
+    def test_samples_are_not_copied(self):
+        # the unit-total Gram matrix comes from the raw one: no e x n_s
+        # array of scaled rows is made
+        net = ft.binary_network_with_edges(254)
+        data = ft.sample_flows(net, ft.FlowSamplerConfig(n_s=50 * net.edge_count, seed=0))
+        ft.reconstruct_exact(data)
+        tracemalloc.start()
+        try:
+            result = ft.reconstruct_exact(data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert ft.verify_against_truth(result, net)
+        assert peak < data.entries.nbytes / 10, (peak, data.entries.nbytes)
+
 
 def test_demo_pipeline_reaches_truth(demo_flows, demo_truth):
     result = ft.reconstruct_exact(demo_flows, zero_tol=DEMO_ZERO_TOL)
@@ -449,13 +487,14 @@ def test_demo_pipeline_reaches_truth(demo_flows, demo_truth):
 
 
 class TestSolveLower:
-    @pytest.mark.parametrize("trans", [0, 1])
-    def test_same_bits_as_solve_triangular(self, trans):
+    @pytest.mark.parametrize("lower", [0, 1])
+    def test_same_bits_as_solve_triangular(self, lower):
         rng = np.random.default_rng(3)
-        a = np.asfortranarray(np.tril(rng.standard_normal((6, 6))) + 4 * np.eye(6))
+        tri = np.tril if lower else np.triu
+        a = np.asfortranarray(tri(rng.standard_normal((6, 6))) + 4 * np.eye(6))
         b = rng.standard_normal((6, 5))
-        want = sla.solve_triangular(a, b, lower=True, trans=trans)
-        assert np.array_equal(solve_lower(a, b, trans=trans), want)
+        want = sla.solve_triangular(a, b, lower=bool(lower))
+        assert np.array_equal(triangular_solve(a, b, lower=bool(lower)), want)
 
     def test_singular_message_is_scipys(self):
         a = np.asfortranarray(np.tril(np.ones((3, 3))))
@@ -463,7 +502,7 @@ class TestSolveLower:
         with pytest.raises(np.linalg.LinAlgError) as scipy_error:
             sla.solve_triangular(a, np.ones((3, 2)), lower=True)
         with pytest.raises(np.linalg.LinAlgError, match=re.escape(str(scipy_error.value))):
-            solve_lower(a, np.ones((3, 2)))
+            triangular_solve(a, np.ones((3, 2)))
 
     def test_singular_factor_in_cutset_from_factor(self):
         # a zero on R11's diagonal: the solve refuses with scipy's message
@@ -472,7 +511,36 @@ class TestSolveLower:
             cutset_from_factor(r, np.arange(3), 2, np.ones(3), 0.1, ft.NonIntegerCutset)
 
 
+def seat_chains_by_loop(t: np.ndarray, sinks: np.ndarray, others: np.ndarray):
+    """One swap at a time, row by row: the reference for the vectorized
+    seating of each sink-ended chain's largest label."""
+    sinks, others = sinks.copy(), others.copy()
+    single = np.flatnonzero(t.sum(axis=1) == 1)
+    for row, i in zip(single.tolist(), t[single].argmax(axis=1).tolist()):
+        if others[row] > sinks[i]:
+            others[row], sinks[i] = sinks[i], others[row]
+    return sinks, others
+
+
 class TestCutsetFromShares:
+    @given(st.integers(1, 8), st.integers(1, 6), st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_chain_seating_matches_the_loop(self, m, k, seed):
+        # most rows are unit rows, so several chains end in one sink
+        rng = np.random.default_rng(seed)
+        t = rng.integers(0, 2, size=(m, k))
+        unit = rng.random(m) < 0.7
+        t[unit] = 0
+        t[unit, rng.integers(0, k, size=int(unit.sum()))] = 1
+        perm = rng.permutation(m + k)
+        r = np.hstack([np.eye(k), t.T.astype(np.float64)])
+        canon = cutset_from_factor(r, perm, k, np.ones(m + k), 0.1, ft.NonIntegerCutset)
+        sinks, others = seat_chains_by_loop(t, perm[:k], perm[k:])
+        rows, cols = np.argsort(others), np.argsort(sinks)
+        assert canon.branch_edges == tuple((others[rows] + 1).tolist())
+        assert canon.chord_edges == tuple((sinks[cols] + 1).tolist())
+        assert np.array_equal(canon.entries[:, m:], -t[rows][:, cols])
+
     @given(
         st.integers(1, 8),
         st.integers(1, 8),
