@@ -9,9 +9,9 @@ below every other edge, which is the canonical fundamental cutset matrix
 unique arborescence with that cutset structure.  A noisy lane adds
 covariance whitening and picks the number of conservation relations by
 an eigenvalue-equality test on the whitened sample covariance; the same
-eigendecomposition's signal part picks the sinks by a pivoted QR that
-makes the same greedy choice, and that QR's triangular factor gives the
-canonical matrix as the exact lane's does, for the same realization.
+eigendecomposition's signal part gives a denoised Gram matrix of the
+scaled rows, which the exact lane's pivoted Cholesky step factors to pick
+the sinks and give the canonical matrix, for the same realization.
 ``reconstruct(data, noise=None)`` runs either lane: passing a noise model
 picks the noisy one.
 """

@@ -60,7 +60,6 @@ class SweepConfig:
     alpha: float = DEFAULT_ALPHA
     base_seed: int = 0
     max_edges: int = 300
-    noise_kind: str = "homoscedastic"
     # wall-clock allowance per cell; pathological low-SNR cells get cut off
     cell_budget_s: float | None = None
 
@@ -79,7 +78,7 @@ class SweepConfig:
                 raise InvalidArgument(f"{name} must be >= 1, got {getattr(self, name)}")
         # a value no trial can use fails here, not after the CSV header is out
         for snr in self.snr_list:
-            SnrSetting(snr, self.noise_kind)
+            SnrSetting(snr)
         object.__setattr__(self, "z_list", tuple(_integer("z_list", z) for z in self.z_list))
         if min(self.z_list) < 1:
             raise InvalidArgument(f"z_list values must be >= 1, got {min(self.z_list)}")
@@ -197,7 +196,8 @@ def find_min_z(
 
 def run_sweep(config: SweepConfig, out_path: str | Path | None = None) -> tuple[SweepRow, ...]:
     """Full protocol: per family, draw networks, scan SNR and z ascending
-    with early stop at the first all-exact z.  When out_path is given,
+    with early stop at the first all-exact z; the noise is homoscedastic,
+    one shared variance per SNR.  When out_path is given,
     rows stream to the CSV as they finish so an interrupted run leaves a
     usable partial file.  Every network is drawn before the file is
     opened, so a draw that cannot fit (``EmptySpec``) leaves no file."""
@@ -218,7 +218,7 @@ def run_sweep(config: SweepConfig, out_path: str | Path | None = None) -> tuple[
             )
         for fam_i, family, net_i, network in networks:
             for snr_value in config.snr_list:
-                snr = SnrSetting(snr_value, config.noise_kind)
+                snr = SnrSetting(snr_value)
                 found_min = False
                 for z in sorted(config.z_list):
                     acc, done, med, aborted = _run_cell(network, snr, z, config, (fam_i, net_i))

@@ -152,7 +152,7 @@ def load_noise_model(path: str | Path, edge_count: int | None = None) -> NoiseMo
         else:
             cov_file = Path(path).parent / str(doc["cov_csv"])
             cov = np.loadtxt(cov_file, delimiter=",", ndmin=2)
-        model = NoiseModel(kind=kind, covariance=cov, mean=mean)
+        model = NoiseModel(cov, mean=mean)
     except KeyError as exc:
         raise ParseError(f"{path}: missing field {exc}") from exc
     except (OSError, ValueError) as exc:
@@ -169,12 +169,13 @@ def load_noise_model(path: str | Path, edge_count: int | None = None) -> NoiseMo
 def dump_noise_model(model: NoiseModel, path: str | Path) -> None:
     path = Path(path)
     cov = model.covariance
-    if model.kind == "homoscedastic" and np.allclose(cov, cov[0, 0] * np.eye(len(cov))):
-        doc: dict[str, Any] = {"kind": model.kind, "sigma2": float(cov[0, 0])}
+    # the shared-variance form only where it reloads as the same matrix
+    if np.array_equal(cov, cov[0, 0] * np.eye(len(cov))):
+        doc: dict[str, Any] = {"kind": "homoscedastic", "sigma2": float(cov[0, 0])}
     else:
         cov_file = path.with_suffix(".cov.csv")
         np.savetxt(cov_file, cov, delimiter=",", fmt="%.12g")
-        doc = {"kind": model.kind, "cov_csv": cov_file.name}
+        doc = {"kind": "heteroscedastic", "cov_csv": cov_file.name}
     if model.mean is not None:
         doc["mean"] = [float(v) for v in model.mean]
     with open(path, "w", encoding="utf-8") as fh:

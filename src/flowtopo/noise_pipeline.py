@@ -1,20 +1,18 @@
 """Measurement-noise lane: whitening, model-order testing, and the one
 end-to-end entry point, ``reconstruct``.
 
-Both lanes pick the sink edges first, by pivoting on the largest residual
-norm of the edges' flow rows scaled to unit total, and read the canonical
-cutset ``[I | -T]`` off the triangular factor of that pivoting, through
-one reduction path (``nullspace.cutset_from_factor``).  The exact lane
-takes one pivoted Cholesky factorization of the scaled rows' e x e Gram
-matrix (``nullspace.sink_cutset``), whose diagonal gives the rank.  The
-noisy lane reads the samples once, into the e x e Gram matrix, and works
-in e x e space from there: one Cholesky factor of the error covariance
-whitens the Gram matrix from both sides, and one symmetric
-eigendecomposition of that whitened sample covariance feeds a sequential
-eigenvalue-equality test, vectorized over all candidates, that picks the
-conservation-law count m.  The e - m largest eigenpairs, less the unit
-noise floor, are the denoised signal that a pivoted QR picks the sinks
-from.  Both lanes end in the same realization, which reports the
+Both lanes pick the sink edges, and read the canonical cutset
+``[I | -T]`` off, through one pivoted Cholesky factorization of an e x e
+Gram matrix of the edges' flow rows scaled to unit total
+(``nullspace.pivoted_cutset``); the exact lane forms that matrix from the
+samples (``nullspace.sink_cutset``).  The noisy lane reads the samples
+once, into the e x e Gram matrix, and works in e x e space from there:
+one Cholesky factor of the error covariance whitens it from both sides,
+and one symmetric eigendecomposition of that whitened sample covariance
+feeds a sequential eigenvalue-equality test, vectorized over all
+candidates, that picks the conservation-law count m; the e - m largest
+eigenpairs, less the unit noise floor, give the denoised signal's Gram
+matrix.  Both lanes end in the same realization, which reports the
 equal-flow chains whose order the data cannot fix.  ``reconstruct_exact``
 and ``reconstruct_noisy`` call ``reconstruct`` for one lane each.
 
@@ -22,7 +20,8 @@ The inputs are checked once, by ``FlowDataMatrix`` and ``NoiseModel``;
 past that the noisy lane calls LAPACK directly, as ``scipy.linalg`` would
 but without its argument checks: ``dpotrf`` for the Cholesky factor,
 ``dtrtrs`` for the whitening solves (``nullspace.triangular_solve``) and
-``dgeqp3`` for the pivoted QR.  The eigendecomposition is numpy's ``eigh``.
+BLAS ``dsyrk`` for the signal's Gram matrix.  The eigendecomposition is
+numpy's ``eigh``.
 """
 
 from __future__ import annotations
@@ -46,8 +45,8 @@ from .errors import (
 from .nullspace import (
     EXACT_ZERO_TOL,
     FlowDataMatrix,
-    cutset_from_factor,
     edge_totals,
+    pivoted_cutset,
     sink_cutset,
     triangular_solve,
 )
@@ -64,19 +63,16 @@ UNDERSAMPLE_WARN_FACTOR = 5
 
 @dataclass(frozen=True)
 class NoiseModel:
-    """Additive error description: kind, covariance, optional mean.
+    """Additive error description: covariance, optional mean.
 
     The covariance must be symmetric; positive definiteness is enforced
     where the Cholesky factor is actually taken.
     """
 
-    kind: str
     covariance: np.ndarray
     mean: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.kind not in ("homoscedastic", "heteroscedastic"):
-            raise InvalidArgument(f"unknown noise kind {self.kind!r}")
         cov = np.asarray(self.covariance, dtype=np.float64)
         cov.setflags(write=False)
         object.__setattr__(self, "covariance", cov)
@@ -104,14 +100,14 @@ class NoiseModel:
     def isotropic(cls, sigma2: float, edge_count: int) -> "NoiseModel":
         if sigma2 <= 0:
             raise InvalidArgument("sigma2 must be positive")
-        return cls(kind="homoscedastic", covariance=sigma2 * np.eye(edge_count))
+        return cls(sigma2 * np.eye(edge_count))
 
     @classmethod
     def per_edge(cls, variances: np.ndarray) -> "NoiseModel":
         var = np.asarray(variances, dtype=np.float64)
         if var.ndim != 1 or np.any(var <= 0):
             raise InvalidArgument("need a vector of positive per-edge variances")
-        return cls(kind="heteroscedastic", covariance=np.diag(var))
+        return cls(np.diag(var))
 
 
 @dataclass(frozen=True)
@@ -283,22 +279,20 @@ def estimate_model_order(whitened: FlowDataMatrix, alpha: float = DEFAULT_ALPHA)
 
 def _noisy_cutset(
     y: np.ndarray, lower: np.ndarray, lams: np.ndarray, vecs: np.ndarray, m: int
-) -> CanonicalCutsetMatrix:
-    """The canonical cutset from the order test's eigendecomposition of the
-    whitened sample covariance, sinks first.
+) -> tuple[CanonicalCutsetMatrix, np.ndarray]:
+    """The canonical cutset and pivot magnitudes from the order test's
+    eigendecomposition of the whitened sample covariance.
 
     The e - m largest eigenpairs, less the unit noise floor of whitened
     errors, estimate the signal: with D the edge totals,
     ``F = D^-1 L U_s diag(sqrt(lam_s - 1))`` has ``F F^T`` close to the
-    Gram matrix of the flow rows scaled to unit total (over n_s), so QR
-    with column pivoting of ``F^T`` picks the sinks as
-    ``nullspace.sink_cutset``'s pivoted Cholesky factorization does on
-    noise-free rows, and its ``R`` gives the shares of the sink flows
-    (``nullspace.cutset_from_factor``), with the order test's e - m as rank.
+    Gram matrix of the flow rows scaled to unit total (over n_s), which
+    ``nullspace.pivoted_cutset`` factors with the exact lane's cutoff.
 
     Raises:
         SnapFailure: the weakest signal eigenvalue is not above the unit
-            noise floor, or a share does not snap.
+            noise floor, the cutoff keeps other than the order test's
+            e - m pivots, or a share does not snap.
     """
     e = y.shape[0]
     try:
@@ -315,14 +309,9 @@ def _noisy_cutset(
         )
     signal = vecs[:, m:] * np.sqrt(lams[m:] - 1.0)
     factor = (lower @ signal) / totals[:, None]
-    # LAPACK dgeqp3 on F^T (Fortran-ordered, overwritten) at the workspace
-    # it asks for, as scipy.linalg.qr calls it; R is its upper triangle, and
-    # cutset_from_factor reads no entry below it
-    work = sla.lapack.dgeqp3(factor.T, lwork=-1, overwrite_a=1)[-2]
-    r, jpvt, _, _, info = sla.lapack.dgeqp3(factor.T, lwork=int(work[0]), overwrite_a=1)
-    if info < 0:
-        raise ValueError(f"illegal value in {-info}th argument of internal geqp3")
-    return cutset_from_factor(r, jpvt - 1, e - m, totals, DEFAULT_SNAP_BAND, SnapFailure)
+    # F F^T by BLAS dsyrk through F's Fortran-ordered view F^T, uncopied
+    gram = sla.blas.dsyrk(1.0, factor.T, trans=1)
+    return pivoted_cutset(gram, totals, EXACT_ZERO_TOL, DEFAULT_SNAP_BAND, SnapFailure, e - m)
 
 
 def reconstruct(
@@ -334,25 +323,26 @@ def reconstruct(
 ) -> ReconstructionResult:
     """Reconstruct the arborescence behind the samples.
 
-    ``noise`` picks the lane.  Without a noise model, one pivoted Cholesky
-    factorization of the Gram matrix of the samples, each edge scaled to
-    unit total, gives the canonical cutset directly
-    (``nullspace.sink_cutset``): pivots whose ``U_kk`` exceeds ``zero_tol``
-    (default ``EXACT_ZERO_TOL = 1e-6``, at least ``ZERO_TOL_FLOOR = 1e-7``)
-    times ``U_00`` are the sink edges, the rest the branches.  The Gram
-    matrix squares the condition number, so flows whose sink samples vary
-    by less than about 1e-5 of their mean look equal and fail to snap.
+    ``noise`` picks the lane.  Both pick the sinks by one pivoted Cholesky
+    factorization of a Gram matrix of the edges' flow rows scaled to unit
+    total (``nullspace.pivoted_cutset``): pivots whose ``U_kk`` exceeds a
+    cutoff times ``U_00`` are the sink edges, the rest the branches, and
     ``diagnostics`` adds those ``pivot_norms`` (with the refused pivot
-    after them).  With a noise model, the samples are read once, into the
-    e x e Gram matrix ``G = Y Y^T / n_s`` (less any declared mean, as in
+    after them).  Without a noise model the Gram matrix comes from the
+    samples (``nullspace.sink_cutset``) and the cutoff is ``zero_tol``
+    (default ``EXACT_ZERO_TOL = 1e-6``, at least ``ZERO_TOL_FLOOR = 1e-7``);
+    forming it squares the condition number, so flows whose sink samples
+    vary by less than about 1e-5 of their mean look equal and fail to
+    snap.  With a noise model, the samples are read once, into the e x e
+    Gram matrix ``G = Y Y^T / n_s`` (less any declared mean, as in
     ``whiten``), which the one Cholesky factor ``L`` of the error
     covariance whitens from both sides: ``L^-1 G L^-T`` equals
     ``estimate_model_order``'s covariance of ``whiten(data, noise)``
-    without forming the e x n_s whitened samples.  The order test at level ``alpha`` picks the law
-    count m; its e - m largest eigenpairs, less the noise floor, pick the
-    sinks by a pivoted QR whose ``R`` gives the canonical cutset;
-    ``diagnostics`` adds the order test's ``rank_test`` and the
-    ``singular_values``.  Both lanes end in ``realize_topology``, whose
+    without forming the e x n_s whitened samples.  The order test at level
+    ``alpha`` picks the law count m (``diagnostics`` adds its
+    ``rank_test``), its e - m largest eigenpairs, less the noise floor,
+    give the Gram matrix, and the cutoff ``EXACT_ZERO_TOL`` must keep
+    e - m pivots.  Both lanes end in ``realize_topology``, whose
     ``diagnostics`` give the ``canonical`` matrix and the ``chain_groups``
     of equal-flow edges, whose order the data cannot fix and the
     ordered-label convention settles; a caller that must refuse such an
@@ -371,7 +361,7 @@ def reconstruct(
         NonIntegerCutset, SnapFailure: a sink share falls outside the
             exact or the noisy lane's snap band, is not finite, or snaps
             to -1; SnapFailure also when a noisy signal eigenvalue is not
-            above the noise floor.
+            above the noise floor, or the cutoff keeps other than e - m.
         NotArborescence: the chord sets are not nested the way an
             arborescence requires.
     """
@@ -390,12 +380,8 @@ def reconstruct(
         report, lams, vecs = _order_test(
             s_y, data.sample_count, DEFAULT_ALPHA if alpha is None else alpha
         )
-        canon = _noisy_cutset(y, lower, lams, vecs, report.chosen_m)
-        # singular values of Y_s / sqrt(n_s), recovered from its Gram spectrum
-        extra = {
-            "rank_test": report,
-            "singular_values": tuple(np.sqrt(lams[::-1]).tolist()),
-        }
+        canon, pivot_norms = _noisy_cutset(y, lower, lams, vecs, report.chosen_m)
+        extra = {"rank_test": report, "pivot_norms": pivot_norms}
     result = realize_topology(canon)
     return replace(result, diagnostics={**result.diagnostics, **extra})
 

@@ -2,23 +2,19 @@
 
 Every edge flow is a 0/1 sum of sink flows, so after scaling each edge's
 samples to unit total, a greedy pivot on the largest residual norm picks
-the sink edges.  Neither lane needs a null basis.  The exact lane takes
-one pivoted Cholesky factorization of the e x e Gram matrix of the scaled
-rows, ``G / (s s^T)`` from the raw samples' ``G = X X^T`` and the edge
-totals ``s``, so the scaled rows are never formed: it makes those pivot
-choices and its diagonal gives the rank (:func:`sink_cutset`).  The noisy
-lane picks its sinks the same way, by a pivoted QR of the signal part of
-the whitened covariance (``noise_pipeline``).  Either triangular factor
-also says which sinks lie below every other edge: :func:`cutset_from_factor`
-reads the shares off it, snaps them and emits the canonical cutset matrix
-``[I | -T]``.  The data cannot order the edges of an equal-flow chain;
-where one ends in a sink, the chain's largest label takes the sink's
-seat, and realization orders and reports every chain by that same
-ordered-label convention.
-Both lanes call BLAS and LAPACK directly on inputs ``FlowDataMatrix``
-has checked: ``dsyrk`` for the exact lane's Gram matrix, ``dpstrf`` for
-its factorization and ``dtrtrs`` (:func:`triangular_solve`) for the
-shares ``R11^-1 R12`` in either lane.
+the sink edges.  Neither lane needs a null basis: both take one pivoted
+Cholesky factorization of an e x e Gram matrix of the scaled rows
+(:func:`pivoted_cutset`), whose pivots are the sinks, whose diagonal gives
+the rank, and whose triangular factor gives the canonical cutset matrix
+``[I | -T]`` (:func:`cutset_from_factor`).  The exact lane's Gram matrix
+comes from the raw samples (:func:`sink_cutset`), the noisy lane's from
+the signal part of the whitened covariance (``noise_pipeline``).  The
+data cannot order the edges of an equal-flow chain; where one ends in a
+sink, the chain's largest label takes the sink's seat, and realization
+orders and reports every chain by that same ordered-label convention.
+Both lanes call BLAS and LAPACK directly on checked inputs: ``dsyrk`` for
+their Gram matrices, ``dpstrf`` for the factorization and ``dtrtrs``
+(:func:`triangular_solve`) for the shares ``U11^-1 U12``.
 
 The staged route, which neither lane takes any more, works from a basis
 of the conservation laws.  The samples of a conserved network lie in the
@@ -53,10 +49,11 @@ from .errors import (
 from .graph_model import CutsetMatrix
 
 DEFAULT_ZERO_TOL = 1e-10
-# The exact lane's cutoff on |U_kk| / |U_00| of the pivoted Cholesky factor.
+# The cutoff on |U_kk| / |U_00| of the pivoted Cholesky factor, in both lanes.
 # Forming the Gram matrix squares the condition number, so a pivot that is
 # zero in exact arithmetic comes out near sqrt(eps), about 2-5e-8 of the
-# first; true sink pivots stay above 5e-2 of it on the generator families.
+# first; true sink pivots stay above 5e-2 of it on the generator families
+# without noise, and above 5e-4 of it in the noisy lane's signal part.
 EXACT_ZERO_TOL = 1e-6
 # cutoffs below this would count rounding in the Gram matrix as rank
 ZERO_TOL_FLOOR = 1e-7
@@ -190,35 +187,20 @@ def estimate_null_basis(data: FlowDataMatrix, zero_tol: float = DEFAULT_ZERO_TOL
 def sink_cutset(
     data: FlowDataMatrix, zero_tol: float = EXACT_ZERO_TOL
 ) -> tuple[CanonicalCutsetMatrix, np.ndarray]:
-    """The canonical cutset of noise-free data from one pivoted Cholesky
-    factorization.
+    """The canonical cutset of noise-free data, by :func:`pivoted_cutset`
+    on the Gram matrix ``Gn`` of the rows scaled to unit l1 norm.
 
-    Every edge flow is a 0/1 sum of sink flows, ``X = T X_S``.  Scaled to
-    unit l1 norm, the rows of X all lie in the simplex spanned by the sink
-    rows, so pivoting on the largest residual norm takes the sinks first
-    (the successive projection algorithm for separable NMF).  Those norms
-    depend only on the Gram matrix ``Gn = Xn Xn^T`` of the scaled rows,
-    which is ``G / (s s^T)`` with ``G = X X^T`` and ``s`` the edge totals,
+    ``Gn`` is ``G / (s s^T)`` with ``G = X X^T`` and ``s`` the edge totals,
     so it is taken from the raw samples with no e x n_s copy of them (only
     data beyond about 1e150 or below 1e-150 is copied, rescaled by powers
-    of two; see :func:`_unit_total_gram`).  Its pivoted Cholesky
-    factorization ``P^T Gn P = U^T U`` (LAPACK ``dpstrf``) makes the same
-    choices as QR with column pivoting of ``Xn^T``, with ``U`` equal to
-    that QR's ``R`` up to signs.  It stops at the first pivot with
-    ``U_kk`` at or below ``zero_tol`` times ``U_00``: the pivots before it
-    are the sinks, the other m edges carry the laws, and
-    :func:`cutset_from_factor` reads T off ``U`` and emits ``[I | -T]``;
-    among equal flows the pivot follows rounding, and it settles which
-    edge of an equal-flow chain is the sink.
+    of two; see :func:`_unit_total_gram`).  Squaring the condition number
+    puts a pivot that is zero in exact arithmetic near ``sqrt(eps)`` of the
+    first, so ``zero_tol`` must be at least ``ZERO_TOL_FLOOR``, and flows
+    whose sink samples vary by less than about 1e-5 of their mean cannot
+    be told apart from equal flows.
 
-    Squaring the condition number puts a pivot that is zero in exact
-    arithmetic near ``sqrt(eps)`` of the first, so ``zero_tol`` must be at
-    least ``ZERO_TOL_FLOOR``, and flows whose sink samples vary by less
-    than about 1e-5 of their mean cannot be told apart from equal flows.
-
-    Returns the canonical cutset and the pivot magnitudes ``U_kk``, with
-    the refused pivot (the largest diagonal left in the trailing block) at
-    index ``e - m`` and zeros after it.
+    Returns the canonical cutset and the pivot magnitudes, the refused
+    pivot at index ``e - m``.
 
     Raises:
         InvalidArgument: ``zero_tol`` is below ``ZERO_TOL_FLOOR`` or not
@@ -234,23 +216,55 @@ def sink_cutset(
             f"zero_tol must lie in [{ZERO_TOL_FLOOR:g}, 1), got {zero_tol:g}; the Gram "
             "matrix resolves pivots only down to about 1e-8 of the first"
         )
-    x = data.entries
-    e = x.shape[0]
-    sums = edge_totals(x)
-    gram = _unit_total_gram(x, sums)
+    sums = edge_totals(data.entries)
+    gram = _unit_total_gram(data.entries, sums)
+    return pivoted_cutset(gram, sums, zero_tol, DEFAULT_ROUND_TOL, NonIntegerCutset)
+
+
+def pivoted_cutset(
+    gram: np.ndarray, totals: np.ndarray, zero_tol: float, band: float, error_cls: type,
+    rank: int | None = None,
+) -> tuple[CanonicalCutsetMatrix, np.ndarray]:
+    """The canonical cutset from one pivoted Cholesky factorization of
+    ``Gn``, the Gram matrix of the edges' unit-total flow rows up to a
+    common factor (its upper triangle read and overwritten), in both lanes.
+
+    Every edge flow is a 0/1 sum of sink flows, ``X = T X_S``, so the
+    scaled rows all lie in the simplex spanned by the sink rows, and
+    pivoting on the largest residual norm takes the sinks first (the
+    successive projection algorithm for separable NMF).  LAPACK ``dpstrf``,
+    ``P^T Gn P = U^T U``, makes the same choices as QR with column pivoting
+    of the scaled rows, whose ``R`` its ``U`` equals up to signs; among
+    equal flows the pivot follows rounding, and it settles which edge of
+    an equal-flow chain is the sink.  It stops at the first ``U_kk`` at or
+    below ``zero_tol`` times ``U_00``, and :func:`cutset_from_factor` reads
+    the shares off ``U``.  ``rank`` is the sink count the caller already
+    knows (the noisy lane's order test), which the cutoff must keep.
+
+    Returns the cutset and the pivot magnitudes ``U_kk``: the sinks', the
+    refused one (the trailing block's largest diagonal), then zeros.
+
+    Raises:
+        RankZero: every pivot clears the cutoff.
+        error_cls: the cutoff keeps other than ``rank`` pivots, or a share
+            does not snap within ``band`` (:func:`cutset_from_factor`).
+    """
+    e = gram.shape[0]
     diag = gram.diagonal().copy()
-    u, piv, rank, _ = sla.lapack.dpstrf(gram, tol=zero_tol**2 * diag.max(), overwrite_a=True)
-    if rank == e:
+    u, piv, found, _ = sla.lapack.dpstrf(gram, tol=zero_tol**2 * diag.max(), overwrite_a=True)
+    if found == e:
         raise RankZero("no conservation relation found at the given tolerance")
+    if rank not in (None, found):
+        raise error_cls(f"the pivot cutoff keeps {found} sinks, but the order test found {rank}")
     piv = piv.astype(np.intp) - 1
     # dpstrf leaves the trailing block unfactored; the pivot it refused is
     # the largest diagonal of that block's Schur complement
     norms = np.zeros(e)
-    norms[:rank] = np.diagonal(u)[:rank]
-    u12 = u[:rank, rank:]
-    norms[rank] = np.sqrt(max((diag[piv[rank:]] - np.einsum("ij,ij->j", u12, u12)).max(), 0.0))
+    norms[:found] = np.diagonal(u)[:found]
+    u12 = u[:found, found:]
+    norms[found] = np.sqrt(max((diag[piv[found:]] - np.einsum("ij,ij->j", u12, u12)).max(), 0.0))
     norms.setflags(write=False)
-    return cutset_from_factor(u, piv, rank, sums, DEFAULT_ROUND_TOL, NonIntegerCutset), norms
+    return cutset_from_factor(u, piv, found, totals, band, error_cls), norms
 
 
 def _unit_total_gram(x: np.ndarray, sums: np.ndarray) -> np.ndarray:
@@ -304,9 +318,8 @@ def cutset_from_factor(
     that picked the sinks, shared by both lanes.
 
     ``r`` factors the edges' flow rows scaled to unit total, columns in
-    pivot order (the exact lane's Cholesky ``U``, the noisy lane's QR
-    ``R`` as ``dgeqp3`` leaves it, reflectors below the diagonal); only
-    the upper triangle of its first ``rank`` rows is read.  ``piv`` gives
+    pivot order (the Cholesky ``U`` of :func:`pivoted_cutset`); only the
+    upper triangle of its first ``rank`` rows is read.  ``piv`` gives
     each column's 0-based edge, ``totals`` each edge's total.  The first
     ``rank`` pivots are the sinks.  Scaled rows
     obey ``x_j / s_j = sum_i W_ij x_i / s_i`` with ``W = R11^-1 R12``, so
@@ -328,8 +341,7 @@ def cutset_from_factor(
     labels = piv.copy()
     sinks, others = labels[:rank], labels[rank:]
     # W = R11^-1 R12 straight off the Fortran-ordered factor: its leading
-    # columns go to LAPACK uncopied, which reads only R11's upper triangle,
-    # so any reflectors below it are ignored
+    # columns go to LAPACK uncopied, which reads only R11's upper triangle
     w = triangular_solve(r[:, :rank], r[:rank, rank:], lower=False)
     w *= totals[others]
     w /= totals[sinks, None]

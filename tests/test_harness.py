@@ -82,7 +82,6 @@ class TestSweep:
     @pytest.mark.parametrize("setting, message", [
         ({"snr_list": (10.0, -1.0)}, "snr must be a finite number > 0"),
         ({"snr_list": (float("nan"),)}, "snr must be a finite number > 0"),
-        ({"noise_kind": "pink"}, "unknown noise kind"),
         ({"z_list": (0, 1)}, "z_list values must be >= 1"),
     ])
     def test_values_no_trial_can_use_rejected_before_the_run(self, setting, message):

@@ -139,9 +139,9 @@ class TestNoiseModelJson:
         model = ft.NoiseModel.isotropic(0.75, 5)
         path = tmp_path / "noise.json"
         ftio.dump_noise_model(model, path)
+        assert json.loads(path.read_text()) == {"kind": "homoscedastic", "sigma2": 0.75}
         back = ftio.load_noise_model(path, edge_count=5)
-        assert back.kind == model.kind
-        assert np.allclose(back.covariance, model.covariance)
+        assert np.array_equal(back.covariance, model.covariance)
 
     def test_shared_variance_needs_edge_count(self, tmp_path):
         path = tmp_path / "noise.json"
@@ -154,9 +154,18 @@ class TestNoiseModelJson:
         path = tmp_path / "noise.json"
         ftio.dump_noise_model(model, path)
         assert (tmp_path / "noise.cov.csv").exists()
+        assert json.loads(path.read_text()) == {"kind": "heteroscedastic", "cov_csv": "noise.cov.csv"}
         back = ftio.load_noise_model(path)
-        assert back.kind == "heteroscedastic"
-        assert np.allclose(back.covariance, model.covariance)
+        assert np.array_equal(back.covariance, model.covariance)
+
+    def test_near_shared_variance_keeps_its_covariance(self, tmp_path):
+        # within np.allclose of 1 * I, but not equal to it: the shared-
+        # variance form would reload as the identity
+        cov = np.diag([1.0, 1.000004, 1.0])
+        cov[0, 1] = cov[1, 0] = 5e-9
+        path = tmp_path / "noise.json"
+        ftio.dump_noise_model(ft.NoiseModel(cov), path)
+        assert np.array_equal(ftio.load_noise_model(path, edge_count=3).covariance, cov)
 
     def test_covariance_size_checked_against_edge_count(self, tmp_path):
         path = tmp_path / "noise.json"
@@ -446,7 +455,7 @@ class TestCli:
                      "--seed", "2", "--snr", "1000", "--out", str(tmp_path / "run")])
         edges = ftio.load_network(net_path).edge_count
         ftio.dump_noise_model(
-            ft.NoiseModel.per_edge(np.ones(edges + 1)), tmp_path / "wrong.noise.json"
+            ft.NoiseModel.per_edge(np.arange(1.0, edges + 2)), tmp_path / "wrong.noise.json"
         )
         assert main(["reconstruct", "--data", str(tmp_path / "run.csv"),
                      "--noise", str(tmp_path / "wrong.noise.json")]) == 2

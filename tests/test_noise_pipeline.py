@@ -197,26 +197,22 @@ def svd_reference(data: ft.FlowDataMatrix, noise: ft.NoiseModel) -> tuple[int, t
 
 
 class TestNoiseModel:
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            ft.NoiseModel(kind="colored", covariance=np.eye(2))
-
     def test_non_square(self):
         with pytest.raises(ValueError):
-            ft.NoiseModel(kind="homoscedastic", covariance=np.ones((2, 3)))
+            ft.NoiseModel(np.ones((2, 3)))
 
     def test_asymmetric(self):
         with pytest.raises(ValueError):
-            ft.NoiseModel(kind="homoscedastic", covariance=np.array([[1.0, 0.5], [0.0, 1.0]]))
+            ft.NoiseModel(np.array([[1.0, 0.5], [0.0, 1.0]]))
 
     @pytest.mark.parametrize("rel, accepted", [(5e-9, True), (1e-6, False)])
     def test_symmetry_tolerance(self, rel, accepted):
         cov = np.array([[4.0, 1.0], [1.0 + rel, 3.0]])
         if accepted:
-            ft.NoiseModel(kind="homoscedastic", covariance=cov)
+            ft.NoiseModel(cov)
         else:
             with pytest.raises(ft.InvalidArgument, match="symmetric"):
-                ft.NoiseModel(kind="homoscedastic", covariance=cov)
+                ft.NoiseModel(cov)
 
     @pytest.mark.parametrize("scale", [1e-4, 1.0, 1e6])
     def test_symmetry_rule_is_allclose(self, scale):
@@ -225,7 +221,7 @@ class TestNoiseModel:
         for rel in np.geomspace(1e-9, 1e-7, 81):
             cov = scale * np.array([[4.0, 1.0], [1.0 + rel, 3.0]])
             try:
-                ft.NoiseModel(kind="homoscedastic", covariance=cov)
+                ft.NoiseModel(cov)
                 accepted = True
             except ft.InvalidArgument:
                 accepted = False
@@ -233,11 +229,10 @@ class TestNoiseModel:
 
     def test_non_finite(self):
         with pytest.raises(ValueError):
-            ft.NoiseModel(kind="homoscedastic", covariance=np.array([[np.inf]]))
+            ft.NoiseModel(np.array([[np.inf]]))
 
     def test_isotropic(self):
         model = ft.NoiseModel.isotropic(2.5, 4)
-        assert model.kind == "homoscedastic"
         assert model.edge_count == 4
         assert np.array_equal(model.covariance, 2.5 * np.eye(4))
 
@@ -247,7 +242,6 @@ class TestNoiseModel:
 
     def test_per_edge(self):
         model = ft.NoiseModel.per_edge(np.array([1.0, 4.0]))
-        assert model.kind == "heteroscedastic"
         assert np.array_equal(model.covariance, np.diag([1.0, 4.0]))
 
     def test_per_edge_rejects_nonpositive(self):
@@ -256,7 +250,7 @@ class TestNoiseModel:
 
     def test_mean_length_checked(self):
         with pytest.raises(ValueError):
-            ft.NoiseModel(kind="homoscedastic", covariance=np.eye(2), mean=np.zeros(3))
+            ft.NoiseModel(np.eye(2), mean=np.zeros(3))
 
 
 class TestWhiten:
@@ -270,7 +264,7 @@ class TestWhiten:
         rng = np.random.default_rng(0)
         a = rng.standard_normal((4, 4))
         cov = a @ a.T + 0.5 * np.eye(4)
-        model = ft.NoiseModel(kind="heteroscedastic", covariance=cov)
+        model = ft.NoiseModel(cov)
         noise = rng.multivariate_normal(np.zeros(4), cov, size=6000).T
         out = ft.whiten(ft.FlowDataMatrix(noise), model)
         sample_cov = out.entries @ out.entries.T / 6000
@@ -278,8 +272,7 @@ class TestWhiten:
 
     def test_nonzero_mean_subtracted_with_warning(self):
         data = ft.FlowDataMatrix(np.full((2, 5), 7.0))
-        model = ft.NoiseModel(
-            kind="homoscedastic", covariance=np.eye(2), mean=np.array([7.0, 7.0])
+        model = ft.NoiseModel(np.eye(2), mean=np.array([7.0, 7.0])
         )
         with pytest.warns(UserWarning):
             out = ft.whiten(data, model)
@@ -292,7 +285,7 @@ class TestWhiten:
 
     def test_degenerate_covariance(self):
         data = ft.FlowDataMatrix(np.ones((2, 5)))
-        model = ft.NoiseModel(kind="homoscedastic", covariance=np.ones((2, 2)))
+        model = ft.NoiseModel(np.ones((2, 2)))
         with pytest.raises(ft.NotPositiveDefinite):
             ft.whiten(data, model)
 
@@ -300,7 +293,7 @@ class TestWhiten:
         cov = np.array([[4.0, 1.0, 0.0], [1.0, 4.0, 2.0], [0.0, 2.0, 1.0]])
         with pytest.raises(np.linalg.LinAlgError) as scipy_error:
             sla.cholesky(cov, lower=True)
-        model = ft.NoiseModel(kind="heteroscedastic", covariance=cov)
+        model = ft.NoiseModel(cov)
         want = f"covariance is not positive definite: {scipy_error.value}"
         with pytest.raises(ft.NotPositiveDefinite, match=re.escape(want)):
             ft.whiten(ft.FlowDataMatrix(np.ones((3, 5))), model)
@@ -411,7 +404,8 @@ class TestReconstructNoisy:
         report = result.diagnostics["rank_test"]
         assert isinstance(report, ft.RankTestReport)
         assert report.chosen_m == len(net.internal_nodes)
-        assert len(result.diagnostics["singular_values"]) == e
+        assert len(report.eigenvalues) == e
+        assert set(result.diagnostics) == {"canonical", "chain_groups", "rank_test", "pivot_norms"}
 
     def test_warnings_name_the_caller(self):
         net = binary_net()
@@ -432,7 +426,7 @@ class TestReconstructNoisy:
         noisy, model = ft.add_noise(
             data, ft.SnrSetting(500.0, kind="heteroscedastic"), seed=32
         )
-        assert model.kind == "heteroscedastic"
+        assert len(set(np.diag(model.covariance))) > 1
         result = ft.reconstruct_noisy(noisy, model)
         assert ft.verify_against_truth(result, net)
 
@@ -450,10 +444,10 @@ class TestReconstructNoisy:
 
     @pytest.mark.parametrize("family", ft.synth.FAMILIES)
     def test_shares_match_law_solve(self, family, monkeypatch):
-        # the shares read off the pivoted QR's R equal -N_B^-1 N_C on the
-        # laws N, the null vectors mapped back by L^-T
+        # the shares read off the pivoted Cholesky factor equal -N_B^-1 N_C
+        # on the laws N, the null vectors mapped back by L^-T
         seen = {}
-        real_factor, real_snap = noise_pipeline.cutset_from_factor, nullspace.snap_signed_units
+        real_factor, real_snap = nullspace.cutset_from_factor, nullspace.snap_signed_units
 
         def factor(r, piv, rank, *args):
             seen["sinks"], seen["others"] = piv[:rank].copy(), piv[rank:].copy()
@@ -463,7 +457,7 @@ class TestReconstructNoisy:
             seen["shares"] = np.array(values)
             return real_snap(values, *args)
 
-        monkeypatch.setattr(noise_pipeline, "cutset_from_factor", factor)
+        monkeypatch.setattr(nullspace, "cutset_from_factor", factor)
         monkeypatch.setattr(nullspace, "snap_signed_units", snap)
         children = (3, 7) if family == "fat_short" else None
         for seed in (0, 1, 2):
@@ -476,20 +470,55 @@ class TestReconstructNoisy:
             want = -np.linalg.solve(laws[:, seen["others"]], laws[:, seen["sinks"]])
             np.testing.assert_allclose(seen["shares"], want, rtol=0, atol=1e-9)
 
-    def test_one_pivoted_qr_and_no_solve(self, monkeypatch):
-        # one dgeqp3 factorization; its lwork = -1 workspace query is no QR
-        real, calls = sla.lapack.dgeqp3, []
+    def test_one_pivoted_cholesky_and_no_solve(self, monkeypatch):
+        # both lanes pick their sinks by one dpstrf call, with no pivoted QR
+        real, calls = sla.lapack.dpstrf, []
 
         def counted(*args, **kwargs):
-            calls.append(kwargs)
+            calls.append(args[0].shape)
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(sla.lapack, "dgeqp3", counted)
+        monkeypatch.setattr(sla.lapack, "dpstrf", counted)
+        monkeypatch.setattr(sla.lapack, "dgeqp3", lambda *a, **k: pytest.fail("dgeqp3 called"))
         monkeypatch.setattr(np.linalg, "solve", lambda *a, **k: pytest.fail("solve called"))
         net = binary_net()
-        noisy, model = noisy_sample(net, 50, 100.0, seed=3)
-        assert ft.verify_against_truth(ft.reconstruct_noisy(noisy, model), net)
-        assert len([c for c in calls if c.get("lwork") != -1]) == 1
+        e = net.edge_count
+        data = ft.sample_flows(net, ft.FlowSamplerConfig(n_s=50 * e, seed=3))
+        noisy, model = ft.add_noise(data, ft.SnrSetting(100.0), seed=103)
+        for lane in (lambda: ft.reconstruct_exact(data), lambda: ft.reconstruct_noisy(noisy, model)):
+            calls.clear()
+            assert ft.verify_against_truth(lane(), net)
+            assert calls == [(e, e)]
+
+    @pytest.mark.parametrize("family", ft.synth.FAMILIES)
+    def test_pivot_norms_straddle_the_cutoff(self, family):
+        # the sinks' pivots clear the cutoff, the refused one after them
+        # does not, and it falls at the order test's e - m
+        children = (3, 7) if family == "fat_short" else None
+        for seed in (0, 1, 2):
+            net = ft.generate_within(family, seed, max_edges=40, children_range=children)
+            noisy, model = noisy_sample(net, 50, 100.0, seed)
+            result = ft.reconstruct_noisy(noisy, model)
+            norms = result.diagnostics["pivot_norms"]
+            e, m = net.edge_count, result.diagnostics["rank_test"].chosen_m
+            assert m == len(net.internal_nodes)
+            assert norms.shape == (e,)
+            cutoff = ft.nullspace.EXACT_ZERO_TOL * norms[0]
+            assert norms[e - m - 1] > cutoff >= norms[e - m] > 0
+            assert not norms[e - m + 1 :].any()
+
+    def test_cutoff_must_keep_the_order_tests_count(self):
+        # two signal directions, one of them 1e-7 of the other: three
+        # rows are parallel and a fourth nearly so, so the pivot cutoff
+        # keeps one sink where the order test left two
+        e, m = 4, 2
+        f = 1e4 * np.array([[1.0, 0.0], [1.0, 1e-7], [1.0, 0.0], [1.0, 0.0]])
+        u, s, _ = np.linalg.svd(f)
+        lams = np.concatenate([[0.9, 0.95], 1.0 + s[::-1] ** 2])
+        vecs = np.concatenate([u[:, m:], u[:, m - 1 :: -1]], axis=1)
+        assert lams[m] > 1.0
+        with pytest.raises(ft.SnapFailure, match="keeps 1 sinks, but the order test found 2"):
+            noise_pipeline._noisy_cutset(np.ones((e, 1)), np.eye(e), lams, vecs, m)
 
     def test_no_scipy_wrapper_on_either_lane(self, monkeypatch):
         # both lanes and whiten call LAPACK directly, never the checked
@@ -538,7 +567,7 @@ class TestReconstructNoisy:
         cov *= data.entries.var(axis=1).mean() / (100.0 * np.diag(cov).mean())
         noise = np.linalg.cholesky(cov) @ rng.standard_normal((e, data.sample_count))
         noisy = ft.FlowDataMatrix(data.entries + noise)
-        model = ft.NoiseModel(kind="heteroscedastic", covariance=cov)
+        model = ft.NoiseModel(cov)
         assert np.count_nonzero(cov - np.diag(np.diag(cov))) == e * (e - 1)
         result = ft.reconstruct_noisy(noisy, model)
         report, edges = whitened_reference(noisy, model)
@@ -555,7 +584,7 @@ class TestReconstructNoisy:
         noisy, model = ft.add_noise(data, ft.SnrSetting(1000.0), seed=52)
         mean = np.linspace(0.5, 2.0, e)
         offset = ft.FlowDataMatrix(noisy.entries + mean[:, None])
-        model = ft.NoiseModel(kind=model.kind, covariance=model.covariance, mean=mean)
+        model = ft.NoiseModel(model.covariance, mean=mean)
         with pytest.warns(UserWarning, match="nonzero error mean"):
             result = ft.reconstruct_noisy(offset, model)
         with pytest.warns(UserWarning, match="nonzero error mean"):
@@ -568,7 +597,7 @@ class TestReconstructNoisy:
 
     def test_degenerate_covariance(self):
         data = ft.FlowDataMatrix(np.ones((2, 5)), allow_undersampled=True)
-        model = ft.NoiseModel(kind="homoscedastic", covariance=np.ones((2, 2)))
+        model = ft.NoiseModel(np.ones((2, 2)))
         with pytest.raises(ft.NotPositiveDefinite):
             ft.reconstruct_noisy(data, model)
 
@@ -691,7 +720,7 @@ class TestReconstructExact:
             norms = result.diagnostics["pivot_norms"]
             e, m = net.edge_count, result.diagnostics["canonical"].m
             assert m == len(net.internal_nodes)
-            assert "singular_values" not in result.diagnostics
+            assert set(result.diagnostics) == {"canonical", "chain_groups", "pivot_norms"}
             # the rank gap at the chosen m: the sinks' pivots clear the
             # cutoff, the refused pivot after them does not, zeros pad the rest
             assert norms.shape == (e,)
@@ -840,7 +869,7 @@ def test_lanes_run_none_of_the_staged_stages(monkeypatch):
     lambda: ft.FlowDataMatrix(np.full((2, 5), np.nan)),
     lambda: ft.NoiseModel.isotropic(0.0, 3),
     lambda: ft.NoiseModel.per_edge(np.array([1.0, -1.0])),
-    lambda: ft.NoiseModel("pink", np.eye(2)),
+    lambda: ft.SnrSetting(10.0, kind="pink"),
     lambda: ft.FlowSamplerConfig(n_s=0, seed=1),
     lambda: ft.SnrSetting(0.0),
     lambda: ft.ArborescenceSpec("binary", (3, 1), (2, 2), seed=0),
