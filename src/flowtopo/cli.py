@@ -307,9 +307,7 @@ def _cmd_bench(args) -> int:
         "slope_cutset": bench.slope_cutset,
     }
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=1)
-            fh.write("\n")
+        io.write_json(doc, args.out)
     print(
         f"total slope {bench.slope_total:.2f}, "
         f"alg2-vs-m slope {bench.slope_alg2_vs_m:.2f}, "

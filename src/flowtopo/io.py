@@ -68,11 +68,14 @@ def load_network(path: str | Path) -> FlowNetwork:
         raise ParseError(f"{path}: {exc}") from exc
 
 
-def dump_network(network: FlowNetwork, path: str | Path) -> None:
-    doc = {"nodes": network.node_count, "edges": [list(edge) for edge in network.edges]}
+def write_json(doc: Any, path: str | Path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=1)
         fh.write("\n")
+
+
+def dump_network(network: FlowNetwork, path: str | Path) -> None:
+    write_json({"nodes": network.node_count, "edges": [list(e) for e in network.edges]}, path)
 
 
 def load_data_csv(
@@ -129,10 +132,10 @@ def dump_data_csv(data: FlowDataMatrix, path: str | Path, transposed: bool = Fal
 
 
 def load_noise_model(path: str | Path, edge_count: int | None = None) -> NoiseModel:
-    """Noise JSON: {"kind": ..., "sigma2": v} for shared variance, or
-    {"kind": "hetero", "cov_csv": file} with a covariance grid resolved
-    relative to the JSON file; optional "mean".  When ``edge_count`` is
-    given, the covariance and the mean must have that many edges."""
+    """Noise JSON: {"kind": ..., "sigma2": v[, "edges": n]} for shared
+    variance, or {"kind": "hetero", "cov_csv": file} with a covariance grid
+    resolved relative to the JSON file; optional "mean".  When ``edge_count``
+    is given, the covariance, the mean and any "edges" must have that many."""
     doc = _read_json(path)
     kind = _KIND_ALIASES.get(str(doc.get("kind", "")).lower())
     if kind is None:
@@ -148,6 +151,9 @@ def load_noise_model(path: str | Path, edge_count: int | None = None) -> NoiseMo
             sigma2 = float(doc["sigma2"])
             if edge_count is None:
                 raise ParseError(f"{path}: edge count needed to expand sigma2")
+            if doc.get("edges", edge_count) != edge_count:
+                raise ParseError(f"{path}: sigma2 is for {doc['edges']} edges "
+                                 f"but the data has {edge_count} edges")
             cov = sigma2 * np.eye(edge_count)
         else:
             cov_file = Path(path).parent / str(doc["cov_csv"])
@@ -171,16 +177,14 @@ def dump_noise_model(model: NoiseModel, path: str | Path) -> None:
     cov = model.covariance
     # the shared-variance form only where it reloads as the same matrix
     if np.array_equal(cov, cov[0, 0] * np.eye(len(cov))):
-        doc: dict[str, Any] = {"kind": "homoscedastic", "sigma2": float(cov[0, 0])}
+        doc: dict[str, Any] = {"kind": "homoscedastic", "sigma2": float(cov[0, 0]), "edges": len(cov)}
     else:
         cov_file = path.with_suffix(".cov.csv")
-        np.savetxt(cov_file, cov, delimiter=",", fmt="%.12g")
+        np.savetxt(cov_file, cov, delimiter=",", fmt="%.17g")  # reloads bit for bit
         doc = {"kind": "heteroscedastic", "cov_csv": cov_file.name}
     if model.mean is not None:
         doc["mean"] = [float(v) for v in model.mean]
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
+    write_json(doc, path)
 
 
 def result_to_json(result: ReconstructionResult) -> dict[str, Any]:
@@ -188,9 +192,7 @@ def result_to_json(result: ReconstructionResult) -> dict[str, Any]:
 
 
 def dump_result(result: ReconstructionResult, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(result_to_json(result), fh, indent=1)
-        fh.write("\n")
+    write_json(result_to_json(result), path)
 
 
 def load_result(path: str | Path) -> ReconstructionResult:

@@ -139,7 +139,9 @@ class TestNoiseModelJson:
         model = ft.NoiseModel.isotropic(0.75, 5)
         path = tmp_path / "noise.json"
         ftio.dump_noise_model(model, path)
-        assert json.loads(path.read_text()) == {"kind": "homoscedastic", "sigma2": 0.75}
+        assert json.loads(path.read_text()) == {
+            "kind": "homoscedastic", "sigma2": 0.75, "edges": 5
+        }
         back = ftio.load_noise_model(path, edge_count=5)
         assert np.array_equal(back.covariance, model.covariance)
 
@@ -158,6 +160,12 @@ class TestNoiseModelJson:
         back = ftio.load_noise_model(path)
         assert np.array_equal(back.covariance, model.covariance)
 
+    def test_covariance_file_reloads_bit_for_bit(self, tmp_path):
+        model = ft.NoiseModel.per_edge(np.random.default_rng(0).uniform(0.1, 2.0, 5))
+        path = tmp_path / "noise.json"
+        ftio.dump_noise_model(model, path)
+        assert np.array_equal(ftio.load_noise_model(path).covariance, model.covariance)
+
     def test_near_shared_variance_keeps_its_covariance(self, tmp_path):
         # within np.allclose of 1 * I, but not equal to it: the shared-
         # variance form would reload as the identity
@@ -173,6 +181,16 @@ class TestNoiseModelJson:
         assert ftio.load_noise_model(path, edge_count=3).edge_count == 3
         with pytest.raises(ft.ParseError, match="3x3 but the data has 4 edges"):
             ftio.load_noise_model(path, edge_count=4)
+
+    def test_shared_variance_size_checked_against_edge_count(self, tmp_path):
+        path = tmp_path / "noise.json"
+        ftio.dump_noise_model(ft.NoiseModel.isotropic(1.0, 3), path)
+        assert ftio.load_noise_model(path, edge_count=3).edge_count == 3
+        with pytest.raises(ft.ParseError, match="for 3 edges but the data has 4 edges"):
+            ftio.load_noise_model(path, edge_count=4)
+        # a file without the count takes the data's size, as it always did
+        path.write_text(json.dumps({"kind": "homoscedastic", "sigma2": 1.0}))
+        assert ftio.load_noise_model(path, edge_count=4).edge_count == 4
 
     @pytest.mark.parametrize("doc", [
         {"kind": "homo", "sigma2": 1.0, "mean": [0.0, 0.0]},
@@ -454,12 +472,13 @@ class TestCli:
         self.run_ok(["sample", "--network", str(net_path), "--z", "50",
                      "--seed", "2", "--snr", "1000", "--out", str(tmp_path / "run")])
         edges = ftio.load_network(net_path).edge_count
-        ftio.dump_noise_model(
-            ft.NoiseModel.per_edge(np.arange(1.0, edges + 2)), tmp_path / "wrong.noise.json"
-        )
-        assert main(["reconstruct", "--data", str(tmp_path / "run.csv"),
-                     "--noise", str(tmp_path / "wrong.noise.json")]) == 2
-        assert f"but the data has {edges} edges" in capsys.readouterr().err
+        # equal variances dump in the shared-variance form, unequal as a grid
+        for variances in (np.ones(edges + 1), np.arange(1.0, edges + 2)):
+            ftio.dump_noise_model(ft.NoiseModel.per_edge(variances),
+                                  tmp_path / "wrong.noise.json")
+            assert main(["reconstruct", "--data", str(tmp_path / "run.csv"),
+                         "--noise", str(tmp_path / "wrong.noise.json")]) == 2
+            assert f"but the data has {edges} edges" in capsys.readouterr().err
 
     def test_bench_smoke(self, tmp_path):
         out = tmp_path / "bench.json"
