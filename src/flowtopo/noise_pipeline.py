@@ -12,8 +12,9 @@ and one symmetric eigendecomposition of that whitened sample covariance
 feeds a sequential eigenvalue-equality test, vectorized over all
 candidates, that picks the conservation-law count m; the e - m largest
 eigenpairs, less the unit noise floor, give the denoised signal's Gram
-matrix.  Both lanes end in the same realization, which reports the
-equal-flow chains whose order the data cannot fix.  ``reconstruct_exact``
+matrix.  Both lanes end in the same realization core, fed the share rows
+the cutset step already holds, which reports the equal-flow chains whose
+order the data cannot fix.  ``reconstruct_exact``
 and ``reconstruct_noisy`` call ``reconstruct`` for one lane each.
 
 The inputs are checked once, by ``FlowDataMatrix`` and ``NoiseModel``;
@@ -27,7 +28,7 @@ numpy's ``eigh``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import linalg as sla
@@ -45,12 +46,13 @@ from .errors import (
 from .nullspace import (
     EXACT_ZERO_TOL,
     FlowDataMatrix,
+    _gram_shift,
     edge_totals,
     pivoted_cutset,
     sink_cutset,
     triangular_solve,
 )
-from .realize import ReconstructionResult, realize_topology
+from .realize import ReconstructionResult, _realize
 
 DEFAULT_ALPHA = 0.05
 DEFAULT_SNAP_BAND = 0.35
@@ -181,8 +183,11 @@ def _centred_samples(data: FlowDataMatrix, noise: NoiseModel) -> np.ndarray:
 def _gram(y: np.ndarray) -> np.ndarray:
     # Forming the Gram matrix squares the condition number, which is why
     # the exact lane's cutoff cannot go below 1e-7; here the null
-    # eigenvalues sit at the noise floor, far above rounding error.
-    return (y @ y.T) / y.shape[1]
+    # eigenvalues sit at the noise floor, far above rounding error.  An
+    # overflow leaves a diagonal outside nullspace.GRAM_BAND, which
+    # reconstruct rescales and the order test refuses, so it does not warn.
+    with np.errstate(over="ignore", invalid="ignore"):
+        return (y @ y.T) / y.shape[1]
 
 
 def whiten(data: FlowDataMatrix, noise: NoiseModel) -> FlowDataMatrix:
@@ -216,6 +221,11 @@ def _order_test(
     likelihood-ratio form: a block of all-zero eigenvalues is perfectly
     equal (statistic 0, p 1), a mixed block cannot be (inf, p 0).  As the
     spectrum ascends, the zero eigenvalues form a prefix.
+
+    Raises:
+        InvalidArgument: ``alpha`` is outside (0, 1), or ``s_y`` is not
+            finite (the samples overflowed it).
+        NoStableOrder: every candidate down to k = 2 is rejected.
     """
     if not 0 < alpha < 1:
         raise InvalidArgument("alpha must lie in (0, 1)")
@@ -225,8 +235,13 @@ def _order_test(
             f"{n_s} samples for {e} edges is below the {UNDERSAMPLE_WARN_FACTOR}x "
             "guideline; the order test loses power"
         )
+    if not np.isfinite(s_y).all():
+        raise InvalidArgument(
+            "the whitened sample covariance is not finite: the samples exceed the "
+            "noise covariance by more than floating point can hold"
+        )
     lams, vecs = np.linalg.eigh(s_y)  # ascending
-    lams = np.clip(lams, 0.0, None)
+    lams = np.maximum(lams, 0.0)
     zeros = int(np.count_nonzero(lams <= ZERO_EIGENVALUE_RATIO * lams[-1]))
 
     ks = np.arange(e, 1, -1)
@@ -272,6 +287,8 @@ def estimate_model_order(whitened: FlowDataMatrix, alpha: float = DEFAULT_ALPHA)
     the null basis.
 
     Raises:
+        InvalidArgument: ``alpha`` is outside (0, 1), or the sample
+            covariance overflows.
         NoStableOrder: every candidate down to k = 2 is rejected.
     """
     return _order_test(_gram(whitened.entries), whitened.sample_count, alpha)[0]
@@ -279,8 +296,9 @@ def estimate_model_order(whitened: FlowDataMatrix, alpha: float = DEFAULT_ALPHA)
 
 def _noisy_cutset(
     y: np.ndarray, lower: np.ndarray, lams: np.ndarray, vecs: np.ndarray, m: int
-) -> tuple[CanonicalCutsetMatrix, np.ndarray]:
-    """The canonical cutset and pivot magnitudes from the order test's
+) -> tuple[CanonicalCutsetMatrix, tuple[np.ndarray, ...], np.ndarray]:
+    """The canonical cutset, its share rows and the pivot magnitudes
+    (``nullspace.pivoted_cutset``) from the order test's
     eigendecomposition of the whitened sample covariance.
 
     The e - m largest eigenpairs, less the unit noise floor of whitened
@@ -290,9 +308,10 @@ def _noisy_cutset(
     ``nullspace.pivoted_cutset`` factors with the exact lane's cutoff.
 
     Raises:
-        SnapFailure: the weakest signal eigenvalue is not above the unit
-            noise floor, the cutoff keeps other than the order test's
-            e - m pivots, or a share does not snap.
+        SnapFailure: the order test left no signal eigenvalue (m = e), the
+            weakest one is not above the unit noise floor, the cutoff keeps
+            other than the order test's e - m pivots, or a share does not
+            snap.
     """
     e = y.shape[0]
     try:
@@ -302,6 +321,11 @@ def _noisy_cutset(
             f"{exc}; the noisy lane needs uncentred flows: pass the raw samples "
             "and declare a known error offset as NoiseModel.mean, not mean-removed rows"
         ) from None
+    if m == e:
+        raise SnapFailure(
+            f"the order test found all {e} eigenvalues equal (m = {m}), leaving no "
+            "signal eigenvalue: no sink can be told from noise"
+        )
     if not lams[m] > 1.0:
         raise SnapFailure(
             f"the weakest of the {e - m} signal eigenvalues, {lams[m]:.4g}, does not "
@@ -342,16 +366,24 @@ def reconstruct(
     ``alpha`` picks the law count m (``diagnostics`` adds its
     ``rank_test``), its e - m largest eigenpairs, less the noise floor,
     give the Gram matrix, and the cutoff ``EXACT_ZERO_TOL`` must keep
-    e - m pivots.  Both lanes end in ``realize_topology``, whose
-    ``diagnostics`` give the ``canonical`` matrix and the ``chain_groups``
-    of equal-flow edges, whose order the data cannot fix and the
-    ordered-label convention settles; a caller that must refuse such an
-    answer tests ``chain_groups``.
+    e - m pivots.  When a diagonal of ``G`` leaves ``nullspace.GRAM_BAND``
+    (samples past about 1e150 or below 1e-150), ``G`` is taken again on
+    the rows scaled by powers of two, and whitened by ``L`` scaled alike,
+    which leaves the whitened matrix unchanged.  Both lanes end in the
+    realization core that ``realize_topology`` also runs, fed the 0/1
+    share rows the cutset step already holds, so neither reads them back
+    out of the canonical matrix.
+    The result is built once, with every diagnostic: the ``canonical``
+    matrix, the ``chain_groups`` of equal-flow edges, whose order the data
+    cannot fix and the ordered-label convention settles (a caller that
+    must refuse such an answer tests ``chain_groups``), the noisy lane's
+    ``rank_test`` and the ``pivot_norms``.
 
     Raises:
         InvalidArgument: ``alpha`` without a noise model, ``zero_tol``
-            with one or outside ``[ZERO_TOL_FLOOR, 1)``, or a covariance
-            whose size differs from the data's.
+            with one or outside ``[ZERO_TOL_FLOOR, 1)``, a covariance
+            whose size differs from the data's, or samples so far above
+            the noise covariance that the whitened matrix is not finite.
         NonPositiveFlow: an edge whose samples (less any declared mean)
             do not sum to a positive flow, as after removing each edge's
             mean.
@@ -360,30 +392,44 @@ def reconstruct(
         NoStableOrder: the order test rejects every candidate.
         NonIntegerCutset, SnapFailure: a sink share falls outside the
             exact or the noisy lane's snap band, is not finite, or snaps
-            to -1; SnapFailure also when a noisy signal eigenvalue is not
-            above the noise floor, or the cutoff keeps other than e - m.
+            to -1; SnapFailure also when the order test finds all e
+            eigenvalues equal, a noisy signal eigenvalue is not above the
+            noise floor, or the cutoff keeps other than e - m.
         NotArborescence: the chord sets are not nested the way an
             arborescence requires.
     """
     if noise is None:
         if alpha is not None:
             raise InvalidArgument("alpha is the noisy lane's test level; it needs a noise model")
-        canon, pivot_norms = sink_cutset(data, EXACT_ZERO_TOL if zero_tol is None else zero_tol)
-        extra = {"pivot_norms": pivot_norms}
+        canon, shares, pivot_norms = sink_cutset(
+            data, EXACT_ZERO_TOL if zero_tol is None else zero_tol
+        )
+        rank_test = {}
     else:
         if zero_tol is not None:
             raise InvalidArgument("zero_tol is the exact lane's cutoff; it takes no noise model")
         y = _centred_samples(data, noise)
         lower = _cholesky_lower(noise)
+        gram, white = _gram(y), lower
+        shift = _gram_shift(y, gram)
+        if shift is not None:
+            # the rows D y, D a diagonal of powers of two, and the factor D L
+            # of D Sigma D whiten to the same L^-1 G L^-T, with no overflow
+            gram, white = _gram(np.ldexp(y, shift[:, None])), np.ldexp(lower, shift[:, None])
         # whitened sample covariance L^-1 G L^-T, by two e x e triangular solves
-        s_y = triangular_solve(lower, triangular_solve(lower, _gram(y)).T)
+        s_y = triangular_solve(white, triangular_solve(white, gram).T)
         report, lams, vecs = _order_test(
             s_y, data.sample_count, DEFAULT_ALPHA if alpha is None else alpha
         )
-        canon, pivot_norms = _noisy_cutset(y, lower, lams, vecs, report.chosen_m)
-        extra = {"rank_test": report, "pivot_norms": pivot_norms}
-    result = realize_topology(canon)
-    return replace(result, diagnostics={**result.diagnostics, **extra})
+        canon, shares, pivot_norms = _noisy_cutset(y, lower, lams, vecs, report.chosen_m)
+        rank_test = {"rank_test": report}
+    edges, chains = _realize(*shares)
+    return ReconstructionResult(
+        edges=edges,
+        diagnostics={
+            "canonical": canon, "chain_groups": chains, **rank_test, "pivot_norms": pivot_norms
+        },
+    )
 
 
 def reconstruct_noisy(

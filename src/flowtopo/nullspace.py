@@ -6,7 +6,8 @@ the sink edges.  Neither lane needs a null basis: both take one pivoted
 Cholesky factorization of an e x e Gram matrix of the scaled rows
 (:func:`pivoted_cutset`), whose pivots are the sinks, whose diagonal gives
 the rank, and whose triangular factor gives the canonical cutset matrix
-``[I | -T]`` (:func:`cutset_from_factor`).  The exact lane's Gram matrix
+``[I | -T]`` and the 0/1 share rows ``T`` that realization reads
+(:func:`cutset_from_factor`).  The exact lane's Gram matrix
 comes from the raw samples (:func:`sink_cutset`), the noisy lane's from
 the signal part of the whitened covariance (``noise_pipeline``).  The
 data cannot order the edges of an equal-flow chain; where one ends in a
@@ -186,7 +187,7 @@ def estimate_null_basis(data: FlowDataMatrix, zero_tol: float = DEFAULT_ZERO_TOL
 
 def sink_cutset(
     data: FlowDataMatrix, zero_tol: float = EXACT_ZERO_TOL
-) -> tuple[CanonicalCutsetMatrix, np.ndarray]:
+) -> tuple[CanonicalCutsetMatrix, tuple[np.ndarray, ...], np.ndarray]:
     """The canonical cutset of noise-free data, by :func:`pivoted_cutset`
     on the Gram matrix ``Gn`` of the rows scaled to unit l1 norm.
 
@@ -199,7 +200,8 @@ def sink_cutset(
     whose sink samples vary by less than about 1e-5 of their mean cannot
     be told apart from equal flows.
 
-    Returns the canonical cutset and the pivot magnitudes, the refused
+    Returns the canonical cutset, its share rows (see
+    :func:`cutset_from_factor`) and the pivot magnitudes, the refused
     pivot at index ``e - m``.
 
     Raises:
@@ -224,7 +226,7 @@ def sink_cutset(
 def pivoted_cutset(
     gram: np.ndarray, totals: np.ndarray, zero_tol: float, band: float, error_cls: type,
     rank: int | None = None,
-) -> tuple[CanonicalCutsetMatrix, np.ndarray]:
+) -> tuple[CanonicalCutsetMatrix, tuple[np.ndarray, ...], np.ndarray]:
     """The canonical cutset from one pivoted Cholesky factorization of
     ``Gn``, the Gram matrix of the edges' unit-total flow rows up to a
     common factor (its upper triangle read and overwritten), in both lanes.
@@ -241,8 +243,9 @@ def pivoted_cutset(
     the shares off ``U``.  ``rank`` is the sink count the caller already
     knows (the noisy lane's order test), which the cutoff must keep.
 
-    Returns the cutset and the pivot magnitudes ``U_kk``: the sinks', the
-    refused one (the trailing block's largest diagonal), then zeros.
+    Returns the cutset, its share rows (see :func:`cutset_from_factor`)
+    and the pivot magnitudes ``U_kk``: the sinks', the refused one (the
+    trailing block's largest diagonal), then zeros.
 
     Raises:
         RankZero: every pivot clears the cutoff.
@@ -264,7 +267,7 @@ def pivoted_cutset(
     u12 = u[:found, found:]
     norms[found] = np.sqrt(max((diag[piv[found:]] - np.einsum("ij,ij->j", u12, u12)).max(), 0.0))
     norms.setflags(write=False)
-    return cutset_from_factor(u, piv, found, totals, band, error_cls), norms
+    return *cutset_from_factor(u, piv, found, totals, band, error_cls), norms
 
 
 def _unit_total_gram(x: np.ndarray, sums: np.ndarray) -> np.ndarray:
@@ -283,15 +286,26 @@ def _unit_total_gram(x: np.ndarray, sums: np.ndarray) -> np.ndarray:
     """
     # BLAS dsyrk reads x through its Fortran-ordered view x.T, uncopied
     gram = sla.blas.dsyrk(1.0, x.T, trans=1)
-    diag = gram.diagonal()
-    if not (GRAM_BAND[0] <= diag.min() and diag.max() <= GRAM_BAND[1]):
-        shift = -np.frexp(np.abs(x).max(axis=1))[1]
+    shift = _gram_shift(x, gram)
+    if shift is not None:
         x, sums = np.ldexp(x, shift[:, None]), np.ldexp(sums, shift)
         gram = sla.blas.dsyrk(1.0, x.T, trans=1)
     inv = 1.0 / sums
     gram *= inv[:, None]
     gram *= inv
     return gram
+
+
+def _gram_shift(x: np.ndarray, gram: np.ndarray) -> np.ndarray | None:
+    """None when every diagonal of the Gram matrix ``gram`` of the rows of
+    ``x`` lies in ``GRAM_BAND``; otherwise (a diagonal outside it or not
+    finite) the powers of two that bring each row's largest entry into
+    [0.5, 1), for both lanes to rescale their rows by before they take the
+    product again."""
+    diag = gram.diagonal()
+    if GRAM_BAND[0] <= diag.min() and diag.max() <= GRAM_BAND[1]:
+        return None
+    return -np.frexp(np.abs(x).max(axis=1))[1]
 
 
 def edge_totals(samples: np.ndarray) -> np.ndarray:
@@ -313,9 +327,9 @@ def edge_totals(samples: np.ndarray) -> np.ndarray:
 
 def cutset_from_factor(
     r: np.ndarray, piv: np.ndarray, rank: int, totals: np.ndarray, band: float, error_cls: type
-) -> CanonicalCutsetMatrix:
+) -> tuple[CanonicalCutsetMatrix, tuple[np.ndarray, ...]]:
     """The canonical cutset ``[I | -T]`` from the pivoted triangular factor
-    that picked the sinks, shared by both lanes.
+    that picked the sinks, shared by both lanes, and its share rows.
 
     ``r`` factors the edges' flow rows scaled to unit total, columns in
     pivot order (the Cholesky ``U`` of :func:`pivoted_cutset`); only the
@@ -333,6 +347,12 @@ def cutset_from_factor(
     largest label is taken as the sink, the ordered-label convention.
     Realization settles the rest of every chain by the same convention and
     reports the chains (``realize.realize_topology``).
+
+    The share rows are the arguments of the realization core
+    (``realize._realize``): T as booleans, its row sums, and the branch and
+    chord labels as arrays, in the cutset's row and column order.  The
+    lanes hand them over as they are, so none reads T back out of the
+    matrix.
 
     Raises:
         error_cls: a share is farther than ``band`` from 0 or 1, is not
@@ -355,7 +375,8 @@ def cutset_from_factor(
     # run's largest label takes the sink's seat, and the row that held it
     # the sink's old label.  Rows of one run are equal, so which of them
     # takes which label leaves the matrix unchanged
-    chain = np.flatnonzero(t.sum(axis=1) == 1)
+    sizes = t.sum(axis=1)
+    chain = np.flatnonzero(sizes == 1)
     if chain.size:
         seat = t[chain].argmax(axis=1)
         old = sinks[seat]
@@ -366,15 +387,16 @@ def cutset_from_factor(
     # T is 0/1 and the labels split 1..e, so [I | -T] is canonical by construction
     rows, cols = np.argsort(others), np.argsort(sinks)
     m, e = len(others), len(piv)
+    # two takes run about 3x faster than one two-axis fancy index
+    shares = t.take(rows, axis=0).take(cols, axis=1)
     entries = np.zeros((m, e), dtype=np.int64)
     entries.ravel()[:: e + 1] = 1
-    # two takes run about 3x faster than one two-axis fancy index
-    np.negative(t.take(rows, axis=0).take(cols, axis=1), out=entries[:, m:])
-    return CanonicalCutsetMatrix(
-        entries=entries,
-        branch_edges=tuple((others[rows] + 1).tolist()),
-        chord_edges=tuple((sinks[cols] + 1).tolist()),
+    np.negative(shares, out=entries[:, m:])
+    branches, chords = others[rows] + 1, sinks[cols] + 1
+    canon = CanonicalCutsetMatrix(
+        entries=entries, branch_edges=tuple(branches.tolist()), chord_edges=tuple(chords.tolist())
     )
+    return canon, (shares == 1, sizes[rows], branches, chords)
 
 
 def triangular_solve(a: np.ndarray, b: np.ndarray, lower: bool = True) -> np.ndarray:
@@ -457,7 +479,9 @@ def snap_signed_units(values: np.ndarray, band: float, error_cls: type) -> np.nd
     values = np.asarray(values, dtype=np.float64)
     # in place where it can be: these are the tail's largest temporaries
     nearest = np.rint(values)
-    np.clip(nearest, -1, 1, out=nearest)
+    # np.clip's result, without the cost of its wrapper
+    np.maximum(nearest, -1.0, out=nearest)
+    np.minimum(nearest, 1.0, out=nearest)
     delta = values - nearest
     np.abs(delta, out=delta)
     worst = float(delta.max(initial=0.0))

@@ -9,11 +9,22 @@ sink edge hangs off the deepest row that carries it as a chord.  A row
 disjoint from every earlier row is another top-level branch out of the
 source; single-top-branch inputs never hit that case.
 
+One core (``_realize``) finds all of these with a per-sink scan: a running
+maximum of row number down each sink column (``np.maximum.accumulate``)
+gives, for every row, the last earlier row that carries each of its sinks,
+so a row's parent is the largest of those, the parent contains the row
+when they all equal it, and the scan's last row gives each sink's parent.
+That is O(m c) work and memory for m branches and c sinks; no m x m
+matrix is formed.  The lanes hand the core the 0/1 share rows they already
+hold (``nullspace.cutset_from_factor``), and :func:`realize_topology` reads
+the same rows off a canonical matrix, so both paths give the same tree.
+
 Realization is also the one place that reports equal-flow chains: runs of
 single-child edges carry identical flows, so no data orders them.  Their
 rows hold the same chord set, and each takes the previous one as its
 parent, so the ordered-label convention (the smaller label is the
-shallower edge) settles the run.
+shallower edge) settles the run.  Pointer jumping over the parents finds
+the first row of every run.
 
 Node naming follows the incoming-edge convention: the node entered by edge
 ``i`` is node ``i`` and the source is node ``e + 1``, which makes a
@@ -24,7 +35,7 @@ same way.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Mapping
+from typing import Any, Mapping, Sequence
 
 import numpy as np
 
@@ -63,6 +74,11 @@ def realize_topology(canon: CanonicalCutsetMatrix) -> ReconstructionResult:
     """Realize the unique arborescence consistent with a canonical cutset
     matrix.
 
+    The chord rows are read off ``canon`` and realized by the core that
+    both lanes share (``_realize``, on the share rows they hold): each
+    row's parent comes from one running maximum of row number down each
+    sink column, in O(m c) work and memory for m branches and c sinks.
+
     ``diagnostics`` holds the ``canonical`` matrix and the
     ``chain_groups``: each equal-flow chain as its labels in ascending
     order, groups sorted by last label.  A group is a run of branches with
@@ -80,74 +96,99 @@ def realize_topology(canon: CanonicalCutsetMatrix) -> ReconstructionResult:
     # parent is an earlier row or the source, each sink hangs off one row
     if sorted(canon.branch_edges + canon.chord_edges) != list(range(1, e + 1)):
         raise InvalidArgument(f"edge labels must be exactly 1..{e}")
-    if m == 0 or e == m:
-        raise NotArborescence("need at least one branch and one chord")
-
-    # chord membership, rows sorted by descending size then branch label
     member = canon.entries[:, m:] == -1
-    sizes = member.sum(axis=1)
-    order = np.lexsort((canon.branch_edges, -sizes))
-    member, size = member[order], sizes[order]
-    branches = [canon.branch_edges[k] for k in order]
+    edges, chains = _realize(member, member.sum(axis=1), canon.branch_edges, canon.chord_edges)
+    return ReconstructionResult(
+        edges=edges, diagnostics={"canonical": canon, "chain_groups": chains}
+    )
+
+
+def _realize(
+    member: np.ndarray, sizes: np.ndarray, branches: Sequence[int], chords: Sequence[int]
+) -> tuple[tuple[tuple[int, int], ...], tuple[tuple[int, ...], ...]]:
+    """The realization core of :func:`realize_topology` and of both lanes:
+    the edges and the chain groups of the tree whose chord sets are the
+    rows of ``member``, as :func:`realize_topology` describes them.
+
+    ``member`` is the m x c chord membership (``T`` of ``[I | -T]`` as
+    booleans), one row per label in ``branches`` and one column per label
+    in ``chords``; ``sizes`` holds its row sums.  The labels must split
+    1..e.
+
+    Raises:
+        NotArborescence: chord sets are not nested the way an arborescence
+            requires.
+    """
+    m, c = member.shape
+    if m == 0 or c == 0:
+        raise NotArborescence("need at least one branch and one chord")
+    e = m + c
+
+    # rows sorted by descending size then branch label
+    order = np.lexsort((branches, -sizes))
+    member, size, branches = member[order], sizes[order], np.asarray(branches)[order]
     if size[0] == 0:
         raise NotArborescence("largest cutset row carries no sink edge")
 
-    # overlap[k, p] = |set k ∩ set p| (float, so the product runs in BLAS;
-    # counts stay exact); a row's parent is the last earlier row it meets,
-    # which must contain it
-    counts = member.astype(np.float64)
-    overlap = counts @ counts.T
-    earlier = (overlap > 0) & np.tri(m, k=-1, dtype=bool)
-    has_parent = earlier.any(axis=1)
-    parent = m - 1 - np.argmax(earlier[:, ::-1], axis=1)
-    bad = (size == 0) | (has_parent & (overlap[np.arange(m), parent] != size))
-    if bad.any():
-        k = int(np.argmax(bad))
-        if size[k] == 0:
-            raise NotArborescence(f"branch {branches[k]} carries no sink edge")
+    # last[k, j] is 1 + the last row before k that carries sink j, or 0: a
+    # running maximum of row number down each sink column.  A row's parent
+    # is the last earlier row it meets, the largest last[k, j] over its
+    # sinks; as none exceeds it, the parent contains the row when they sum
+    # to it times the row's size.  A sink hangs off the last row carrying it
+    marks = member * np.arange(1, m + 1, dtype=np.int32)[:, None]
+    last = np.empty_like(marks)
+    last[0] = 0
+    np.maximum.accumulate(marks[:-1], axis=0, out=last[1:])
+    sink_parent = np.maximum(last[-1], marks[-1]) - 1
+    last *= member
+    parent = last.max(axis=1)
+    # a row without a parent, empty or not, sums to 0 = 0 x size
+    nested = last.sum(axis=1) == parent * size
+    parent -= 1
+    if not nested.all():
+        k = int(np.argmin(nested))
         raise NotArborescence(
             f"chord sets of branches {branches[k]} and {branches[parent[k]]} "
             "intersect without containment"
         )
+    # empty rows sort last, after every row the test above can fail
+    if size[-1] == 0:
+        k = int(np.argmin(size))
+        raise NotArborescence(f"branch {branches[k]} carries no sink edge")
+    if sink_parent.min() < 0:
+        j = int(np.argmin(sink_parent))
+        raise NotArborescence(f"sink edge {chords[j]} appears in no cutset")
 
-    carried = member.any(axis=0)
-    if not carried.all():
-        j = int(np.argmin(carried))
-        raise NotArborescence(f"sink edge {canon.chord_edges[j]} appears in no cutset")
-    # a sink hangs off the last (deepest) row carrying it
-    sink_parent = m - 1 - np.argmax(member[::-1], axis=0)
-
-    # x_e: labels in realized column order, branches first; rows without
-    # an earlier row meeting them are top-level branches out of the source
-    x_e = branches + list(canon.chord_edges)
-    src = [branches[p] if h else e + 1 for p, h in zip(parent.tolist(), has_parent.tolist())]
-    src += [branches[p] for p in sink_parent.tolist()]
+    # labels in realized column order, branches first; a row meeting no
+    # earlier row (parent -1) is a top-level branch out of the source e + 1
+    src = np.concatenate([branches, [e + 1]])[np.concatenate([parent, sink_parent])]
+    edges = tuple(zip(src.tolist(), np.concatenate([branches, chords]).tolist()))
 
     # equal-flow chains.  A containing parent of equal size holds the same
     # chord set, so such rows link into runs, each rooted at a first row
-    # whose parent (if any) is larger; a parent sorts before its child, so
-    # its root is settled first.  A run whose set is one sink ends in it.
-    # Only the linked rows and the one-sink rows are visited.
-    linked = has_parent & (size[parent] == size)
-    root = np.arange(m)
-    runs: dict[int, set[int]] = {}
-    for k in np.flatnonzero(linked | (size == 1)).tolist():
-        if linked[k]:
-            root[k] = root[parent[k]]
-        r = int(root[k])
-        runs.setdefault(r, {branches[r]}).add(branches[k])
-    chains = []
-    for r, labels in runs.items():
-        if size[r] == 1:
-            labels.add(canon.chord_edges[int(np.argmax(member[r]))])
-        if len(labels) > 1:
-            chains.append(tuple(sorted(labels)))
-    chains.sort(key=lambda group: group[-1])
-
-    return ReconstructionResult(
-        edges=tuple(zip(src, x_e)),
-        diagnostics={"canonical": canon, "chain_groups": tuple(chains)},
+    # whose parent (if any) is larger; pointer jumping finds every root.
+    # A run holds its root, its linked rows and, when its set is one sink,
+    # that sink, so each run is a chain of two or more labels
+    linked = (parent >= 0) & (size[parent] == size)
+    in_run = linked | (size == 1)
+    if not in_run.any():
+        return edges, ()
+    root = np.where(linked, parent, np.arange(m))
+    while (root[root] != root).any():
+        root = root[root]
+    is_root = np.zeros(m, dtype=bool)
+    is_root[root[in_run]] = True
+    runs = np.flatnonzero(is_root)
+    ends = runs[size[runs] == 1]
+    owner = np.concatenate([runs, root[linked], ends])
+    label = np.concatenate(
+        [branches[runs], branches[linked], np.take(chords, member[ends].argmax(axis=1))]
     )
+    by_run = np.lexsort((label, owner))
+    labels = label[by_run].tolist()
+    cuts = [0, *(np.flatnonzero(np.diff(owner[by_run])) + 1).tolist(), len(labels)]
+    chains = sorted((tuple(labels[a:b]) for a, b in zip(cuts, cuts[1:])), key=lambda g: g[-1])
+    return edges, tuple(chains)
 
 
 def verify_against_truth(result: ReconstructionResult, truth: FlowNetwork) -> bool:

@@ -341,6 +341,14 @@ class TestCli:
         ftio.dump_data_csv(data, path)
         assert main(["reconstruct", "--data", str(path)]) == 3
 
+    def test_order_test_keeping_every_eigenvalue_exits_four(self, tmp_path, capsys):
+        # this ended in an IndexError traceback
+        path = tmp_path / "run.csv"
+        ftio.dump_data_csv(ft.FlowDataMatrix(np.random.default_rng(0).random((3, 4))), path)
+        with pytest.warns(UserWarning, match="guideline"):
+            assert main(["reconstruct", "--data", str(path), "--sigma2", "1e-5"]) == 4
+        assert "all 3 eigenvalues equal (m = 3)" in capsys.readouterr().err
+
     def test_sweep_smoke(self, tmp_path):
         out = tmp_path / "sweep.csv"
         self.run_ok(["sweep", "--families", "binary", "--networks", "1",

@@ -4,17 +4,22 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import linalg as sla
 from scipy.stats import chi2
 
 import flowtopo as ft
+from flowtopo import io as ftio
 from flowtopo import noise_pipeline, nullspace
+from flowtopo.cli import main
 from flowtopo.noise_pipeline import (
     DEFAULT_ALPHA,
     DEFAULT_SNAP_BAND,
@@ -701,6 +706,34 @@ class TestReconstructNoisy:
         with pytest.raises(ft.NonPositiveFlow, match=r"uncentred flows.*NoiseModel\.mean"):
             ft.reconstruct_noisy(centred, model)
 
+    def test_order_test_keeping_every_eigenvalue_is_typed(self):
+        # m = e leaves no signal eigenpair; this raised a bare IndexError
+        data = ft.FlowDataMatrix(np.random.default_rng(0).random((3, 4)))
+        with pytest.warns(UserWarning, match="guideline"):
+            with pytest.raises(ft.SnapFailure, match=r"all 3 eigenvalues equal \(m = 3\)"):
+                ft.reconstruct(data, ft.NoiseModel.isotropic(1e-5, 3))
+
+    @pytest.mark.parametrize("scale", [1e-160, 1e140, 1e150])
+    def test_magnitude_outside_the_gram_band_recovered(self, scale):
+        # samples scaled by 1e150 and covariance by 1e300 overflowed the
+        # sample Gram matrix, and eigh raised LinAlgError; the rows and the
+        # Cholesky factor rescaled by powers of two whiten to the same matrix
+        net = ft.generate_within("binary", 3, max_edges=30)
+        e = net.edge_count
+        data = ft.sample_flows(net, ft.FlowSamplerConfig(n_s=50 * e, seed=1))
+        noisy, model = ft.add_noise(data, ft.SnrSetting(100.0), seed=2)
+        result = ft.reconstruct(
+            ft.FlowDataMatrix(noisy.entries * scale), ft.NoiseModel(model.covariance * scale**2)
+        )
+        assert ft.verify_against_truth(result, net)
+
+    def test_whitened_overflow_is_typed(self):
+        # samples 1e250 times a unit noise model whiten past the float range
+        net = ft.binary_network_with_edges(6)
+        data = ft.sample_flows(net, ft.FlowSamplerConfig(n_s=60, seed=1))
+        with pytest.raises(ft.InvalidArgument, match="whitened sample covariance is not finite"):
+            ft.reconstruct(ft.FlowDataMatrix(data.entries * 1e250), ft.NoiseModel.isotropic(1.0, 6))
+
 
 class TestReconstructExact:
     def test_pure_chain(self):
@@ -823,6 +856,85 @@ def test_reconstruct_matches_lane_wrappers(family):
         for key, value in got.diagnostics.items():
             assert same_diagnostic(value, want.diagnostics[key]), key
     assert "rank_test" in got.diagnostics
+
+
+def lane_results(family: str, index: int):
+    """The exact lane at z = 2 and the noisy lane at z = 50, SNR 100, on a
+    generated network and on a relabelled one; a lane that refuses its
+    input gives nothing."""
+    children = (3, 7) if family == "fat_short" else None
+    for net in (
+        ft.generate_within(family, 500 + index, max_edges=60, children_range=children),
+        relabelled(family, index, max_edges=60, children=children),
+    ):
+        data = ft.sample_flows(net, ft.FlowSamplerConfig(n_s=2 * net.edge_count, seed=index))
+        noisy, model = noisy_sample(net, 50, 100.0, index)
+        for run in (lambda: ft.reconstruct(data), lambda: ft.reconstruct(noisy, model)):
+            try:
+                yield run()
+            except ft.SnapFailure:
+                pass
+
+
+@pytest.mark.parametrize("family", ft.synth.FAMILIES)
+def test_lanes_match_the_public_realization(family):
+    # the lanes realize the tree from the shares they hold; the public
+    # realize_topology reads the same rows off the canonical matrix
+    results = [r for index in range(6) for r in lane_results(family, index)]
+    assert len(results) >= 20
+    for result in results:
+        public = ft.realize_topology(result.diagnostics["canonical"])
+        assert public.edges == result.edges
+        assert public.diagnostics["chain_groups"] == result.diagnostics["chain_groups"]
+        labels = [v for edge in result.edges for v in edge]
+        labels += [v for group in result.diagnostics["chain_groups"] for v in group]
+        assert all(type(v) is int for v in labels)
+    if family == "thin_long":
+        assert any(r.diagnostics["chain_groups"] for r in results)
+
+
+def fuzz_samples(kind: str, e: int, n_s: int, rng: np.random.Generator) -> np.ndarray:
+    if kind == "tree":
+        # a random arborescence, each edge below the source or an earlier edge
+        parents = [e + 1] + [int(rng.choice([e + 1, *range(1, k)])) for k in range(2, e + 1)]
+        net = ft.FlowNetwork(e + 1, tuple((p, k) for k, p in enumerate(parents, start=1)))
+        cfg = ft.FlowSamplerConfig(n_s=n_s, seed=int(rng.integers(2**31)))
+        return ft.sample_flows(net, cfg).entries
+    if kind == "uniform":
+        return rng.random((e, n_s))
+    return rng.standard_normal((e, n_s))
+
+
+@given(
+    st.sampled_from(["tree", "uniform", "gaussian"]),
+    st.integers(1, 11),
+    st.floats(-300.0, 300.0),
+    st.floats(-8.0, 2.0),
+    st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=100, deadline=None)
+def test_only_typed_errors_escape(kind, e, log_scale, log_sigma2, seed):
+    # both lanes, on trees and on structureless data from 1e-300 to 1e300
+    # with noise variances from 1e-8 to 1e2: reconstruct raises nothing
+    # but a FlowtopoError, and the CLI exits non-zero exactly when it does
+    rng = np.random.default_rng(seed)
+    n_s = int(rng.integers(e + 1, 4 * e + 8))
+    entries = fuzz_samples(kind, e, n_s, rng) * 10.0**log_scale
+    sigma2 = 10.0**log_sigma2
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        path = Path(tmp) / "run.csv"
+        ftio.dump_data_csv(ft.FlowDataMatrix(entries), path)
+        data = ftio.load_data_csv(path)
+        lanes = ((None, []), (ft.NoiseModel.isotropic(sigma2, e), ["--sigma2", repr(sigma2)]))
+        for noise, flags in lanes:
+            try:
+                ft.reconstruct(data, noise)
+                refused = False
+            except ft.FlowtopoError:
+                refused = True
+            code = main(["reconstruct", "--data", str(path), *flags])
+            assert (code != 0) == refused, (noise is not None, code)
 
 
 STAGED_STAGES = (
