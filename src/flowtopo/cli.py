@@ -158,9 +158,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     rec = sub.add_parser("reconstruct", help="infer topology from a sample CSV")
     rec.add_argument("--data", type=Path, required=True)
-    rec.add_argument(
-        "--mode", choices=("exact", "noisy"), help="assert the lane the noise flags pick"
-    )
     source = rec.add_mutually_exclusive_group()
     source.add_argument("--noise", type=Path, help="noise-model JSON")
     source.add_argument("--sigma2", type=_positive(float), help="shared noise variance")
@@ -236,12 +233,8 @@ def _cmd_reconstruct(args) -> int:
     # a noise source picks the noisy lane; a flag for the other lane is an error
     noisy = args.noise is not None or args.sigma2 is not None
     source = "--noise" if args.noise is not None else "--sigma2"
-    if noisy and args.mode == "exact":
-        raise ParseError(f"reconstruct: --mode exact conflicts with {source}")
     if noisy and args.zero_tol is not None:
         raise ParseError(f"reconstruct: --zero-tol (exact lane) conflicts with {source}")
-    if not noisy and args.mode == "noisy":
-        raise ParseError("reconstruct: --mode noisy needs --noise or --sigma2")
     if not noisy and args.alpha is not None:
         raise ParseError("reconstruct: --alpha (noisy lane) needs --noise or --sigma2")
     data = io.load_data_csv(

@@ -278,7 +278,8 @@ def _timed(fn: Callable[[], Any], min_duration: float = 0.01) -> float:
 
 def _loglog_slope(x: np.ndarray, y: np.ndarray) -> float:
     mask = (np.asarray(x) > 0) & (np.asarray(y) > 0)
-    if mask.sum() < 2:
+    # sizes that share one law count m leave alg2-vs-m no slope to fit
+    if np.unique(np.asarray(x)[mask]).size < 2:
         return math.nan
     return float(np.polyfit(np.log(np.asarray(x)[mask]), np.log(np.asarray(y)[mask]), 1)[0])
 

@@ -1,5 +1,6 @@
 """File formats: network JSON, sample CSV, noise-model JSON, result JSON,
-and the rank-test report as JSON.
+and the rank-test report as JSON.  Sample tables and the covariance grid
+go through numpy's text reader and writer, ``np.loadtxt``/``np.savetxt``.
 
 Every loader raises ParseError for malformed input so the command line can
 map file problems to one exit code.
@@ -7,7 +8,7 @@ map file problems to one exit code.
 
 from __future__ import annotations
 
-import csv
+import itertools
 import json
 import math
 from pathlib import Path
@@ -83,35 +84,33 @@ def load_data_csv(
 ) -> FlowDataMatrix:
     """Sample CSV.  Default layout: header `edge,s1,...`, one row per edge
     with its label in the first column.  Transposed layout: header lists
-    the edge labels, one row per sample.  Rows are parsed as they are
-    read, so no more than one row is held as text."""
+    the edge labels, one row per sample.  Rows of only whitespace and
+    commas are skipped; the rest stream through ``np.loadtxt``, with the
+    labels read as Python integers (`1.0` is refused)."""
+    cells = {"delimiter": ",", "comments": None, "quotechar": '"'}
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
-            rows = (row for row in csv.reader(fh) if row and any(c.strip() for c in row))
-            header = next(rows, None)
-            labels: list[int] = []
-            body = []
-            for row in rows:
-                if not transposed:
-                    labels.append(int(row[0]))
-                    row = row[1:]
-                body.append(np.array(row, dtype=np.float64))
-        if not body:
-            raise ParseError(f"{path}: need a header row and at least one data row")
-        values = np.array(body)
+            rows = (line for line in fh if line.replace(",", "").strip())
+            header, first = next(rows, None), next(rows, None)
+            if first is None:
+                raise ParseError(f"{path}: need a header row and at least one data row")
+            ints = None if transposed else {0: int}
+            values = np.loadtxt(itertools.chain([first], rows), ndmin=2, converters=ints, **cells)
         if transposed:
-            labels = [int(c) for c in header]
+            labels = np.loadtxt([header], ndmin=1, converters=int, **cells)
             if len(labels) != values.shape[1]:
                 raise ParseError(f"{path}: {len(labels)} edge labels for {values.shape[1]} columns")
             values = values.T
+        else:
+            labels, values = values[:, 0], values[:, 1:]
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     except ValueError as exc:
         raise ParseError(f"{path}: malformed sample table: {exc}") from exc
     e = len(labels)
-    if sorted(labels) != list(range(1, e + 1)):
-        raise ParseError(f"{path}: edge labels must be a permutation of 1..{e}")
     order = np.argsort(labels)
+    if not np.array_equal(labels[order], np.arange(1, e + 1)):
+        raise ParseError(f"{path}: edge labels must be a permutation of 1..{e}")
     try:
         return FlowDataMatrix(values[order], allow_undersampled=allow_undersampled)
     except ValueError as exc:
@@ -119,16 +118,16 @@ def load_data_csv(
 
 
 def dump_data_csv(data: FlowDataMatrix, path: str | Path, transposed: bool = False) -> None:
+    lines = {"delimiter": ",", "newline": "\r\n", "comments": ""}
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
         if transposed:
-            writer.writerow(str(lab) for lab in range(1, data.edge_count + 1))
-            for col in data.entries.T:
-                writer.writerow(f"{v:.12g}" for v in col)
+            header = ",".join(str(lab) for lab in range(1, data.edge_count + 1))
+            np.savetxt(fh, data.entries.T, fmt="%.12g", header=header, **lines)
         else:
-            writer.writerow(["edge"] + [f"s{i}" for i in range(1, data.sample_count + 1)])
-            for lab, row in enumerate(data.entries, start=1):
-                writer.writerow([str(lab)] + [f"{v:.12g}" for v in row])
+            header = "edge," + ",".join(f"s{i}" for i in range(1, data.sample_count + 1))
+            labelled = np.column_stack([np.arange(1, data.edge_count + 1), data.entries])
+            fmt = ["%d"] + ["%.12g"] * data.sample_count
+            np.savetxt(fh, labelled, fmt=fmt, header=header, **lines)
 
 
 def load_noise_model(path: str | Path, edge_count: int | None = None) -> NoiseModel:

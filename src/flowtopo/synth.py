@@ -198,11 +198,15 @@ def generate_within(
 def binary_network_with_edges(e: int) -> FlowNetwork:
     """Deterministic benchmark network with exactly e edges: the deepest
     full binary tree with at most e edges, padded to the exact count by
-    extra sink children on the last internal node."""
+    extra sink children on the last internal node.  Fewer than 6 edges (the
+    smallest full binary tree with a conservation law) give one top edge
+    whose head carries the other e - 1 edges as sinks."""
     e = _integer("e", e)
     if e < 2:
         raise InvalidArgument("need at least 2 edges")
-    depth = 1
+    if e < 6:
+        return FlowNetwork(e + 1, ((e + 1, 1),) + tuple((1, t) for t in range(2, e + 1)))
+    depth = 2
     while 2 ** (depth + 2) - 2 <= e:
         depth += 1
     base = 2 ** (depth + 1) - 2

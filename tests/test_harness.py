@@ -1,4 +1,5 @@
 import csv
+import math
 import warnings
 
 import numpy as np
@@ -166,6 +167,14 @@ class TestScalingBench:
         (name,) = setting
         with pytest.raises(ft.InvalidArgument, match=f"{name} must be >= 1"):
             ft.run_scaling_bench(sizes=(8,), **setting)
+
+    @pytest.mark.filterwarnings("error")
+    def test_one_law_count_has_no_alg2_slope(self):
+        # e = 6 and 7 both have m = 2: polyfit warned and gave a made-up slope
+        bench = ft.run_scaling_bench(sizes=(6, 7), repeats=1)
+        assert bench.m_values == (2, 2)
+        assert math.isnan(bench.slope_alg2_vs_m)
+        assert np.isfinite(bench.slope_total)
 
     def test_small_sizes(self):
         bench = ft.run_scaling_bench(sizes=(8, 16), repeats=1)

@@ -133,6 +133,83 @@ class TestDataCsv:
         with pytest.raises(ft.ParseError, match="edge labels for 3 columns"):
             ftio.load_data_csv(path, transposed=True)
 
+    @pytest.mark.parametrize("end", ["\n", "\r\n"])
+    @pytest.mark.parametrize("transposed, rows", [
+        (False, [",,", "edge,s1,s2,s3", "", "2,4,5,6", " , \t,", "1,1,2,3", ","]),
+        (True, ["", "2,1", ",", "4,1", " ,\t", "5,2", "", "6,3", ",,"]),
+    ])
+    def test_blank_rows_skipped(self, tmp_path, end, transposed, rows):
+        # rows of nothing but whitespace and commas are not data, wherever they sit
+        path = tmp_path / "data.csv"
+        path.write_bytes(end.join(rows).encode())
+        back = ftio.load_data_csv(path, transposed=transposed)
+        assert np.array_equal(back.entries, [[1, 2, 3], [4, 5, 6]])
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("text", ["", "\r\n,,\r\n", "edge,s1,s2\r\n", "1,2\n \n"])
+    @pytest.mark.parametrize("transposed", [False, True])
+    def test_no_data_rows(self, tmp_path, text, transposed):
+        path = tmp_path / "data.csv"
+        path.write_bytes(text.encode())
+        with pytest.raises(ft.ParseError, match="need a header row and at least one data row"):
+            ftio.load_data_csv(path, transposed=transposed)
+
+    @pytest.mark.parametrize("last", ["2,4,5", "2,4,5,6,7", "2,4,5,6,"])
+    def test_ragged_row(self, tmp_path, last):
+        path = tmp_path / "data.csv"
+        path.write_text(f"edge,s1,s2,s3\n1,1,2,3\n{last}\n")
+        with pytest.raises(ft.ParseError, match="malformed sample table"):
+            ftio.load_data_csv(path)
+
+    @pytest.mark.parametrize("label", ["1.5", "1.0", "1e0"])
+    @pytest.mark.parametrize("transposed", [False, True])
+    def test_label_must_be_an_integer(self, tmp_path, label, transposed):
+        # labels parse as Python integers, so a float spelling of 1 is refused too
+        path = tmp_path / "data.csv"
+        if transposed:
+            path.write_text(f"{label},2\n1,4\n2,5\n3,6\n")
+        else:
+            path.write_text(f"edge,s1,s2,s3\n{label},1,2,3\n2,4,5,6\n")
+        with pytest.raises(ft.ParseError, match="malformed sample table"):
+            ftio.load_data_csv(path, transposed=transposed)
+
+    @pytest.mark.parametrize("transposed, text", [
+        (False, 'edge,s1,s2,s3\r\n"2","4",5," 6"\r\n1,"1.5e0",2,3\r\n'),
+        (True, '"2", 1 \r\n"4","1.5e0"\r\n5," 2"\r\n"6",3\r\n'),
+    ])
+    def test_quoted_cells(self, tmp_path, transposed, text):
+        path = tmp_path / "data.csv"
+        path.write_bytes(text.encode())
+        back = ftio.load_data_csv(path, transposed=transposed)
+        assert np.array_equal(back.entries, [[1.5, 2, 3], [4, 5, 6]])
+
+    @pytest.mark.parametrize("transposed, golden", [
+        (False, b"edge,s1,s2,s3\r\n1,1,-2.5,1e-300\r\n2,0.333333333333,1e+21,123456789012\r\n"),
+        (True, b"1,2\r\n1,0.333333333333\r\n-2.5,1e+21\r\n1e-300,123456789012\r\n"),
+    ])
+    def test_dump_golden_bytes(self, tmp_path, transposed, golden):
+        data = ft.FlowDataMatrix(np.array([[1.0, -2.5, 1e-300], [1 / 3, 1e21, 123456789012.5]]))
+        path = tmp_path / "data.csv"
+        ftio.dump_data_csv(data, path, transposed=transposed)
+        assert path.read_bytes() == golden
+
+    @pytest.mark.parametrize("transposed", [False, True])
+    def test_dump_matches_per_value_format(self, tmp_path, transposed):
+        # reference: each value through Python's own .12g format, CRLF rows
+        rng = np.random.default_rng(3)
+        entries = rng.choice([-1, 1], (4, 9)) * 10.0 ** rng.uniform(-300, 300, (4, 9))
+        rows = [[f"{v:.12g}" for v in row] for row in entries]
+        if transposed:
+            lines = [[str(lab) for lab in range(1, 5)]] + [list(col) for col in zip(*rows)]
+        else:
+            lines = [["edge"] + [f"s{i}" for i in range(1, 10)]]
+            lines += [[str(lab)] + row for lab, row in enumerate(rows, start=1)]
+        path = tmp_path / "data.csv"
+        ftio.dump_data_csv(ft.FlowDataMatrix(entries), path, transposed=transposed)
+        assert path.read_bytes() == "".join(",".join(ln) + "\r\n" for ln in lines).encode()
+        back = ftio.load_data_csv(path, transposed=transposed).entries
+        assert np.array_equal(back, [[float(v) for v in row] for row in rows])
+
 
 class TestNoiseModelJson:
     def test_shared_variance_round_trip(self, tmp_path):
@@ -317,7 +394,7 @@ class TestCli:
         self.run_ok(["sample", "--network", str(net_path), "--z", "50",
                      "--seed", "2", "--snr", "1000", "--out", str(tmp_path / "run")])
         self.run_ok(["reconstruct", "--data", str(tmp_path / "run.csv"),
-                     "--mode", "noisy", "--noise", str(tmp_path / "run.noise.json"),
+                     "--noise", str(tmp_path / "run.noise.json"),
                      "--out", str(tmp_path / "res")])
         assert main(["verify", "--result", str(tmp_path / "res.json"),
                      "--network", str(net_path)]) == 0
@@ -398,7 +475,7 @@ class TestCli:
         assert not (tmp_path / "sweep.csv").exists()
 
     @pytest.mark.parametrize("argv, flag", [
-        (["reconstruct", "--data", "run.csv", "--mode", "noisy", "--sigma2", "-1"], "--sigma2"),
+        (["reconstruct", "--data", "run.csv", "--sigma2", "-1"], "--sigma2"),
         (["reconstruct", "--data", "run.csv", "--zero-tol", "-1"], "--zero-tol"),
         (["sample", "--network", "net.json", "--n-s", "0", "--out", "run"], "--n-s"),
         (["sweep", "--snr", "-5", "--out", "sweep.csv"], "--snr"),
@@ -413,10 +490,7 @@ class TestCli:
         assert not (tmp_path / "sweep.csv").exists()
 
     @pytest.mark.parametrize("flags, named", [
-        (["--mode", "exact", "--noise", "run.noise.json", "--zero-tol", "1e-3"],
-         ["--mode", "--noise"]),
         (["--zero-tol", "1e-3", "--sigma2", "0.5"], ["--zero-tol", "--sigma2"]),
-        (["--mode", "noisy"], ["--mode", "--noise", "--sigma2"]),
         (["--alpha", "0.01"], ["--alpha", "--noise", "--sigma2"]),
     ])
     def test_lane_conflict_exits_two(self, tmp_path, capsys, flags, named):
@@ -495,6 +569,16 @@ class TestCli:
         doc = json.loads(out.read_text())
         assert doc["sizes"] == [8, 16]
         assert math.isfinite(doc["slope_total"])
+
+    @pytest.mark.filterwarnings("error")
+    def test_bench_below_six_edges(self, tmp_path, capsys):
+        # sizes 3-5 named an invalid node and exited 2; size 2 exited 3
+        for sizes in (["4", "8"], ["2", "8"]):
+            self.run_ok(["bench", "--sizes", *sizes, "--repeats", "1"])
+        # one law count at every size: no alg2-vs-m slope, not a LinAlgError
+        capsys.readouterr()
+        self.run_ok(["bench", "--sizes", "2", "3", "5", "--repeats", "1"])
+        assert "alg2-vs-m slope nan" in capsys.readouterr().out
 
 
 class TestExitCodeMap:

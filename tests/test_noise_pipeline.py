@@ -1038,14 +1038,3 @@ def test_argument_errors_are_typed(call):
     assert isinstance(exc.value, ft.FlowtopoError)
     assert isinstance(exc.value, ValueError)
 
-
-def test_import_leaves_scipy_stats_unloaded():
-    # scipy.stats costs about 0.4 s and 40 MB at import; the order test
-    # takes its chi-square tail from scipy.special instead
-    src = str(Path(ft.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    out = subprocess.run(
-        [sys.executable, "-c", "import sys, flowtopo; print('scipy.stats' in sys.modules)"],
-        env=env, capture_output=True, text=True, check=True,
-    )
-    assert out.stdout.strip() == "False"

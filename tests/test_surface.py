@@ -3,7 +3,11 @@
 import ast
 import importlib
 import inspect
+import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import flowtopo as ft
@@ -73,3 +77,26 @@ def test_every_export_is_used():
             elif isinstance(node, ast.alias):
                 used.add(node.name)
     assert [name for name in ft.__all__ if name not in used] == []
+
+
+def test_import_loads_only_the_library_core():
+    # `import flowtopo` is most of a process's start-up (scipy.linalg about
+    # 0.3 s, numpy 0.15 s, scipy.special 0.06 s); scipy.stats would add about
+    # 0.4 s and 40 MB, and the file formats and the CLI load only when used
+    script = (
+        "import json, sys, flowtopo; "
+        "print(json.dumps([[m, hasattr(v, '__path__')] for m, v in list(sys.modules.items())]))"
+    )
+    path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    out = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+    )
+    loaded = dict(json.loads(out.stdout))
+    assert "flowtopo.nullspace" in loaded
+    assert [m for m in ("flowtopo.io", "flowtopo.cli") if m in loaded] == []
+    scipy_packages = {
+        m for m, is_package in loaded.items()
+        if is_package and m.count(".") == 1 and m.startswith("scipy.") and not m.startswith("scipy._")
+    }
+    assert scipy_packages <= {"scipy.linalg", "scipy.special"}

@@ -126,7 +126,7 @@ class TestGeneration:
 
 
 class TestBenchmarkNetwork:
-    @pytest.mark.parametrize("e", [2, 6, 7, 14, 30, 31, 100])
+    @pytest.mark.parametrize("e", [2, 3, 4, 5, 6, 7, 14, 30, 31, 100])
     def test_exact_edge_count(self, e):
         net = ft.binary_network_with_edges(e)
         assert net.edge_count == e
@@ -139,6 +139,22 @@ class TestBenchmarkNetwork:
         for s, _ in net.edges:
             kids[s] = kids.get(s, 0) + 1
         assert set(kids.values()) == {2}
+
+    def test_exact_lane_recovers_every_size(self):
+        # below 6 edges the padding named node 0 (e = 3-5) or left a star
+        # with no conservation law (e = 2)
+        missed = []
+        for e in range(2, 41):
+            net = ft.binary_network_with_edges(e)
+            result = ft.reconstruct(ft.sample_flows(net, ft.FlowSamplerConfig(n_s=2 * e, seed=0)))
+            if not ft.verify_against_truth(result, net):
+                missed.append(e)
+        assert missed == []
+
+    def test_two_edges_are_one_chain(self):
+        net = ft.binary_network_with_edges(2)
+        result = ft.reconstruct(ft.sample_flows(net, ft.FlowSamplerConfig(n_s=4, seed=0)))
+        assert result.diagnostics["chain_groups"] == ((1, 2),)
 
     def test_too_small(self):
         with pytest.raises(ValueError):
