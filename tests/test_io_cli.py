@@ -490,7 +490,9 @@ class TestCli:
         assert not (tmp_path / "sweep.csv").exists()
 
     @pytest.mark.parametrize("flags, named", [
+        (["--noise", "run.noise.json", "--zero-tol", "1e-3"], ["--zero-tol", "--noise"]),
         (["--zero-tol", "1e-3", "--sigma2", "0.5"], ["--zero-tol", "--sigma2"]),
+        (["--alpha", "0.01", "--zero-tol", "1e-3"], ["--alpha", "--noise", "--sigma2"]),
         (["--alpha", "0.01"], ["--alpha", "--noise", "--sigma2"]),
     ])
     def test_lane_conflict_exits_two(self, tmp_path, capsys, flags, named):
