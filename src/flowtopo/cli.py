@@ -1,7 +1,8 @@
 """Command-line interface.
 
-Exit codes: 0 success, 1 verification mismatch, 2 input/parse problems,
-3 model-order failures, 4 snap failures, 5 realization failures.
+Exit codes: 0 success, 1 verification mismatch, 2 input/parse problems
+or an output file that cannot be written, 3 model-order failures, 4 snap
+failures, 5 realization failures.
 """
 
 from __future__ import annotations
@@ -295,9 +296,11 @@ def _cmd_bench(args) -> int:
         "sizes": list(bench.sizes),
         "m_values": list(bench.m_values),
         "stage_seconds": {k: list(v) for k, v in bench.stage_seconds.items()},
-        "slope_total": bench.slope_total,
-        "slope_alg2_vs_m": bench.slope_alg2_vs_m,
-        "slope_cutset": bench.slope_cutset,
+        # JSON has no NaN: an undefined slope is written as null
+        **{
+            name: None if math.isnan(getattr(bench, name)) else getattr(bench, name)
+            for name in ("slope_total", "slope_alg2_vs_m", "slope_cutset")
+        },
     }
     if args.out:
         io.write_json(doc, args.out)
@@ -326,6 +329,10 @@ def main(argv: list[str] | None = None) -> int:
     except FlowtopoError as exc:
         print(f"error: {_message(args.command, exc)}", file=sys.stderr)
         return _exit_code(exc)
+    except OSError as exc:
+        # reads raise ParseError, so this is an output file that cannot be written
+        print(f"error: {args.command}: cannot write: {exc}", file=sys.stderr)
+        return _EXIT_PARSE
 
 
 if __name__ == "__main__":

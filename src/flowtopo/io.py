@@ -136,6 +136,8 @@ def load_noise_model(path: str | Path, edge_count: int | None = None) -> NoiseMo
     resolved relative to the JSON file; optional "mean".  When ``edge_count``
     is given, the covariance, the mean and any "edges" must have that many."""
     doc = _read_json(path)
+    if not isinstance(doc, dict):
+        raise ParseError(f"{path}: need a JSON object")
     kind = _KIND_ALIASES.get(str(doc.get("kind", "")).lower())
     if kind is None:
         raise ParseError(f"{path}: 'kind' must be homoscedastic or heteroscedastic")
@@ -160,6 +162,8 @@ def load_noise_model(path: str | Path, edge_count: int | None = None) -> NoiseMo
         model = NoiseModel(cov, mean=mean)
     except KeyError as exc:
         raise ParseError(f"{path}: missing field {exc}") from exc
+    except TypeError as exc:  # float() of a sigma2 that is a list, an object or null
+        raise ParseError(f"{path}: sigma2 must be a number") from exc
     except (OSError, ValueError) as exc:
         raise ParseError(f"{path}: {exc}") from exc
     # NoiseModel already ties the mean's length to the covariance

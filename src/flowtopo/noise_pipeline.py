@@ -1,28 +1,29 @@
 """Measurement-noise lane: whitening, model-order testing, and the one
 end-to-end entry point, ``reconstruct``.
 
-Both lanes pick the sink edges, and read the canonical cutset
-``[I | -T]`` off, through one pivoted Cholesky factorization of an e x e
-Gram matrix of the edges' flow rows scaled to unit total
-(``nullspace.pivoted_cutset``); the exact lane forms that matrix from the
-samples (``nullspace.sink_cutset``).  The noisy lane reads the samples
-once, into the e x e Gram matrix, and works in e x e space from there:
-one Cholesky factor of the error covariance whitens it from both sides,
-and one symmetric eigendecomposition of that whitened sample covariance
-feeds a sequential eigenvalue-equality test, vectorized over all
-candidates, that picks the conservation-law count m; the e - m largest
+Both lanes read the samples once, in one front end
+(``nullspace.sample_moments``), into the edge totals and the e x e Gram
+matrix, and work in e x e space from there.  Both pick the sink edges,
+and read the canonical cutset ``[I | -T]`` off, through one pivoted
+Cholesky factorization of an e x e Gram matrix of the flow rows scaled to
+unit total (``nullspace.pivoted_cutset``); the exact lane's is the
+samples' divided by the totals (``nullspace.sink_cutset``).  In the noisy
+lane one Cholesky factor of the error covariance whitens it from both
+sides, and one symmetric eigendecomposition of that whitened sample
+covariance feeds a sequential eigenvalue-equality test, vectorized over
+all candidates, that picks the conservation-law count m; the e - m largest
 eigenpairs, less the unit noise floor, give the denoised signal's Gram
 matrix.  Both lanes end in the same realization core, fed the share rows
 the cutset step already holds, which reports the equal-flow chains whose
-order the data cannot fix.  ``reconstruct_exact``
-and ``reconstruct_noisy`` call ``reconstruct`` for one lane each.
+order the data cannot fix.  ``reconstruct_exact`` and ``reconstruct_noisy``
+call ``reconstruct`` for one lane each.
 
 The inputs are checked once, by ``FlowDataMatrix`` and ``NoiseModel``;
 past that the noisy lane calls LAPACK directly, as ``scipy.linalg`` would
 but without its argument checks: ``dpotrf`` for the Cholesky factor,
 ``dtrtrs`` for the whitening solves (``nullspace.triangular_solve``) and
-BLAS ``dsyrk`` for the signal's Gram matrix.  The eigendecomposition is
-numpy's ``eigh``.
+BLAS ``dsyrk`` for the samples' and the signal's Gram matrices.  The
+eigendecomposition is numpy's ``eigh``.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ from scipy.special import chdtrc
 from .canonical_cutset import CanonicalCutsetMatrix
 from .errors import (
     InvalidArgument,
-    NonPositiveFlow,
     NoStableOrder,
     NotPositiveDefinite,
     SnapFailure,
@@ -46,9 +46,9 @@ from .errors import (
 from .nullspace import (
     EXACT_ZERO_TOL,
     FlowDataMatrix,
-    _gram_shift,
-    edge_totals,
+    check_totals,
     pivoted_cutset,
+    sample_moments,
     sink_cutset,
     triangular_solve,
 )
@@ -61,6 +61,7 @@ DEFAULT_SNAP_BAND = 0.35
 # their squares).
 ZERO_EIGENVALUE_RATIO = 1e-8
 UNDERSAMPLE_WARN_FACTOR = 5
+_BEYOND_FLOAT = "the samples exceed the noise covariance by more than floating point can hold"
 
 
 @dataclass(frozen=True)
@@ -181,11 +182,9 @@ def _centred_samples(data: FlowDataMatrix, noise: NoiseModel) -> np.ndarray:
 
 
 def _gram(y: np.ndarray) -> np.ndarray:
-    # Forming the Gram matrix squares the condition number, which is why
-    # the exact lane's cutoff cannot go below 1e-7; here the null
-    # eigenvalues sit at the noise floor, far above rounding error.  An
-    # overflow leaves a diagonal outside nullspace.GRAM_BAND, which
-    # reconstruct rescales and the order test refuses, so it does not warn.
+    # estimate_model_order's covariance of whitened samples, which the lanes'
+    # front end would rescale; the order test refuses an overflow, so it does
+    # not warn.  The null eigenvalues sit at the noise floor, far above rounding.
     with np.errstate(over="ignore", invalid="ignore"):
         return (y @ y.T) / y.shape[1]
 
@@ -223,8 +222,8 @@ def _order_test(
     spectrum ascends, the zero eigenvalues form a prefix.
 
     Raises:
-        InvalidArgument: ``alpha`` is outside (0, 1), or ``s_y`` is not
-            finite (the samples overflowed it).
+        InvalidArgument: ``alpha`` is outside (0, 1), or ``s_y`` or its
+            spectrum's sum is not finite (the samples overflowed them).
         NoStableOrder: every candidate down to k = 2 is rejected.
     """
     if not 0 < alpha < 1:
@@ -236,10 +235,7 @@ def _order_test(
             "guideline; the order test loses power"
         )
     if not np.isfinite(s_y).all():
-        raise InvalidArgument(
-            "the whitened sample covariance is not finite: the samples exceed the "
-            "noise covariance by more than floating point can hold"
-        )
+        raise InvalidArgument(f"the whitened sample covariance is not finite: {_BEYOND_FLOAT}")
     lams, vecs = np.linalg.eigh(s_y)  # ascending
     lams = np.maximum(lams, 0.0)
     zeros = int(np.count_nonzero(lams <= ZERO_EIGENVALUE_RATIO * lams[-1]))
@@ -250,7 +246,11 @@ def _order_test(
         stats = np.where(all_zero, 0.0, math.inf)
         pvals = np.where(all_zero, 1.0, 0.0)
     else:
-        mean = np.cumsum(lams)[ks - 1] / ks
+        with np.errstate(over="ignore"):
+            sums = np.cumsum(lams)
+        if not np.isfinite(sums[-1]):
+            raise InvalidArgument(f"the whitened spectrum's sum is not finite: {_BEYOND_FLOAT}")
+        mean = sums[ks - 1] / ks
         log_sum = np.cumsum(np.log(lams))[ks - 1]
         stats = np.maximum(n_s * (ks * np.log(mean) - log_sum), 0.0)
         pvals = chdtrc((ks - 1) * (ks + 2) // 2, stats)
@@ -295,32 +295,27 @@ def estimate_model_order(whitened: FlowDataMatrix, alpha: float = DEFAULT_ALPHA)
 
 
 def _noisy_cutset(
-    y: np.ndarray, lower: np.ndarray, lams: np.ndarray, vecs: np.ndarray, m: int
+    totals: np.ndarray, lower: np.ndarray, lams: np.ndarray, vecs: np.ndarray, m: int
 ) -> tuple[CanonicalCutsetMatrix, tuple[np.ndarray, ...], np.ndarray]:
     """The canonical cutset, its share rows and the pivot magnitudes
     (``nullspace.pivoted_cutset``) from the order test's
     eigendecomposition of the whitened sample covariance.
 
     The e - m largest eigenpairs, less the unit noise floor of whitened
-    errors, estimate the signal: with D the edge totals,
+    errors, estimate the signal: with D the edge ``totals``,
     ``F = D^-1 L U_s diag(sqrt(lam_s - 1))`` has ``F F^T`` close to the
     Gram matrix of the flow rows scaled to unit total (over n_s), which
     ``nullspace.pivoted_cutset`` factors with the exact lane's cutoff.
 
     Raises:
+        NonPositiveFlow: an edge total is not positive (``check_totals``).
         SnapFailure: the order test left no signal eigenvalue (m = e), the
             weakest one is not above the unit noise floor, the cutoff keeps
             other than the order test's e - m pivots, or a share does not
             snap.
     """
-    e = y.shape[0]
-    try:
-        totals = edge_totals(y)
-    except NonPositiveFlow as exc:
-        raise NonPositiveFlow(
-            f"{exc}; the noisy lane needs uncentred flows: pass the raw samples "
-            "and declare a known error offset as NoiseModel.mean, not mean-removed rows"
-        ) from None
+    e = totals.shape[0]
+    check_totals(totals)
     if m == e:
         raise SnapFailure(
             f"the order test found all {e} eigenvalues equal (m = {m}), leaving no "
@@ -352,28 +347,26 @@ def reconstruct(
     total (``nullspace.pivoted_cutset``): pivots whose ``U_kk`` exceeds a
     cutoff times ``U_00`` are the sink edges, the rest the branches, and
     ``diagnostics`` adds those ``pivot_norms`` (with the refused pivot
-    after them).  Without a noise model the Gram matrix comes from the
-    samples (``nullspace.sink_cutset``) and the cutoff is ``zero_tol``
+    after them).  Both lanes read the samples once, in one front end
+    (``nullspace.sample_moments``), into the edge totals and the Gram
+    matrix ``G``.  Without a noise model the Gram matrix is ``G`` over the
+    totals (``nullspace.sink_cutset``) and the cutoff is ``zero_tol``
     (default ``EXACT_ZERO_TOL = 1e-6``, at least ``ZERO_TOL_FLOOR = 1e-7``);
     forming it squares the condition number, so flows whose sink samples
     vary by less than about 1e-5 of their mean look equal and fail to
-    snap.  With a noise model, the samples are read once, into the e x e
-    Gram matrix ``G = Y Y^T / n_s`` (less any declared mean, as in
-    ``whiten``), which the one Cholesky factor ``L`` of the error
+    snap.  With a noise model, ``G = Y Y^T / n_s`` (less any declared mean,
+    as in ``whiten``), which the one Cholesky factor ``L`` of the error
     covariance whitens from both sides: ``L^-1 G L^-T`` equals
     ``estimate_model_order``'s covariance of ``whiten(data, noise)``
     without forming the e x n_s whitened samples.  The order test at level
     ``alpha`` picks the law count m (``diagnostics`` adds its
     ``rank_test``), its e - m largest eigenpairs, less the noise floor,
     give the Gram matrix, and the cutoff ``EXACT_ZERO_TOL`` must keep
-    e - m pivots.  When a diagonal of ``G`` leaves ``nullspace.GRAM_BAND``
-    (samples past about 1e150 or below 1e-150), ``G`` is taken again on
-    the rows scaled by powers of two, and whitened by ``L`` scaled alike,
-    which leaves the whitened matrix unchanged.  Both lanes end in the
-    realization core that ``realize_topology`` also runs, fed the 0/1
-    share rows the cutset step already holds, so neither reads them back
-    out of the canonical matrix.
-    The result is built once, with every diagnostic: the ``canonical``
+    e - m pivots.  Where the front end takes ``G`` again on rows scaled by
+    powers of two (samples past about 1e150 or below 1e-150), the exact
+    lane scales its totals alike and the noisy lane its ``L``.  Both lanes
+    end in the realization core that ``realize_topology`` also runs.  The
+    result is built once, with every diagnostic: the ``canonical``
     matrix, the ``chain_groups`` of equal-flow edges, whose order the data
     cannot fix and the ordered-label convention settles (a caller that
     must refuse such an answer tests ``chain_groups``), the noisy lane's
@@ -382,8 +375,9 @@ def reconstruct(
     Raises:
         InvalidArgument: ``alpha`` without a noise model, ``zero_tol``
             with one or outside ``[ZERO_TOL_FLOOR, 1)``, a covariance
-            whose size differs from the data's, or samples so far above
-            the noise covariance that the whitened matrix is not finite.
+            whose size differs from the data's, samples so far above the
+            noise covariance that the whitened matrix or its spectrum's
+            sum is not finite, or an edge total past the float range.
         NonPositiveFlow: an edge whose samples (less any declared mean)
             do not sum to a positive flow, as after removing each edge's
             mean.
@@ -408,20 +402,19 @@ def reconstruct(
     else:
         if zero_tol is not None:
             raise InvalidArgument("zero_tol is the exact lane's cutoff; it takes no noise model")
-        y = _centred_samples(data, noise)
+        totals, gram, shift = sample_moments(_centred_samples(data, noise))
         lower = _cholesky_lower(noise)
-        gram, white = _gram(y), lower
-        shift = _gram_shift(y, gram)
-        if shift is not None:
-            # the rows D y, D a diagonal of powers of two, and the factor D L
-            # of D Sigma D whiten to the same L^-1 G L^-T, with no overflow
-            gram, white = _gram(np.ldexp(y, shift[:, None])), np.ldexp(lower, shift[:, None])
+        # the rows D y and the factor D L of D Sigma D, D a diagonal of
+        # powers of two, whiten to the same L^-1 G L^-T, with no overflow
+        white = lower if shift is None else np.ldexp(lower, shift[:, None])
+        # both solves read all of G: mirror its upper triangle, then G / n_s
+        gram = (gram + np.triu(gram, 1).T) / data.sample_count
         # whitened sample covariance L^-1 G L^-T, by two e x e triangular solves
         s_y = triangular_solve(white, triangular_solve(white, gram).T)
         report, lams, vecs = _order_test(
             s_y, data.sample_count, DEFAULT_ALPHA if alpha is None else alpha
         )
-        canon, shares, pivot_norms = _noisy_cutset(y, lower, lams, vecs, report.chosen_m)
+        canon, shares, pivot_norms = _noisy_cutset(totals, lower, lams, vecs, report.chosen_m)
         rank_test = {"rank_test": report}
     edges, chains = _realize(*shares)
     return ReconstructionResult(

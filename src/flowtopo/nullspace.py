@@ -2,17 +2,19 @@
 
 Every edge flow is a 0/1 sum of sink flows, so after scaling each edge's
 samples to unit total, a greedy pivot on the largest residual norm picks
-the sink edges.  Neither lane needs a null basis: both take one pivoted
-Cholesky factorization of an e x e Gram matrix of the scaled rows
-(:func:`pivoted_cutset`), whose pivots are the sinks, whose diagonal gives
-the rank, and whose triangular factor gives the canonical cutset matrix
-``[I | -T]`` and the 0/1 share rows ``T`` that realization reads
-(:func:`cutset_from_factor`).  The exact lane's Gram matrix
-comes from the raw samples (:func:`sink_cutset`), the noisy lane's from
-the signal part of the whitened covariance (``noise_pipeline``).  The
-data cannot order the edges of an equal-flow chain; where one ends in a
-sink, the chain's largest label takes the sink's seat, and realization
-orders and reports every chain by that same ordered-label convention.
+the sink edges.  Both lanes read the samples once, in one front end
+(:func:`sample_moments`, then :func:`check_totals`), into the edge totals
+``s`` and the Gram matrix ``G = X X^T``.  Neither needs a null basis: both
+take one pivoted Cholesky factorization of an e x e Gram matrix of the
+scaled rows (:func:`pivoted_cutset`), whose pivots are the sinks, whose
+diagonal gives the rank, and whose triangular factor gives the canonical
+cutset matrix ``[I | -T]`` and the 0/1 share rows ``T`` that realization
+reads (:func:`cutset_from_factor`).  The exact lane's Gram matrix is
+``G / (s s^T)`` (:func:`sink_cutset`), the noisy lane's the signal part of
+``G`` whitened (``noise_pipeline``).  The data cannot order the edges of
+an equal-flow chain; where one ends in a sink, the chain's largest label
+takes the sink's seat, and realization orders and reports every chain by
+that same ordered-label convention.
 Both lanes call BLAS and LAPACK directly on checked inputs: ``dsyrk`` for
 their Gram matrices, ``dpstrf`` for the factorization and ``dtrtrs``
 (:func:`triangular_solve`) for the shares ``U11^-1 U12``.
@@ -59,7 +61,7 @@ EXACT_ZERO_TOL = 1e-6
 # cutoffs below this would count rounding in the Gram matrix as rank
 ZERO_TOL_FLOOR = 1e-7
 # the squared row norms within which the raw Gram product neither
-# overflows nor loses digits to underflow (see :func:`_unit_total_gram`)
+# overflows nor loses digits to underflow (see :func:`sample_moments`)
 GRAM_BAND = (2.0**-600, 2.0**600)
 DEFAULT_ROUND_TOL = 0.1
 # rref takes a column as pivot only above this fraction of the largest
@@ -191,14 +193,14 @@ def sink_cutset(
     """The canonical cutset of noise-free data, by :func:`pivoted_cutset`
     on the Gram matrix ``Gn`` of the rows scaled to unit l1 norm.
 
-    ``Gn`` is ``G / (s s^T)`` with ``G = X X^T`` and ``s`` the edge totals,
-    so it is taken from the raw samples with no e x n_s copy of them (only
-    data beyond about 1e150 or below 1e-150 is copied, rescaled by powers
-    of two; see :func:`_unit_total_gram`).  Squaring the condition number
-    puts a pivot that is zero in exact arithmetic near ``sqrt(eps)`` of the
-    first, so ``zero_tol`` must be at least ``ZERO_TOL_FLOOR``, and flows
-    whose sink samples vary by less than about 1e-5 of their mean cannot
-    be told apart from equal flows.
+    ``Gn`` is ``G / (s s^T)`` with ``G = X X^T`` and ``s`` the edge totals
+    of :func:`sample_moments`, so it is taken from the raw samples with no
+    e x n_s copy of them (only data beyond about 1e150 or below 1e-150 is
+    copied, rescaled by powers of two, ``s`` alike).  Squaring the
+    condition number puts a pivot that is zero in exact arithmetic near
+    ``sqrt(eps)`` of the first, so ``zero_tol`` must be at least
+    ``ZERO_TOL_FLOOR``, and flows whose sink samples vary by less than
+    about 1e-5 of their mean cannot be told apart from equal flows.
 
     Returns the canonical cutset, its share rows (see
     :func:`cutset_from_factor`) and the pivot magnitudes, the refused
@@ -206,7 +208,7 @@ def sink_cutset(
 
     Raises:
         InvalidArgument: ``zero_tol`` is below ``ZERO_TOL_FLOOR`` or not
-            below 1.
+            below 1, or an edge's samples sum past the float range.
         NonPositiveFlow: some edge's samples do not sum to a positive flow
             (an ``InvalidArgument``).
         RankZero: every pivot clears the cutoff.
@@ -218,8 +220,11 @@ def sink_cutset(
             f"zero_tol must lie in [{ZERO_TOL_FLOOR:g}, 1), got {zero_tol:g}; the Gram "
             "matrix resolves pivots only down to about 1e-8 of the first"
         )
-    sums = edge_totals(data.entries)
-    gram = _unit_total_gram(data.entries, sums)
+    sums, gram, shift = sample_moments(data.entries)
+    check_totals(sums)
+    inv = 1.0 / (sums if shift is None else np.ldexp(sums, shift))
+    gram *= inv[:, None]
+    gram *= inv
     return pivoted_cutset(gram, sums, zero_tol, DEFAULT_ROUND_TOL, NonIntegerCutset)
 
 
@@ -270,59 +275,41 @@ def pivoted_cutset(
     return *cutset_from_factor(u, piv, found, totals, band, error_cls), norms
 
 
-def _unit_total_gram(x: np.ndarray, sums: np.ndarray) -> np.ndarray:
-    """The Gram matrix of the rows of ``x`` scaled to unit total,
-    ``G / (s s^T)`` with ``G = X X^T`` and ``s`` the row totals ``sums``,
-    without forming the scaled rows.  It is Fortran-ordered with only its
-    upper triangle filled, the one ``dpstrf`` reads; the rest is zero.
+def sample_moments(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """Both lanes' one read of the e x n_s samples ``x``: their row totals
+    ``s``, unscaled (an overflow does not warn; :func:`check_totals`
+    refuses it), and Gram matrix ``G = X X^T`` by one BLAS ``dsyrk`` on the
+    uncopied view ``x.T``: Fortran order, upper triangle filled, lower zero.
 
-    The raw product overflows for entries past about 1e150 and loses
-    digits to underflow below about 1e-150.  Where a diagonal of ``G``
-    leaves ``GRAM_BAND`` (or is not finite), the product is taken again on
-    the rows scaled by the powers of two that bring each row's largest
-    entry into [0.5, 1), with their totals scaled alike.  Powers of two
-    round nothing, so the scaled rows give the same ``G / (s s^T)``; only
-    then is an e x n_s copy made.
+    The raw product overflows past about 1e150 and loses digits below
+    about 1e-150, so where a diagonal leaves ``GRAM_BAND`` (or is not
+    finite) ``G`` is taken again on a copy of the rows scaled by the powers
+    of two ``shift`` that bring each row's largest entry into [0.5, 1),
+    else ``shift`` is None.  Powers of two round nothing, so a caller that
+    scales alike what it pairs with ``G`` gets the raw product's answer.
     """
-    # BLAS dsyrk reads x through its Fortran-ordered view x.T, uncopied
+    with np.errstate(over="ignore"):
+        sums = x.sum(axis=1)
     gram = sla.blas.dsyrk(1.0, x.T, trans=1)
-    shift = _gram_shift(x, gram)
-    if shift is not None:
-        x, sums = np.ldexp(x, shift[:, None]), np.ldexp(sums, shift)
-        gram = sla.blas.dsyrk(1.0, x.T, trans=1)
-    inv = 1.0 / sums
-    gram *= inv[:, None]
-    gram *= inv
-    return gram
-
-
-def _gram_shift(x: np.ndarray, gram: np.ndarray) -> np.ndarray | None:
-    """None when every diagonal of the Gram matrix ``gram`` of the rows of
-    ``x`` lies in ``GRAM_BAND``; otherwise (a diagonal outside it or not
-    finite) the powers of two that bring each row's largest entry into
-    [0.5, 1), for both lanes to rescale their rows by before they take the
-    product again."""
     diag = gram.diagonal()
     if GRAM_BAND[0] <= diag.min() and diag.max() <= GRAM_BAND[1]:
-        return None
-    return -np.frexp(np.abs(x).max(axis=1))[1]
+        return sums, gram, None
+    shift = -np.frexp(np.abs(x).max(axis=1))[1]
+    return sums, sla.blas.dsyrk(1.0, np.ldexp(x, shift[:, None]).T, trans=1), shift
 
 
-def edge_totals(samples: np.ndarray) -> np.ndarray:
-    """Each edge's total over the samples, the scale by which the sinks
-    are picked.
-
-    Raises:
-        NonPositiveFlow: some edge's total is not positive.
-    """
-    sums = samples.sum(axis=1)
+def check_totals(sums: np.ndarray) -> None:
+    """Refuse edge totals that are not positive (``NonPositiveFlow``) or
+    not finite (``InvalidArgument``): both lanes scale rows by them."""
     if not (sums > 0).all():
         k = int(np.argmin(sums > 0))
         raise NonPositiveFlow(
-            f"edge {k + 1} sums to {sums[k]:.6g}; picking the sinks needs every "
-            "edge to carry a positive total flow"
+            f"edge {k + 1} sums to {sums[k]:.6g}; picking the sinks needs every edge to carry "
+            "a positive total flow: pass the raw, uncentred flows and declare a known error "
+            "offset as NoiseModel.mean, not mean-removed rows"
         )
-    return sums
+    if not np.isfinite(sums).all():
+        raise InvalidArgument(f"edge {np.argmin(np.isfinite(sums)) + 1} sums past the float range")
 
 
 def cutset_from_factor(

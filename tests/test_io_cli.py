@@ -582,6 +582,54 @@ class TestCli:
         self.run_ok(["bench", "--sizes", "2", "3", "5", "--repeats", "1"])
         assert "alg2-vs-m slope nan" in capsys.readouterr().out
 
+    def test_bench_json_writes_null_for_an_undefined_slope(self, tmp_path, capsys):
+        # one law count at every size leaves no alg2-vs-m slope: the file
+        # holds null, which strict JSON accepts, and the printed line nan
+        out = tmp_path / "bench.json"
+        self.run_ok(["bench", "--sizes", "2", "3", "5", "--repeats", "1", "--out", str(out)])
+        assert "alg2-vs-m slope nan" in capsys.readouterr().out
+
+        def refuse(name):
+            raise ValueError(f"{name} is not JSON")
+
+        doc = json.loads(out.read_text(), parse_constant=refuse)
+        assert doc["slope_alg2_vs_m"] is None
+        assert math.isfinite(doc["slope_total"])
+
+    @pytest.mark.parametrize("text", ["[1, 2]", '{"kind": "homo", "sigma2": [1]}',
+                                      '{"kind": "homo", "sigma2": null}'])
+    def test_malformed_noise_model_exits_two(self, tmp_path, capsys, text):
+        # these raised AttributeError or TypeError: a traceback and exit 1
+        data = ft.sample_flows(small_net(), ft.FlowSamplerConfig(n_s=60, seed=5))
+        ftio.dump_data_csv(data, tmp_path / "run.csv")
+        (tmp_path / "bad.noise.json").write_text(text)
+        assert main(["reconstruct", "--data", str(tmp_path / "run.csv"),
+                     "--noise", str(tmp_path / "bad.noise.json")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+
+    @pytest.mark.parametrize("argv", [
+        ["generate", "--out", "missing/net.json"],
+        ["sample", "--network", "net.json", "--z", "3", "--out", "missing/run"],
+        ["reconstruct", "--data", "run.csv", "--out", "missing/res"],
+        ["sweep", "--families", "binary", "--networks", "1", "--snr", "1e9", "--z-max", "1",
+         "--trials", "1", "--max-edges", "20", "--out", "missing/sweep.csv"],
+        ["bench", "--sizes", "8", "16", "--repeats", "1", "--out", "missing/bench.json"],
+    ])
+    def test_unwritable_out_exits_two(self, tmp_path, capsys, argv):
+        # an output path in a directory that does not exist ended in a
+        # FileNotFoundError traceback and exit 1
+        ftio.dump_network(small_net(), tmp_path / "net.json")
+        data = ft.sample_flows(small_net(), ft.FlowSamplerConfig(n_s=60, seed=5))
+        ftio.dump_data_csv(data, tmp_path / "run.csv")
+        capsys.readouterr()
+        paths = {"--out", "--network", "--data"}
+        argv = [str(tmp_path / a) if flag in paths else a for flag, a in zip([""] + argv, argv)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {argv[0]}: cannot write: ") and err.count("\n") == 1, err
+        assert not (tmp_path / "missing").exists()
+
 
 class TestExitCodeMap:
     def test_classes(self):

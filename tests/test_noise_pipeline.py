@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import linalg as sla
 from scipy.stats import chi2
@@ -523,7 +523,7 @@ class TestReconstructNoisy:
         vecs = np.concatenate([u[:, m:], u[:, m - 1 :: -1]], axis=1)
         assert lams[m] > 1.0
         with pytest.raises(ft.SnapFailure, match="keeps 1 sinks, but the order test found 2"):
-            noise_pipeline._noisy_cutset(np.ones((e, 1)), np.eye(e), lams, vecs, m)
+            noise_pipeline._noisy_cutset(np.ones(e), np.eye(e), lams, vecs, m)
 
     def test_no_scipy_wrapper_on_either_lane(self, monkeypatch):
         # both lanes and whiten call LAPACK directly, never the checked
@@ -699,12 +699,50 @@ class TestReconstructNoisy:
 
     def test_mean_removed_data_explained(self):
         # the sinks are picked on flows scaled by their totals, which vanish
-        # once each edge's mean is removed; the error says what to pass
+        # once each edge's mean is removed; the error says what to pass,
+        # in the same words in both lanes
         net = ft.generate_within("binary", 0, max_edges=40)
         noisy, model = noisy_sample(net, 50, 100.0, 0)
         centred = ft.FlowDataMatrix(noisy.entries - noisy.entries.mean(axis=1, keepdims=True))
-        with pytest.raises(ft.NonPositiveFlow, match=r"uncentred flows.*NoiseModel\.mean"):
+        remedy = r"uncentred flows.*NoiseModel\.mean"
+        with pytest.raises(ft.NonPositiveFlow, match=remedy) as noisy_exc:
             ft.reconstruct_noisy(centred, model)
+        with pytest.raises(ft.NonPositiveFlow) as exact_exc:
+            ft.reconstruct_exact(centred)
+        assert str(exact_exc.value) == str(noisy_exc.value)
+
+    def test_samples_read_once(self, monkeypatch):
+        # one call of the front end forms the sample Gram matrix, and the
+        # lane forms no second one with _gram
+        calls = []
+
+        def moments(x):
+            calls.append(x.shape)
+            return nullspace.sample_moments(x)
+
+        def no_gram(y):
+            pytest.fail("the lane formed a second Gram matrix of the samples")
+
+        monkeypatch.setattr(noise_pipeline, "sample_moments", moments)
+        monkeypatch.setattr(noise_pipeline, "_gram", no_gram)
+        net = binary_net()
+        noisy, model = noisy_sample(net, 50, 100.0, seed=3)
+        assert ft.verify_against_truth(ft.reconstruct_noisy(noisy, model), net)
+        assert calls == [noisy.entries.shape]
+
+    def test_front_end_statistics(self):
+        # the totals and the upper triangle of X X^T, Fortran-ordered with
+        # the lower triangle zero; rescued rows give the same G / (s s^T)
+        x = np.random.default_rng(0).random((5, 40))
+        want = np.triu(x @ x.T / np.outer(x.sum(axis=1), x.sum(axis=1)))
+        for scale, rescued in ((1.0, False), (1e160, True), (1e-160, True)):
+            sums, gram, shift = nullspace.sample_moments(x * scale)
+            assert (shift is not None) == rescued
+            np.testing.assert_allclose(sums, (x * scale).sum(axis=1), rtol=1e-14)
+            assert gram.flags.f_contiguous and not np.tril(gram, -1).any()
+            if rescued:
+                sums = np.ldexp(sums, shift)
+            np.testing.assert_allclose(gram / np.outer(sums, sums), want, rtol=1e-13)
 
     def test_order_test_keeping_every_eigenvalue_is_typed(self):
         # m = e leaves no signal eigenpair; this raised a bare IndexError
@@ -714,10 +752,20 @@ class TestReconstructNoisy:
                 ft.reconstruct(data, ft.NoiseModel.isotropic(1e-5, 3))
 
     @pytest.mark.parametrize("scale", [1e-160, 1e140, 1e150])
-    def test_magnitude_outside_the_gram_band_recovered(self, scale):
+    def test_magnitude_outside_the_gram_band_recovered(self, scale, monkeypatch):
         # samples scaled by 1e150 and covariance by 1e300 overflowed the
         # sample Gram matrix, and eigh raised LinAlgError; the rows and the
-        # Cholesky factor rescaled by powers of two whiten to the same matrix
+        # Cholesky factor rescaled by powers of two whiten to the same
+        # matrix.  The exact lane, its totals rescaled alike, runs on the
+        # noise-free samples; the front end rescues in both lanes
+        shifts, original = [], nullspace.sample_moments
+
+        def moments(x):
+            shifts.append(original(x)[2])
+            return original(x)
+
+        monkeypatch.setattr(noise_pipeline, "sample_moments", moments)
+        monkeypatch.setattr(nullspace, "sample_moments", moments)
         net = ft.generate_within("binary", 3, max_edges=30)
         e = net.edge_count
         data = ft.sample_flows(net, ft.FlowSamplerConfig(n_s=50 * e, seed=1))
@@ -726,6 +774,8 @@ class TestReconstructNoisy:
             ft.FlowDataMatrix(noisy.entries * scale), ft.NoiseModel(model.covariance * scale**2)
         )
         assert ft.verify_against_truth(result, net)
+        assert ft.verify_against_truth(ft.reconstruct(ft.FlowDataMatrix(data.entries * scale)), net)
+        assert len(shifts) == 2 and all(shift is not None for shift in shifts)
 
     def test_whitened_overflow_is_typed(self):
         # samples 1e250 times a unit noise model whiten past the float range
@@ -913,6 +963,9 @@ def fuzz_samples(kind: str, e: int, n_s: int, rng: np.random.Generator) -> np.nd
     st.integers(0, 2**32 - 1),
 )
 @settings(max_examples=100, deadline=None)
+# the whitened spectrum of these samples sums past the float range, and
+# its cumulative sum warned of an overflow ahead of the refusal
+@example(kind="gaussian", e=3, log_scale=154.0, log_sigma2=0.0, seed=0)
 def test_only_typed_errors_escape(kind, e, log_scale, log_sigma2, seed):
     # both lanes, on trees and on structureless data from 1e-300 to 1e300
     # with noise variances from 1e-8 to 1e2: reconstruct raises nothing

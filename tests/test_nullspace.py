@@ -404,6 +404,14 @@ class TestSinkCutset:
         with pytest.raises(ft.NonPositiveFlow, match="edge 2"):
             sink_cutset(ft.FlowDataMatrix(x))
 
+    def test_total_past_the_float_range_refused(self):
+        # each entry is finite, but an edge's total overflows: summing it
+        # warned, and the unit-total scaling by 1/inf failed in LAPACK
+        x = star_data().entries
+        x = x / x.max() * 1.7e308
+        with pytest.raises(ft.InvalidArgument, match="sums past the float range"):
+            sink_cutset(ft.FlowDataMatrix(x))
+
     def test_zero_tol_validated(self):
         with pytest.raises(ft.InvalidArgument):
             sink_cutset(star_data(), zero_tol=0.0)
