@@ -316,7 +316,7 @@ def run_scaling_bench(
         data = sample_flows(network, cfg, allow_undersampled=z * e <= e)
         samples = {name: [] for name in stage_names}
         for _ in range(repeats):
-            canon, _, _ = sink_cutset(data)
+            canon, _ = sink_cutset(data)
             samples["cutset"].append(_timed(lambda: sink_cutset(data)))
             samples["alg2"].append(_timed(lambda: realize_topology(canon)))
             samples["total"].append(_timed(lambda: reconstruct_exact(data)))

@@ -16,7 +16,7 @@ from typing import Any
 
 import numpy as np
 
-from .errors import ParseError
+from .errors import InvalidArgument, ParseError
 from .graph_model import FlowNetwork, _integer
 from .noise_pipeline import NoiseModel, RankTestReport
 from .nullspace import FlowDataMatrix
@@ -152,7 +152,8 @@ def load_noise_model(path: str | Path, edge_count: int | None = None) -> NoiseMo
             sigma2 = float(doc["sigma2"])
             if edge_count is None:
                 raise ParseError(f"{path}: edge count needed to expand sigma2")
-            if doc.get("edges", edge_count) != edge_count:
+            # "edges": true would equal a count of 1
+            if _integer("edges", doc.get("edges", edge_count)) != edge_count:
                 raise ParseError(f"{path}: sigma2 is for {doc['edges']} edges "
                                  f"but the data has {edge_count} edges")
             cov = sigma2 * np.eye(edge_count)
@@ -201,8 +202,13 @@ def dump_result(result: ReconstructionResult, path: str | Path) -> None:
 def load_result(path: str | Path) -> ReconstructionResult:
     doc = _read_json(path)
     try:
-        edges = tuple((int(s), int(t)) for s, t in doc["edges"])
-        root = int(doc["root"])
+        # int() would truncate a fractional id and take true as 1
+        edges = tuple(
+            (_integer("edge source", s), _integer("edge target", t)) for s, t in doc["edges"]
+        )
+        root = _integer("root", doc["root"])
+    except InvalidArgument as exc:
+        raise ParseError(f"{path}: {exc}") from exc
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"{path}: need 'root' and [src, dst] 'edges'") from exc
     if root != len(edges) + 1:

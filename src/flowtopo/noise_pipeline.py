@@ -13,8 +13,8 @@ sides, and one symmetric eigendecomposition of that whitened sample
 covariance feeds a sequential eigenvalue-equality test, vectorized over
 all candidates, that picks the conservation-law count m; the e - m largest
 eigenpairs, less the unit noise floor, give the denoised signal's Gram
-matrix.  Both lanes end in the same realization core, fed the share rows
-the cutset step already holds, which reports the equal-flow chains whose
+matrix.  Both lanes hand the canonical matrix alone to
+``realize.realize_topology``, which reports the equal-flow chains whose
 order the data cannot fix.  ``reconstruct_exact`` and ``reconstruct_noisy``
 call ``reconstruct`` for one lane each.
 
@@ -52,7 +52,7 @@ from .nullspace import (
     sink_cutset,
     triangular_solve,
 )
-from .realize import ReconstructionResult, _realize
+from .realize import ReconstructionResult, realize_topology
 
 DEFAULT_ALPHA = 0.05
 DEFAULT_SNAP_BAND = 0.35
@@ -296,10 +296,10 @@ def estimate_model_order(whitened: FlowDataMatrix, alpha: float = DEFAULT_ALPHA)
 
 def _noisy_cutset(
     totals: np.ndarray, lower: np.ndarray, lams: np.ndarray, vecs: np.ndarray, m: int
-) -> tuple[CanonicalCutsetMatrix, tuple[np.ndarray, ...], np.ndarray]:
-    """The canonical cutset, its share rows and the pivot magnitudes
-    (``nullspace.pivoted_cutset``) from the order test's
-    eigendecomposition of the whitened sample covariance.
+) -> tuple[CanonicalCutsetMatrix, np.ndarray]:
+    """The canonical cutset and the pivot magnitudes
+    (``nullspace.pivoted_cutset``) from the order test's eigendecomposition
+    of the whitened sample covariance.
 
     The e - m largest eigenpairs, less the unit noise floor of whitened
     errors, estimate the signal: with D the edge ``totals``,
@@ -365,12 +365,12 @@ def reconstruct(
     e - m pivots.  Where the front end takes ``G`` again on rows scaled by
     powers of two (samples past about 1e150 or below 1e-150), the exact
     lane scales its totals alike and the noisy lane its ``L``.  Both lanes
-    end in the realization core that ``realize_topology`` also runs.  The
-    result is built once, with every diagnostic: the ``canonical``
-    matrix, the ``chain_groups`` of equal-flow edges, whose order the data
-    cannot fix and the ordered-label convention settles (a caller that
-    must refuse such an answer tests ``chain_groups``), the noisy lane's
-    ``rank_test`` and the ``pivot_norms``.
+    realize the tree through ``realize_topology``, whose diagnostics the
+    result keeps and extends: the ``canonical`` matrix, the
+    ``chain_groups`` of equal-flow edges, whose order the data cannot fix
+    and the ordered-label convention settles (a caller that must refuse
+    such an answer tests ``chain_groups``), the noisy lane's ``rank_test``
+    and the ``pivot_norms``.
 
     Raises:
         InvalidArgument: ``alpha`` without a noise model, ``zero_tol``
@@ -395,9 +395,7 @@ def reconstruct(
     if noise is None:
         if alpha is not None:
             raise InvalidArgument("alpha is the noisy lane's test level; it needs a noise model")
-        canon, shares, pivot_norms = sink_cutset(
-            data, EXACT_ZERO_TOL if zero_tol is None else zero_tol
-        )
+        canon, pivot_norms = sink_cutset(data, EXACT_ZERO_TOL if zero_tol is None else zero_tol)
         rank_test = {}
     else:
         if zero_tol is not None:
@@ -407,22 +405,21 @@ def reconstruct(
         # the rows D y and the factor D L of D Sigma D, D a diagonal of
         # powers of two, whiten to the same L^-1 G L^-T, with no overflow
         white = lower if shift is None else np.ldexp(lower, shift[:, None])
-        # both solves read all of G: mirror its upper triangle, then G / n_s
-        gram = (gram + np.triu(gram, 1).T) / data.sample_count
+        # both solves read all of G: its lower triangle is zero, so G + G^T
+        # mirrors the upper one and doubles the diagonal; then G / n_s
+        gram = gram + gram.T
+        gram /= data.sample_count
+        gram.flat[:: data.edge_count + 1] *= 0.5
         # whitened sample covariance L^-1 G L^-T, by two e x e triangular solves
         s_y = triangular_solve(white, triangular_solve(white, gram).T)
         report, lams, vecs = _order_test(
             s_y, data.sample_count, DEFAULT_ALPHA if alpha is None else alpha
         )
-        canon, shares, pivot_norms = _noisy_cutset(totals, lower, lams, vecs, report.chosen_m)
+        canon, pivot_norms = _noisy_cutset(totals, lower, lams, vecs, report.chosen_m)
         rank_test = {"rank_test": report}
-    edges, chains = _realize(*shares)
-    return ReconstructionResult(
-        edges=edges,
-        diagnostics={
-            "canonical": canon, "chain_groups": chains, **rank_test, "pivot_norms": pivot_norms
-        },
-    )
+    result = realize_topology(canon)
+    diagnostics = {**result.diagnostics, **rank_test, "pivot_norms": pivot_norms}
+    return ReconstructionResult(result.edges, diagnostics)
 
 
 def reconstruct_noisy(

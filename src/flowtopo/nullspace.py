@@ -8,8 +8,8 @@ the sink edges.  Both lanes read the samples once, in one front end
 take one pivoted Cholesky factorization of an e x e Gram matrix of the
 scaled rows (:func:`pivoted_cutset`), whose pivots are the sinks, whose
 diagonal gives the rank, and whose triangular factor gives the canonical
-cutset matrix ``[I | -T]`` and the 0/1 share rows ``T`` that realization
-reads (:func:`cutset_from_factor`).  The exact lane's Gram matrix is
+cutset matrix ``[I | -T]`` (:func:`cutset_from_factor`), the one thing the
+lanes hand on to realization.  The exact lane's Gram matrix is
 ``G / (s s^T)`` (:func:`sink_cutset`), the noisy lane's the signal part of
 ``G`` whitened (``noise_pipeline``).  The data cannot order the edges of
 an equal-flow chain; where one ends in a sink, the chain's largest label
@@ -189,7 +189,7 @@ def estimate_null_basis(data: FlowDataMatrix, zero_tol: float = DEFAULT_ZERO_TOL
 
 def sink_cutset(
     data: FlowDataMatrix, zero_tol: float = EXACT_ZERO_TOL
-) -> tuple[CanonicalCutsetMatrix, tuple[np.ndarray, ...], np.ndarray]:
+) -> tuple[CanonicalCutsetMatrix, np.ndarray]:
     """The canonical cutset of noise-free data, by :func:`pivoted_cutset`
     on the Gram matrix ``Gn`` of the rows scaled to unit l1 norm.
 
@@ -202,8 +202,7 @@ def sink_cutset(
     ``ZERO_TOL_FLOOR``, and flows whose sink samples vary by less than
     about 1e-5 of their mean cannot be told apart from equal flows.
 
-    Returns the canonical cutset, its share rows (see
-    :func:`cutset_from_factor`) and the pivot magnitudes, the refused
+    Returns the canonical cutset and the pivot magnitudes, the refused
     pivot at index ``e - m``.
 
     Raises:
@@ -231,7 +230,7 @@ def sink_cutset(
 def pivoted_cutset(
     gram: np.ndarray, totals: np.ndarray, zero_tol: float, band: float, error_cls: type,
     rank: int | None = None,
-) -> tuple[CanonicalCutsetMatrix, tuple[np.ndarray, ...], np.ndarray]:
+) -> tuple[CanonicalCutsetMatrix, np.ndarray]:
     """The canonical cutset from one pivoted Cholesky factorization of
     ``Gn``, the Gram matrix of the edges' unit-total flow rows up to a
     common factor (its upper triangle read and overwritten), in both lanes.
@@ -248,9 +247,8 @@ def pivoted_cutset(
     the shares off ``U``.  ``rank`` is the sink count the caller already
     knows (the noisy lane's order test), which the cutoff must keep.
 
-    Returns the cutset, its share rows (see :func:`cutset_from_factor`)
-    and the pivot magnitudes ``U_kk``: the sinks', the refused one (the
-    trailing block's largest diagonal), then zeros.
+    Returns the cutset and the pivot magnitudes ``U_kk``: the sinks', the
+    refused one (the trailing block's largest diagonal), then zeros.
 
     Raises:
         RankZero: every pivot clears the cutoff.
@@ -272,7 +270,7 @@ def pivoted_cutset(
     u12 = u[:found, found:]
     norms[found] = np.sqrt(max((diag[piv[found:]] - np.einsum("ij,ij->j", u12, u12)).max(), 0.0))
     norms.setflags(write=False)
-    return *cutset_from_factor(u, piv, found, totals, band, error_cls), norms
+    return cutset_from_factor(u, piv, found, totals, band, error_cls), norms
 
 
 def sample_moments(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
@@ -314,9 +312,9 @@ def check_totals(sums: np.ndarray) -> None:
 
 def cutset_from_factor(
     r: np.ndarray, piv: np.ndarray, rank: int, totals: np.ndarray, band: float, error_cls: type
-) -> tuple[CanonicalCutsetMatrix, tuple[np.ndarray, ...]]:
+) -> CanonicalCutsetMatrix:
     """The canonical cutset ``[I | -T]`` from the pivoted triangular factor
-    that picked the sinks, shared by both lanes, and its share rows.
+    that picked the sinks, shared by both lanes.
 
     ``r`` factors the edges' flow rows scaled to unit total, columns in
     pivot order (the Cholesky ``U`` of :func:`pivoted_cutset`); only the
@@ -334,12 +332,6 @@ def cutset_from_factor(
     largest label is taken as the sink, the ordered-label convention.
     Realization settles the rest of every chain by the same convention and
     reports the chains (``realize.realize_topology``).
-
-    The share rows are the arguments of the realization core
-    (``realize._realize``): T as booleans, its row sums, and the branch and
-    chord labels as arrays, in the cutset's row and column order.  The
-    lanes hand them over as they are, so none reads T back out of the
-    matrix.
 
     Raises:
         error_cls: a share is farther than ``band`` from 0 or 1, is not
@@ -362,8 +354,7 @@ def cutset_from_factor(
     # run's largest label takes the sink's seat, and the row that held it
     # the sink's old label.  Rows of one run are equal, so which of them
     # takes which label leaves the matrix unchanged
-    sizes = t.sum(axis=1)
-    chain = np.flatnonzero(sizes == 1)
+    chain = np.flatnonzero(t.sum(axis=1) == 1)
     if chain.size:
         seat = t[chain].argmax(axis=1)
         old = sinks[seat]
@@ -374,16 +365,15 @@ def cutset_from_factor(
     # T is 0/1 and the labels split 1..e, so [I | -T] is canonical by construction
     rows, cols = np.argsort(others), np.argsort(sinks)
     m, e = len(others), len(piv)
-    # two takes run about 3x faster than one two-axis fancy index
-    shares = t.take(rows, axis=0).take(cols, axis=1)
     entries = np.zeros((m, e), dtype=np.int64)
     entries.ravel()[:: e + 1] = 1
-    np.negative(shares, out=entries[:, m:])
-    branches, chords = others[rows] + 1, sinks[cols] + 1
-    canon = CanonicalCutsetMatrix(
-        entries=entries, branch_edges=tuple(branches.tolist()), chord_edges=tuple(chords.tolist())
+    # two takes run about 3x faster than one two-axis fancy index
+    np.negative(t.take(rows, axis=0).take(cols, axis=1), out=entries[:, m:])
+    return CanonicalCutsetMatrix(
+        entries=entries,
+        branch_edges=tuple((others[rows] + 1).tolist()),
+        chord_edges=tuple((sinks[cols] + 1).tolist()),
     )
-    return canon, (shares == 1, sizes[rows], branches, chords)
 
 
 def triangular_solve(a: np.ndarray, b: np.ndarray, lower: bool = True) -> np.ndarray:

@@ -9,15 +9,16 @@ sink edge hangs off the deepest row that carries it as a chord.  A row
 disjoint from every earlier row is another top-level branch out of the
 source; single-top-branch inputs never hit that case.
 
-One core (``_realize``) finds all of these with a per-sink scan: a running
+:func:`realize_topology` finds all of these with a per-sink scan: a running
 maximum of row number down each sink column (``np.maximum.accumulate``)
 gives, for every row, the last earlier row that carries each of its sinks,
 so a row's parent is the largest of those, the parent contains the row
 when they all equal it, and the scan's last row gives each sink's parent.
 That is O(m c) work and memory for m branches and c sinks; no m x m
-matrix is formed.  The lanes hand the core the 0/1 share rows they already
-hold (``nullspace.cutset_from_factor``), and :func:`realize_topology` reads
-the same rows off a canonical matrix, so both paths give the same tree.
+matrix is formed.  It is the one way into realization: both lanes hand it
+the canonical matrix their cutset step builds
+(``nullspace.cutset_from_factor``), and it reads the chord membership off
+that matrix.
 
 Realization is also the one place that reports equal-flow chains: runs of
 single-child edges carry identical flows, so no data orders them.  Their
@@ -35,7 +36,7 @@ same way.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Mapping, Sequence
+from typing import Any, Mapping
 
 import numpy as np
 
@@ -72,12 +73,11 @@ class ReconstructionResult:
 
 def realize_topology(canon: CanonicalCutsetMatrix) -> ReconstructionResult:
     """Realize the unique arborescence consistent with a canonical cutset
-    matrix.
+    matrix: the one way into realization, for both lanes and for callers.
 
-    The chord rows are read off ``canon`` and realized by the core that
-    both lanes share (``_realize``, on the share rows they hold): each
-    row's parent comes from one running maximum of row number down each
-    sink column, in O(m c) work and memory for m branches and c sinks.
+    Each row's parent comes from one running maximum of row number down
+    each sink column of the chord membership ``T``, read off ``canon``, in
+    O(m c) work and memory for m branches and c sinks.
 
     ``diagnostics`` holds the ``canonical`` matrix and the
     ``chain_groups``: each equal-flow chain as its labels in ascending
@@ -91,42 +91,20 @@ def realize_topology(canon: CanonicalCutsetMatrix) -> ReconstructionResult:
         NotArborescence: chord sets are not nested the way an arborescence
             requires.
     """
-    m, e = canon.m, canon.edge_count
+    e, branches, chords = canon.edge_count, canon.branch_edges, canon.chord_edges
     # with labels 1..e the result is a tree by construction: each branch's
     # parent is an earlier row or the source, each sink hangs off one row
-    if sorted(canon.branch_edges + canon.chord_edges) != list(range(1, e + 1)):
+    if sorted(branches + chords) != list(range(1, e + 1)):
         raise InvalidArgument(f"edge labels must be exactly 1..{e}")
-    member = canon.entries[:, m:] == -1
-    edges, chains = _realize(member, member.sum(axis=1), canon.branch_edges, canon.chord_edges)
-    return ReconstructionResult(
-        edges=edges, diagnostics={"canonical": canon, "chain_groups": chains}
-    )
-
-
-def _realize(
-    member: np.ndarray, sizes: np.ndarray, branches: Sequence[int], chords: Sequence[int]
-) -> tuple[tuple[tuple[int, int], ...], tuple[tuple[int, ...], ...]]:
-    """The realization core of :func:`realize_topology` and of both lanes:
-    the edges and the chain groups of the tree whose chord sets are the
-    rows of ``member``, as :func:`realize_topology` describes them.
-
-    ``member`` is the m x c chord membership (``T`` of ``[I | -T]`` as
-    booleans), one row per label in ``branches`` and one column per label
-    in ``chords``; ``sizes`` holds its row sums.  The labels must split
-    1..e.
-
-    Raises:
-        NotArborescence: chord sets are not nested the way an arborescence
-            requires.
-    """
+    member = canon.entries[:, canon.m :] == -1
     m, c = member.shape
     if m == 0 or c == 0:
         raise NotArborescence("need at least one branch and one chord")
-    e = m + c
 
     # rows sorted by descending size then branch label
-    order = np.lexsort((branches, -sizes))
-    member, size, branches = member[order], sizes[order], np.asarray(branches)[order]
+    size = member.sum(axis=1)
+    order = np.lexsort((branches, -size))
+    member, size, branches = member[order], size[order], np.asarray(branches)[order]
     if size[0] == 0:
         raise NotArborescence("largest cutset row carries no sink edge")
 
@@ -171,24 +149,25 @@ def _realize(
     # that sink, so each run is a chain of two or more labels
     linked = (parent >= 0) & (size[parent] == size)
     in_run = linked | (size == 1)
-    if not in_run.any():
-        return edges, ()
-    root = np.where(linked, parent, np.arange(m))
-    while (root[root] != root).any():
-        root = root[root]
-    is_root = np.zeros(m, dtype=bool)
-    is_root[root[in_run]] = True
-    runs = np.flatnonzero(is_root)
-    ends = runs[size[runs] == 1]
-    owner = np.concatenate([runs, root[linked], ends])
-    label = np.concatenate(
-        [branches[runs], branches[linked], np.take(chords, member[ends].argmax(axis=1))]
-    )
-    by_run = np.lexsort((label, owner))
-    labels = label[by_run].tolist()
-    cuts = [0, *(np.flatnonzero(np.diff(owner[by_run])) + 1).tolist(), len(labels)]
-    chains = sorted((tuple(labels[a:b]) for a, b in zip(cuts, cuts[1:])), key=lambda g: g[-1])
-    return edges, tuple(chains)
+    chains = ()
+    if in_run.any():
+        root = np.where(linked, parent, np.arange(m))
+        while (root[root] != root).any():
+            root = root[root]
+        is_root = np.zeros(m, dtype=bool)
+        is_root[root[in_run]] = True
+        runs = np.flatnonzero(is_root)
+        ends = runs[size[runs] == 1]
+        owner = np.concatenate([runs, root[linked], ends])
+        label = np.concatenate(
+            [branches[runs], branches[linked], np.take(chords, member[ends].argmax(axis=1))]
+        )
+        by_run = np.lexsort((label, owner))
+        labels = label[by_run].tolist()
+        cuts = [0, *(np.flatnonzero(np.diff(owner[by_run])) + 1).tolist(), len(labels)]
+        groups = (tuple(labels[a:b]) for a, b in zip(cuts, cuts[1:]))
+        chains = tuple(sorted(groups, key=lambda g: g[-1]))
+    return ReconstructionResult(edges, {"canonical": canon, "chain_groups": chains})
 
 
 def verify_against_truth(result: ReconstructionResult, truth: FlowNetwork) -> bool:

@@ -63,17 +63,17 @@ class ArborescenceSpec:
         if self.family not in FAMILIES:
             raise InvalidArgument(f"unknown family {self.family!r}")
         _check_seed("seed", self.seed)
-        lr = (int(self.layer_range[0]), int(self.layer_range[1]))
-        cr = (int(self.children_range[0]), int(self.children_range[1]))
-        object.__setattr__(self, "layer_range", lr)
-        object.__setattr__(self, "children_range", cr)
-        # each message names its field, so the CLI can name the flag
-        for name, (low, high) in (("layer_range", lr), ("children_range", cr)):
+        # each message names its field, so the CLI can name the flag; int()
+        # would truncate 2.7 to 2 and take True as 1
+        for name in ("layer_range", "children_range"):
+            pair = getattr(self, name)
+            low, high = _integer(name, pair[0]), _integer(name, pair[1])
+            object.__setattr__(self, name, (low, high))
             if low > high:
                 raise InvalidArgument(f"{name} must satisfy low <= high, got {(low, high)}")
-        if cr[0] < 1:
+        if self.children_range[0] < 1:
             raise InvalidArgument("children_range must start at 1 or more children per layer")
-        if self.family == "binary" and cr != (2, 2):
+        if self.family == "binary" and self.children_range != (2, 2):
             raise InvalidArgument("children_range must be (2, 2) for the binary family")
 
 

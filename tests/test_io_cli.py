@@ -279,6 +279,14 @@ class TestNoiseModelJson:
         with pytest.raises(ft.ParseError, match="mean"):
             ftio.load_noise_model(path, edge_count=3)
 
+    @pytest.mark.parametrize("count", [True, 1.0, "1"])
+    def test_edge_count_must_be_an_integer(self, tmp_path, count):
+        # true == 1 and 1.0 == 1, so either passed for a one-edge model
+        path = tmp_path / "noise.json"
+        path.write_text(json.dumps({"kind": "homo", "sigma2": 1.0, "edges": count}))
+        with pytest.raises(ft.ParseError, match="edges must be an integer"):
+            ftio.load_noise_model(path, edge_count=1)
+
     def test_unknown_kind(self, tmp_path):
         path = tmp_path / "noise.json"
         path.write_text(json.dumps({"kind": "pink", "sigma2": 1.0}))
@@ -307,6 +315,19 @@ class TestResultJson:
         path = tmp_path / "result.json"
         path.write_text(json.dumps({"root": len(edges) + 1, "edges": edges}))
         with pytest.raises(ft.ParseError, match="each of 1"):
+            ftio.load_result(path)
+
+
+    @pytest.mark.parametrize("doc, field", [
+        ({"root": 3, "edges": [[3, 1.9], [1, 2.2]]}, "edge target"),
+        ({"root": 3, "edges": [[3, 1], [True, 2]]}, "edge source"),
+        ({"root": 3.0, "edges": [[3, 1], [1, 2]]}, "root"),
+    ], ids=["fractional_target", "bool_source", "float_root"])
+    def test_non_integer_ids_rejected(self, tmp_path, doc, field):
+        # int() would truncate 1.9 to 1 and take true as 1
+        path = tmp_path / "result.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ft.ParseError, match=f"{field} must be an integer"):
             ftio.load_result(path)
 
 
@@ -386,6 +407,14 @@ class TestCli:
                      "--out", str(tmp_path / "res")])
         assert main(["verify", "--result", str(tmp_path / "res.json"),
                      "--network", str(b)]) == 1
+
+    def test_verify_refuses_fractional_result_ids(self, tmp_path, capsys):
+        # truncated to [[3, 1], [1, 2]], this result verified as a match
+        (tmp_path / "res.json").write_text(json.dumps({"root": 3, "edges": [[3, 1.9], [1, 2.2]]}))
+        ftio.dump_network(ft.FlowNetwork(3, ((3, 1), (1, 2))), tmp_path / "net.json")
+        assert main(["verify", "--result", str(tmp_path / "res.json"),
+                     "--network", str(tmp_path / "net.json")]) == 2
+        assert "edge target must be an integer, got 1.9" in capsys.readouterr().err
 
     def test_noisy_reconstruct_with_model_file(self, tmp_path):
         net_path = tmp_path / "net.json"

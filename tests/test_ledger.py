@@ -139,8 +139,9 @@ def test_outcomes_match_the_ledger(source):
     wrong = [i for i, row in enumerate(got) if row == "wrong"]
     assert not wrong, f"{source}: ops {wrong} returned a wrong tree"
     assert len(got) == len(want)
-    moved = Counter((old, new) for old, new in zip(want, got) if old != new)
-    assert not moved, f"{source}: outcomes moved (old, new): {dict(moved)}"
+    moved = [i for i, (old, new) in enumerate(zip(want, got)) if old != new]
+    counts = Counter(f"{want[i].partition(':')[0]} -> {got[i].partition(':')[0]}" for i in moved)
+    assert not moved, f"{source}: ops {moved} moved, by old -> new outcome: {dict(counts)}"
 
 
 if __name__ == "__main__":

@@ -730,6 +730,25 @@ class TestReconstructNoisy:
         assert ft.verify_against_truth(ft.reconstruct_noisy(noisy, model), net)
         assert calls == [noisy.entries.shape]
 
+    def test_one_realization_per_reconstruction(self, monkeypatch):
+        # both lanes realize the tree through realize_topology, once, from
+        # the canonical matrix the result reports
+        calls = []
+
+        def realize(canon):
+            calls.append(canon)
+            return ft.realize_topology(canon)
+
+        monkeypatch.setattr(noise_pipeline, "realize_topology", realize)
+        net = binary_net()
+        data = ft.sample_flows(net, ft.FlowSamplerConfig(n_s=2 * net.edge_count, seed=3))
+        noisy, model = noisy_sample(net, 50, 100.0, seed=3)
+        for lane in (lambda: ft.reconstruct(data), lambda: ft.reconstruct(noisy, model)):
+            calls.clear()
+            result = lane()
+            assert ft.verify_against_truth(result, net)
+            assert len(calls) == 1 and calls[0] is result.diagnostics["canonical"]
+
     def test_front_end_statistics(self):
         # the totals and the upper triangle of X X^T, Fortran-ordered with
         # the lower triangle zero; rescued rows give the same G / (s s^T)

@@ -33,6 +33,16 @@ class TestSpecs:
         with pytest.raises(ValueError):
             ft.ArborescenceSpec("thin_long", (5, 3), (1, 2), seed=0)
 
+    @pytest.mark.parametrize("call, field", [
+        (lambda: ft.ArborescenceSpec("thin_long", (2.7, 3.9), (1, 2), seed=0), "layer_range"),
+        (lambda: ft.family_spec("thin_long", 0, layer_range=(True, 3)), "layer_range"),
+        (lambda: ft.family_spec("fat_short", 0, children_range=(4, 6.0)), "children_range"),
+    ], ids=["fractional", "bool", "float_children"])
+    def test_ranges_must_be_integral(self, call, field):
+        # int() would truncate (2.7, 3.9) to (2, 3) and take True as 1
+        with pytest.raises(ft.InvalidArgument, match=f"{field} must be an integer"):
+            call()
+
     def test_children_floor_validated(self):
         with pytest.raises(ValueError):
             ft.ArborescenceSpec("thin_long", (2, 3), (0, 2), seed=0)
