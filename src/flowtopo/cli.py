@@ -79,8 +79,6 @@ _FLAGS = {
         "children_range": "--children",
     },
     "sweep": {
-        "families": "--families",
-        "snr_list": "--snr",
         "z_list": "--z-max",
         "trials": "--trials",
         "networks_per_family": "--networks",
@@ -153,7 +151,7 @@ def _build_parser() -> argparse.ArgumentParser:
     smp.add_argument("--snr", type=_positive(float), help="add noise at this ratio")
     smp.add_argument(
         "--noise-kind", choices=("homoscedastic", "heteroscedastic"),
-        default="homoscedastic",
+        help="noise added with --snr; default homoscedastic",
     )
     smp.add_argument("--out", type=Path, required=True, help="output prefix")
 
@@ -216,13 +214,16 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_sample(args) -> int:
+    if args.noise_kind is not None and args.snr is None:
+        raise ParseError("sample: --noise-kind sets the noise that --snr adds; it needs --snr")
     network = io.load_network(args.network)
     n_s = args.n_s if args.n_s is not None else args.z * network.edge_count
     cfg = FlowSamplerConfig(n_s=n_s, seed=args.seed)
     data = sample_flows(network, cfg, allow_undersampled=True)
     kind = "exact"
     if args.snr is not None:
-        data, model = add_noise(data, SnrSetting(args.snr, args.noise_kind), seed=args.seed + 1)
+        snr = SnrSetting(args.snr, args.noise_kind or "homoscedastic")
+        data, model = add_noise(data, snr, seed=args.seed + 1)
         io.dump_noise_model(model, args.out.with_suffix(".noise.json"))
         kind = "noisy"
     io.dump_data_csv(data, args.out.with_suffix(".csv"))

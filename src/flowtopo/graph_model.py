@@ -103,7 +103,8 @@ class CutsetMatrix:
         entries: m x e integer matrix whose first m columns are the
             identity.
         branch_edges: labels of the identity columns, in column order.
-        chord_edges: labels of the remaining columns, in column order.
+        chord_edges: labels of the remaining columns, in column order;
+            with the branches, exactly 1..e.
     """
 
     entries: np.ndarray
@@ -120,8 +121,8 @@ class CutsetMatrix:
         e = m + len(self.chord_edges)
         if entries.shape != (m, e):
             raise InvalidArgument(f"expected shape {(m, e)}, got {entries.shape}")
-        if not set(self.branch_edges).isdisjoint(self.chord_edges):
-            raise InvalidArgument("branch and chord labels overlap")
+        if sorted(self.column_labels) != list(range(1, e + 1)):
+            raise InvalidArgument(f"edge labels must be exactly 1..{e}")
         # the extremes, not abs: np.abs leaves the most negative int64 negative
         if not (entries.min(initial=0) >= -1 and entries.max(initial=0) <= 1):
             raise InvalidArgument("cutset entries must be in {-1, 0, +1}")
@@ -144,9 +145,9 @@ class CutsetMatrix:
         return self.branch_edges + self.chord_edges
 
 
-def _top_down(network: FlowNetwork) -> list[int] | None:
-    """Edge indices, each after the edge entering its source node, or None
-    when the network is not an arborescence."""
+def _top_down(network: FlowNetwork) -> tuple[list[int], dict[int, list[int]]] | None:
+    """Edge indices, each after the edge entering its source node, and the
+    map of each node to its outgoing edges, or None for a non-arborescence."""
     indeg = [0] * (network.node_count + 1)
     out: dict[int, list[int]] = {}
     for i, (s, t) in enumerate(network.edges):
@@ -160,7 +161,7 @@ def _top_down(network: FlowNetwork) -> list[int] | None:
     order = list(out.get(roots[0], ()))
     for i in order:  # breadth first: the list grows as the loop reads it
         order.extend(out.get(network.edges[i][1], ()))
-    return order if len(order) == network.edge_count else None
+    return (order, out) if len(order) == network.edge_count else None
 
 
 def is_arborescence(network: FlowNetwork) -> bool:

@@ -131,41 +131,46 @@ def dump_data_csv(data: FlowDataMatrix, path: str | Path, transposed: bool = Fal
 
 
 def load_noise_model(path: str | Path, edge_count: int | None = None) -> NoiseModel:
-    """Noise JSON: {"kind": ..., "sigma2": v[, "edges": n]} for shared
-    variance, or {"kind": "hetero", "cov_csv": file} with a covariance grid
-    resolved relative to the JSON file; optional "mean".  When ``edge_count``
-    is given, the covariance, the mean and any "edges" must have that many."""
+    """Noise JSON: {"kind": ..., "sigma2": v} for shared variance, or
+    {"kind": "hetero", "cov_csv": file} with a covariance grid resolved
+    relative to the JSON file; optional "edges" and "mean", a number list.
+    The other kind's field is refused, not dropped.  "edges" must match the
+    grid, and when ``edge_count`` is given, so must every size."""
     doc = _read_json(path)
     if not isinstance(doc, dict):
         raise ParseError(f"{path}: need a JSON object")
     kind = _KIND_ALIASES.get(str(doc.get("kind", "")).lower())
     if kind is None:
         raise ParseError(f"{path}: 'kind' must be homoscedastic or heteroscedastic")
-    mean = None
-    if "mean" in doc:
-        try:
-            mean = np.array([float(v) for v in doc["mean"]])
-        except (TypeError, ValueError) as exc:
-            raise ParseError(f"{path}: mean must be a number list") from exc
+    other = "cov_csv" if kind == "homoscedastic" else "sigma2"
+    if other in doc:
+        raise ParseError(f"{path}: {other} does not apply to a {kind} model")
+    mean = doc.get("mean", [])
+    if not isinstance(mean, list):
+        raise ParseError(f"{path}: mean must be a number list, got {mean!r}")
+    # a JSON true is a Python int, and float() would take "1e-2"
+    for name, value in [("sigma2", doc.get("sigma2", 0.0)), *(("mean", v) for v in mean)]:
+        if type(value) not in (int, float):
+            raise ParseError(f"{path}: {name} must be a number, got {value!r}")
     try:
+        mean = np.array(mean, dtype=np.float64) if "mean" in doc else None
+        # "edges": true would equal a count of 1
+        edges = _integer("edges", doc["edges"]) if "edges" in doc else None
         if kind == "homoscedastic":
             sigma2 = float(doc["sigma2"])
             if edge_count is None:
                 raise ParseError(f"{path}: edge count needed to expand sigma2")
-            # "edges": true would equal a count of 1
-            if _integer("edges", doc.get("edges", edge_count)) != edge_count:
-                raise ParseError(f"{path}: sigma2 is for {doc['edges']} edges "
-                                 f"but the data has {edge_count} edges")
-            cov = sigma2 * np.eye(edge_count)
+            cov, held = sigma2 * np.eye(edge_count), "data"
         else:
-            cov_file = Path(path).parent / str(doc["cov_csv"])
-            cov = np.loadtxt(cov_file, delimiter=",", ndmin=2)
+            cov = np.loadtxt(Path(path).parent / str(doc["cov_csv"]), delimiter=",", ndmin=2)
+            held = "covariance grid"
+        if edges not in (None, len(cov)):
+            raise ParseError(f'{path}: "edges" says the model is for {edges} edges '
+                             f"but the {held} has {len(cov)} edges")
         model = NoiseModel(cov, mean=mean)
     except KeyError as exc:
         raise ParseError(f"{path}: missing field {exc}") from exc
-    except TypeError as exc:  # float() of a sigma2 that is a list, an object or null
-        raise ParseError(f"{path}: sigma2 must be a number") from exc
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, OverflowError) as exc:  # an integer past the float range
         raise ParseError(f"{path}: {exc}") from exc
     # NoiseModel already ties the mean's length to the covariance
     if edge_count is not None and model.edge_count != edge_count:

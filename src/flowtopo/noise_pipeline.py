@@ -21,9 +21,8 @@ call ``reconstruct`` for one lane each.
 The inputs are checked once, by ``FlowDataMatrix`` and ``NoiseModel``;
 past that the noisy lane calls LAPACK directly, as ``scipy.linalg`` would
 but without its argument checks: ``dpotrf`` for the Cholesky factor,
-``dtrtrs`` for the whitening solves (``nullspace.triangular_solve``) and
-BLAS ``dsyrk`` for the samples' and the signal's Gram matrices.  The
-eigendecomposition is numpy's ``eigh``.
+``dsygst`` to whiten the front end's Gram triangle and BLAS ``dsyrk`` for
+the signal's Gram matrix.  The eigendecomposition is numpy's ``eigh``.
 """
 
 from __future__ import annotations
@@ -46,7 +45,6 @@ from .errors import (
 from .nullspace import (
     EXACT_ZERO_TOL,
     FlowDataMatrix,
-    check_totals,
     pivoted_cutset,
     sample_moments,
     sink_cutset,
@@ -308,14 +306,12 @@ def _noisy_cutset(
     ``nullspace.pivoted_cutset`` factors with the exact lane's cutoff.
 
     Raises:
-        NonPositiveFlow: an edge total is not positive (``check_totals``).
         SnapFailure: the order test left no signal eigenvalue (m = e), the
             weakest one is not above the unit noise floor, the cutoff keeps
             other than the order test's e - m pivots, or a share does not
             snap.
     """
     e = totals.shape[0]
-    check_totals(totals)
     if m == e:
         raise SnapFailure(
             f"the order test found all {e} eigenvalues equal (m = {m}), leaving no "
@@ -342,35 +338,35 @@ def reconstruct(
 ) -> ReconstructionResult:
     """Reconstruct the arborescence behind the samples.
 
-    ``noise`` picks the lane.  Both pick the sinks by one pivoted Cholesky
-    factorization of a Gram matrix of the edges' flow rows scaled to unit
-    total (``nullspace.pivoted_cutset``): pivots whose ``U_kk`` exceeds a
-    cutoff times ``U_00`` are the sink edges, the rest the branches, and
-    ``diagnostics`` adds those ``pivot_norms`` (with the refused pivot
-    after them).  Both lanes read the samples once, in one front end
-    (``nullspace.sample_moments``), into the edge totals and the Gram
-    matrix ``G``.  Without a noise model the Gram matrix is ``G`` over the
-    totals (``nullspace.sink_cutset``) and the cutoff is ``zero_tol``
-    (default ``EXACT_ZERO_TOL = 1e-6``, at least ``ZERO_TOL_FLOOR = 1e-7``);
-    forming it squares the condition number, so flows whose sink samples
-    vary by less than about 1e-5 of their mean look equal and fail to
-    snap.  With a noise model, ``G = Y Y^T / n_s`` (less any declared mean,
-    as in ``whiten``), which the one Cholesky factor ``L`` of the error
-    covariance whitens from both sides: ``L^-1 G L^-T`` equals
-    ``estimate_model_order``'s covariance of ``whiten(data, noise)``
-    without forming the e x n_s whitened samples.  The order test at level
-    ``alpha`` picks the law count m (``diagnostics`` adds its
-    ``rank_test``), its e - m largest eigenpairs, less the noise floor,
-    give the Gram matrix, and the cutoff ``EXACT_ZERO_TOL`` must keep
-    e - m pivots.  Where the front end takes ``G`` again on rows scaled by
-    powers of two (samples past about 1e150 or below 1e-150), the exact
-    lane scales its totals alike and the noisy lane its ``L``.  Both lanes
-    realize the tree through ``realize_topology``, whose diagnostics the
-    result keeps and extends: the ``canonical`` matrix, the
-    ``chain_groups`` of equal-flow edges, whose order the data cannot fix
-    and the ordered-label convention settles (a caller that must refuse
-    such an answer tests ``chain_groups``), the noisy lane's ``rank_test``
-    and the ``pivot_norms``.
+    ``noise`` picks the lane.  Both read the samples once, in one front end
+    (``nullspace.sample_moments``), into the edge totals, which it refuses
+    unless positive and finite, and the Gram matrix ``G``.  Both pick the
+    sinks by one pivoted Cholesky factorization of a Gram matrix of the
+    edges' flow rows scaled to unit total (``nullspace.pivoted_cutset``):
+    pivots whose ``U_kk`` exceeds a cutoff times ``U_00`` are the sink
+    edges, the rest the branches, and ``diagnostics`` adds those
+    ``pivot_norms`` (with the refused pivot after them).  Without a noise
+    model that Gram matrix is ``G`` over the totals
+    (``nullspace.sink_cutset``) and the cutoff is ``zero_tol`` (default
+    ``EXACT_ZERO_TOL = 1e-6``, at least ``ZERO_TOL_FLOOR = 1e-7``); forming
+    it squares the condition number, so flows whose sink samples vary by
+    less than about 1e-5 of their mean look equal and fail to snap.  With
+    a noise model, ``G = Y Y^T`` (less any declared mean, as in ``whiten``),
+    which one LAPACK ``dsygst`` call on its upper triangle whitens from
+    both sides with the Cholesky factor ``L`` of the error covariance:
+    ``L^-1 G L^-T / n_s`` is ``estimate_model_order``'s covariance of
+    ``whiten(data, noise)`` without the e x n_s whitened samples.  The
+    order test at level ``alpha`` picks the law count m (``diagnostics``
+    adds its ``rank_test``), its e - m largest eigenpairs, less the noise
+    floor, give the Gram matrix, and the cutoff ``EXACT_ZERO_TOL`` must
+    keep e - m pivots.  Where the front end takes ``G`` again on rows
+    scaled by powers of two (samples past about 1e150 or below 1e-150),
+    the exact lane scales its totals alike and the noisy lane its ``L``.
+    Both lanes realize the tree through ``realize_topology``, whose
+    ``canonical`` matrix and ``chain_groups`` (the equal-flow edges, whose
+    order the data cannot fix and the ordered-label convention settles; a
+    caller that must refuse such an answer tests them) the diagnostics
+    keep.
 
     Raises:
         InvalidArgument: ``alpha`` without a noise model, ``zero_tol``
@@ -405,15 +401,14 @@ def reconstruct(
         # the rows D y and the factor D L of D Sigma D, D a diagonal of
         # powers of two, whiten to the same L^-1 G L^-T, with no overflow
         white = lower if shift is None else np.ldexp(lower, shift[:, None])
-        # both solves read all of G: its lower triangle is zero, so G + G^T
-        # mirrors the upper one and doubles the diagonal; then G / n_s
-        gram = gram + gram.T
-        gram /= data.sample_count
-        gram.flat[:: data.edge_count + 1] *= 0.5
-        # whitened sample covariance L^-1 G L^-T, by two e x e triangular solves
-        s_y = triangular_solve(white, triangular_solve(white, gram).T)
+        # whitened sample covariance L^-1 G L^-T / n_s: LAPACK dsygst with
+        # U = L^T writes it over G's upper triangle, its transpose's lower
+        s_y, info = sla.lapack.dsygst(gram, white.T, overwrite_a=1)
+        if info < 0:
+            raise ValueError(f"illegal value in {-info}-th argument of internal sygst")
+        s_y /= data.sample_count
         report, lams, vecs = _order_test(
-            s_y, data.sample_count, DEFAULT_ALPHA if alpha is None else alpha
+            s_y.T, data.sample_count, DEFAULT_ALPHA if alpha is None else alpha
         )
         canon, pivot_norms = _noisy_cutset(totals, lower, lams, vecs, report.chosen_m)
         rank_test = {"rank_test": report}

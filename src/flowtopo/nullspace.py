@@ -3,13 +3,13 @@
 Every edge flow is a 0/1 sum of sink flows, so after scaling each edge's
 samples to unit total, a greedy pivot on the largest residual norm picks
 the sink edges.  Both lanes read the samples once, in one front end
-(:func:`sample_moments`, then :func:`check_totals`), into the edge totals
-``s`` and the Gram matrix ``G = X X^T``.  Neither needs a null basis: both
-take one pivoted Cholesky factorization of an e x e Gram matrix of the
-scaled rows (:func:`pivoted_cutset`), whose pivots are the sinks, whose
-diagonal gives the rank, and whose triangular factor gives the canonical
-cutset matrix ``[I | -T]`` (:func:`cutset_from_factor`), the one thing the
-lanes hand on to realization.  The exact lane's Gram matrix is
+(:func:`sample_moments`), into the edge totals ``s``, which it checks
+(:func:`check_totals`), and the Gram matrix ``G = X X^T``.  Neither
+needs a null basis: both take one pivoted Cholesky factorization of an
+e x e Gram matrix of the scaled rows (:func:`pivoted_cutset`), whose
+pivots are the sinks, whose diagonal gives the rank, and whose factor
+gives the canonical cutset ``[I | -T]`` (:func:`cutset_from_factor`),
+the one thing the lanes hand on to realization.  The exact lane's Gram matrix is
 ``G / (s s^T)`` (:func:`sink_cutset`), the noisy lane's the signal part of
 ``G`` whitened (``noise_pipeline``).  The data cannot order the edges of
 an equal-flow chain; where one ends in a sink, the chain's largest label
@@ -220,7 +220,6 @@ def sink_cutset(
             "matrix resolves pivots only down to about 1e-8 of the first"
         )
     sums, gram, shift = sample_moments(data.entries)
-    check_totals(sums)
     inv = 1.0 / (sums if shift is None else np.ldexp(sums, shift))
     gram *= inv[:, None]
     gram *= inv
@@ -275,9 +274,10 @@ def pivoted_cutset(
 
 def sample_moments(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     """Both lanes' one read of the e x n_s samples ``x``: their row totals
-    ``s``, unscaled (an overflow does not warn; :func:`check_totals`
-    refuses it), and Gram matrix ``G = X X^T`` by one BLAS ``dsyrk`` on the
-    uncopied view ``x.T``: Fortran order, upper triangle filled, lower zero.
+    ``s``, unscaled and refused by :func:`check_totals` before anything
+    else is computed (an overflow does not warn), and Gram matrix
+    ``G = X X^T`` by one BLAS ``dsyrk`` on the uncopied view ``x.T``:
+    Fortran order, upper triangle filled, lower zero.
 
     The raw product overflows past about 1e150 and loses digits below
     about 1e-150, so where a diagonal leaves ``GRAM_BAND`` (or is not
@@ -288,6 +288,7 @@ def sample_moments(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray | 
     """
     with np.errstate(over="ignore"):
         sums = x.sum(axis=1)
+    check_totals(sums)
     gram = sla.blas.dsyrk(1.0, x.T, trans=1)
     diag = gram.diagonal()
     if GRAM_BAND[0] <= diag.min() and diag.max() <= GRAM_BAND[1]:

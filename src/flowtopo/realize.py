@@ -41,7 +41,7 @@ from typing import Any, Mapping
 import numpy as np
 
 from .canonical_cutset import CanonicalCutsetMatrix
-from .errors import InvalidArgument, LabelMismatch, NotArborescence
+from .errors import LabelMismatch, NotArborescence
 from .graph_model import FlowNetwork
 
 
@@ -86,16 +86,14 @@ def realize_topology(canon: CanonicalCutsetMatrix) -> ReconstructionResult:
     cannot order a group's edges; the ordered-label convention does, and a
     caller that must refuse such an answer tests ``chain_groups``.
 
+    ``canon`` holds the labels 1..e, so the result is a tree: each branch's
+    parent is an earlier row or the source, each sink hangs off one row.
+
     Raises:
-        InvalidArgument: the branch and chord labels are not exactly 1..e.
         NotArborescence: chord sets are not nested the way an arborescence
             requires.
     """
     e, branches, chords = canon.edge_count, canon.branch_edges, canon.chord_edges
-    # with labels 1..e the result is a tree by construction: each branch's
-    # parent is an earlier row or the source, each sink hangs off one row
-    if sorted(branches + chords) != list(range(1, e + 1)):
-        raise InvalidArgument(f"edge labels must be exactly 1..{e}")
     member = canon.entries[:, canon.m :] == -1
     m, c = member.shape
     if m == 0 or c == 0:

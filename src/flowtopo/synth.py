@@ -234,14 +234,12 @@ def sample_flows(network: FlowNetwork, cfg: FlowSamplerConfig, allow_undersample
     Raises:
         NotArborescence: the network is not an arborescence.
     """
-    order = _top_down(network)
-    if order is None:
+    walk = _top_down(network)
+    if walk is None:
         raise NotArborescence("flow sampling requires an arborescence")
+    order, children = walk
     rng = np.random.default_rng(cfg.seed)
     e = network.edge_count
-    children: dict[int, list[int]] = {}
-    for idx, (src, _) in enumerate(network.edges):
-        children.setdefault(src, []).append(idx)
 
     sink_idx = [idx for idx, (_, dst) in enumerate(network.edges) if dst not in children]
     components = rng.integers(0, len(DEFAULT_MEANS), size=len(sink_idx))

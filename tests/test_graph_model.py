@@ -39,6 +39,12 @@ class TestCutsetMatrix:
         with pytest.raises(ValueError):
             ft.CutsetMatrix(entries=bad, branch_edges=(1,), chord_edges=(2, 3))
 
+    @pytest.mark.parametrize("branches, chords", [((1,), (5,)), ((3,), (1,)), ((1,), (1,))])
+    def test_labels_other_than_one_to_e_refused(self, branches, chords):
+        # the type owns the label rule, so no consumer re-checks it
+        with pytest.raises(ft.InvalidArgument, match=r"edge labels must be exactly 1\.\.2"):
+            ft.CutsetMatrix(entries=[[1, -1]], branch_edges=branches, chord_edges=chords)
+
 
 class TestArborescence:
     def test_star_is_arborescence(self, star_network):

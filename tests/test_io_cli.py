@@ -287,6 +287,25 @@ class TestNoiseModelJson:
         with pytest.raises(ft.ParseError, match="edges must be an integer"):
             ftio.load_noise_model(path, edge_count=1)
 
+    @pytest.mark.parametrize("doc, field", [
+        ({"kind": "homo", "sigma2": "1e-2"}, "sigma2"),
+        ({"kind": "homo", "sigma2": True}, "sigma2"),
+        ({"kind": "homo", "sigma2": 1.0, "mean": "123"}, "mean"),
+        ({"kind": "homo", "sigma2": 1.0, "mean": [True, False, True]}, "mean"),
+        ({"kind": "hetero", "cov_csv": "noise.cov.csv", "edges": 5}, "edges"),
+        ({"kind": "hetero", "cov_csv": "noise.cov.csv", "sigma2": 1.0}, "sigma2"),
+        ({"kind": "homo", "sigma2": 1.0, "cov_csv": "noise.cov.csv"}, "cov_csv"),
+    ], ids=["sigma2-string", "sigma2-bool", "mean-string", "mean-bools",
+            "hetero-edges-mismatch", "hetero-sigma2", "homo-cov-csv"])
+    def test_field_it_cannot_use_refused(self, tmp_path, doc, field):
+        # each was accepted, converted ("123" to [1, 2, 3]) or dropped
+        # without a word; a 3 x 3 grid and three edges fit otherwise
+        path = tmp_path / "noise.json"
+        ftio.dump_noise_model(ft.NoiseModel.per_edge(np.array([1.0, 2.0, 3.0])), path)
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ft.ParseError, match=field):
+            ftio.load_noise_model(path, edge_count=3)
+
     def test_unknown_kind(self, tmp_path):
         path = tmp_path / "noise.json"
         path.write_text(json.dumps({"kind": "pink", "sigma2": 1.0}))
@@ -537,6 +556,18 @@ class TestCli:
         err = capsys.readouterr().err
         assert all(flag in err for flag in named), err
         assert not (tmp_path / "res.json").exists()
+
+    def test_noise_kind_without_snr_exits_two(self, tmp_path, capsys):
+        # it wrote exact samples and exited 0, the setting dropped
+        ftio.dump_network(small_net(), tmp_path / "net.json")
+        argv = ["sample", "--network", str(tmp_path / "net.json"), "--z", "3",
+                "--noise-kind", "heteroscedastic", "--out", str(tmp_path / "run")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "--noise-kind" in err and "--snr" in err, err
+        assert not (tmp_path / "run.csv").exists()
+        self.run_ok(argv + ["--snr", "100"])
+        assert json.loads((tmp_path / "run.noise.json").read_text())["kind"] == "heteroscedastic"
 
     @pytest.mark.parametrize("zero_tol", ["1e-10", "1"])
     def test_zero_tol_outside_gram_resolution_exits_two(self, tmp_path, capsys, zero_tol):

@@ -763,6 +763,21 @@ class TestReconstructNoisy:
                 sums = np.ldexp(sums, shift)
             np.testing.assert_allclose(gram / np.outer(sums, sums), want, rtol=1e-13)
 
+    @pytest.mark.parametrize("row, error, match", [
+        (np.zeros(40), ft.NonPositiveFlow, "edge 2 sums to 0"),
+        (np.full(40, 1e307), ft.InvalidArgument, "edge 2 sums past the float range"),
+    ])
+    def test_front_end_refuses_unusable_totals(self, row, error, match):
+        # the front end that takes the totals refuses them, in both lanes
+        # before anything else: the noisy lane ahead of the covariance's
+        # Cholesky factor, which this one would fail
+        x = np.random.default_rng(0).random((3, 40)) + 1.0
+        x[1] = row
+        with pytest.raises(error, match=match):
+            nullspace.sample_moments(x)
+        with pytest.raises(error, match=match):
+            ft.reconstruct(ft.FlowDataMatrix(x), ft.NoiseModel(-np.eye(3)))
+
     def test_order_test_keeping_every_eigenvalue_is_typed(self):
         # m = e leaves no signal eigenpair; this raised a bare IndexError
         data = ft.FlowDataMatrix(np.random.default_rng(0).random((3, 4)))
@@ -947,14 +962,12 @@ def lane_results(family: str, index: int):
 
 @pytest.mark.parametrize("family", ft.synth.FAMILIES)
 def test_lanes_match_the_public_realization(family):
-    # the lanes realize the tree from the shares they hold; the public
-    # realize_topology reads the same rows off the canonical matrix
+    # both lanes realize through the public realize_topology, so what they
+    # report is its output: node ids and chain labels as Python ints, and
+    # equal-flow chains where thin_long trees have single-child runs
     results = [r for index in range(6) for r in lane_results(family, index)]
     assert len(results) >= 20
     for result in results:
-        public = ft.realize_topology(result.diagnostics["canonical"])
-        assert public.edges == result.edges
-        assert public.diagnostics["chain_groups"] == result.diagnostics["chain_groups"]
         labels = [v for edge in result.edges for v in edge]
         labels += [v for group in result.diagnostics["chain_groups"] for v in group]
         assert all(type(v) is int for v in labels)
