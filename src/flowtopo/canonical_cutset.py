@@ -14,9 +14,12 @@ reports the chains.
 
 The canonical form is itself a ``CutsetMatrix``: :class:`CanonicalCutsetMatrix`
 adds the interchange history and checks the one property the canonical
-form adds, no positive chord entry.  :func:`canonicalize` and
-``nullspace.cutset_from_factor`` each construct it once, from entries that
-have that property by construction.
+form adds, no positive chord entry.  :func:`canonicalize` constructs it
+once, through those checks.  ``nullspace.cutset_from_factor``, which
+both lanes call, builds its ``[I | -T]`` with T 0/1 on labels that split
+1..e, canonical by construction, so it skips the checks
+(``CanonicalCutsetMatrix._canonical_by_construction``); a caller's
+``CanonicalCutsetMatrix(...)`` still runs them all.
 
 All arithmetic here is exact integer arithmetic on snapped matrices; row
 operations on {-1, 0, +1} cutset matrices stay integral, so no float drift
@@ -52,6 +55,19 @@ class CanonicalCutsetMatrix(CutsetMatrix):
         object.__setattr__(self, "provenance", tuple(tuple(p) for p in self.provenance))
         if self.entries[:, self.m :].max(initial=0) > 0:
             raise InvalidArgument("canonical form admits no positive chord entry")
+
+    @classmethod
+    def _canonical_by_construction(
+        cls, entries: np.ndarray, branch_edges: tuple[int, ...], chord_edges: tuple[int, ...]
+    ) -> CanonicalCutsetMatrix:
+        """The matrix from parts its builder makes canonical, without the
+        checks: ``entries`` a read-only int64 ``[I | -T]`` with T 0/1, and
+        labels, Python ints, that split 1..e.  No interchange history."""
+        canon = object.__new__(cls)
+        vars(canon).update(
+            entries=entries, branch_edges=branch_edges, chord_edges=chord_edges, provenance=()
+        )
+        return canon
 
 
 def _swap_and_reduce(entries: np.ndarray, labels: list[int], k: int, l: int) -> None:

@@ -324,8 +324,11 @@ def cutset_from_factor(
     ``rank`` pivots are the sinks.  Scaled rows
     obey ``x_j / s_j = sum_i W_ij x_i / s_i`` with ``W = R11^-1 R12``, so
     non-sink j carries ``T_ji = s_j W_ij / s_i`` of sink i's flow; snapped,
-    T is 1 where the sink lies below the edge and 0 elsewhere.  Branches
-    and chords come out each in label order, with no interchanges.
+    T is 1 where the sink lies below the edge and 0 elsewhere, which a
+    ``band`` below 1/2 decides by the side of 1/2 a share falls on.
+    Branches and chords come out each in label order, with no
+    interchanges, and ``[I | -T]`` on them is canonical by construction,
+    so the matrix is built without the public constructor's checks.
 
     Among equal flows (an equal-flow chain: a run of single-child edges)
     the data cannot tell the edges apart.  A non-sink whose T row is the
@@ -336,7 +339,8 @@ def cutset_from_factor(
 
     Raises:
         error_cls: a share is farther than ``band`` from 0 or 1, is not
-            finite, or snaps to -1.
+            finite, or snaps to -1; the message names the edge and the
+            sink flow.
     """
     labels = piv.copy()
     sinks, others = labels[:rank], labels[rank:]
@@ -345,17 +349,20 @@ def cutset_from_factor(
     w = triangular_solve(r[:, :rank], r[:rank, rank:], lower=False)
     w *= totals[others]
     w /= totals[sinks, None]
-    t = snap_signed_units(w.T, band, error_cls)
-    if (t < 0).any():
-        i, j = np.argwhere(t < 0)[0]
-        raise error_cls(f"edge {others[i] + 1} draws a negative share of sink flow {sinks[j] + 1}")
+    # with a band below 1/2, a share that snaps to 0 or 1 lies within the
+    # band of the side of 1/2 it falls on; any other (or a NaN) fails
+    t = w.T > 0.5
+    delta = w.T - t
+    np.abs(delta, out=delta)
+    if not delta.max(initial=0.0) <= band:
+        raise _share_failure(w.T, others, sinks, band, error_cls)
 
     # an equal-flow chain ending in a sink: a non-sink whose T row is the
     # unit row of sink i carries that sink's flow, and X_j equals X_i; the
     # run's largest label takes the sink's seat, and the row that held it
     # the sink's old label.  Rows of one run are equal, so which of them
     # takes which label leaves the matrix unchanged
-    chain = np.flatnonzero(t.sum(axis=1) == 1)
+    chain = np.flatnonzero(t.sum(axis=1, dtype=np.int32) == 1)
     if chain.size:
         seat = t[chain].argmax(axis=1)
         old = sinks[seat]
@@ -363,18 +370,38 @@ def cutset_from_factor(
         held = others[chain] == sinks[seat]
         others[chain[held]] = old[held]
 
-    # T is 0/1 and the labels split 1..e, so [I | -T] is canonical by construction
+    # T is 0/1 and the labels split 1..e, so [I | -T] is canonical by
+    # construction and skips the public constructor's checks
     rows, cols = np.argsort(others), np.argsort(sinks)
     m, e = len(others), len(piv)
     entries = np.zeros((m, e), dtype=np.int64)
     entries.ravel()[:: e + 1] = 1
     # two takes run about 3x faster than one two-axis fancy index
-    np.negative(t.take(rows, axis=0).take(cols, axis=1), out=entries[:, m:])
-    return CanonicalCutsetMatrix(
-        entries=entries,
-        branch_edges=tuple((others[rows] + 1).tolist()),
-        chord_edges=tuple((sinks[cols] + 1).tolist()),
+    np.negative(t.view(np.int8).take(rows, axis=0).take(cols, axis=1), out=entries[:, m:])
+    entries.setflags(write=False)
+    ordered = np.concatenate([others[rows], sinks[cols]])
+    ordered += 1
+    column_labels = ordered.tolist()
+    return CanonicalCutsetMatrix._canonical_by_construction(
+        entries, tuple(column_labels[:m]), tuple(column_labels[m:])
     )
+
+
+def _share_failure(
+    shares: np.ndarray, others: np.ndarray, sinks: np.ndarray, band: float, error_cls: type
+) -> Exception:
+    """The error for sink shares that do not all snap to 0 or 1, naming
+    the edge and the sink flow: the share :func:`snap_signed_units` would
+    refuse, else the first that snaps to -1."""
+    nearest, off = _snap(shares, band)
+    if off is not None:
+        i, j, why = off
+        return error_cls(
+            f"edge {others[i] + 1} draws a share {shares[i, j]:+.4f} of sink flow "
+            f"{sinks[j] + 1}, which is {why}"
+        )
+    i, j = np.argwhere(nearest < 0)[0]
+    return error_cls(f"edge {others[i] + 1} draws a negative share of sink flow {sinks[j] + 1}")
 
 
 def triangular_solve(a: np.ndarray, b: np.ndarray, lower: bool = True) -> np.ndarray:
@@ -455,7 +482,18 @@ def snap_signed_units(values: np.ndarray, band: float, error_cls: type) -> np.nd
     """Round entries to the nearest of {-1, 0, +1}; any entry farther than
     ``band`` from its target, or not finite, raises ``error_cls``."""
     values = np.asarray(values, dtype=np.float64)
-    # in place where it can be: these are the tail's largest temporaries
+    nearest, off = _snap(values, band)
+    if off is not None:
+        i, j, why = off
+        raise error_cls(f"entry {values[i, j]:+.4f} at ({i}, {j}) is {why}")
+    return nearest.astype(np.int64)
+
+
+def _snap(values: np.ndarray, band: float) -> tuple[np.ndarray, tuple[int, int, str] | None]:
+    """``values`` rounded to the nearest of -1/0/+1, and the position of
+    the entry farthest from it, with what is wrong with that entry, when
+    it lies beyond ``band`` or is not finite, else None."""
+    # in place where it can be
     nearest = np.rint(values)
     # np.clip's result, without the cost of its wrapper
     np.maximum(nearest, -1.0, out=nearest)
@@ -464,14 +502,11 @@ def snap_signed_units(values: np.ndarray, band: float, error_cls: type) -> np.nd
     np.abs(delta, out=delta)
     worst = float(delta.max(initial=0.0))
     # a NaN fails this test too, and argmax finds it
-    if not worst <= band:
-        i, j = np.unravel_index(int(np.argmax(delta)), delta.shape)
-        off = f"{worst:.4f} from the nearest of -1/0/+1, beyond the {band} band"
-        raise error_cls(
-            f"entry {values[i, j]:+.4f} at ({i}, {j}) is "
-            + (off if np.isfinite(values[i, j]) else "not finite")
-        )
-    return nearest.astype(np.int64)
+    if worst <= band:
+        return nearest, None
+    i, j = np.unravel_index(int(np.argmax(delta)), delta.shape)
+    off = f"{worst:.4f} from the nearest of -1/0/+1, beyond the {band} band"
+    return nearest, (i, j, off if np.isfinite(values[i, j]) else "not finite")
 
 
 def rref(matrix: np.ndarray) -> tuple[np.ndarray, tuple[int, ...]]:

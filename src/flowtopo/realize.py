@@ -93,16 +93,20 @@ def realize_topology(canon: CanonicalCutsetMatrix) -> ReconstructionResult:
         NotArborescence: chord sets are not nested the way an arborescence
             requires.
     """
-    e, branches, chords = canon.edge_count, canon.branch_edges, canon.chord_edges
-    member = canon.entries[:, canon.m :] == -1
-    m, c = member.shape
-    if m == 0 or c == 0:
+    e, m = canon.edge_count, canon.m
+    if m == 0 or m == e:
         raise NotArborescence("need at least one branch and one chord")
+    # every label once, as one array, with the source e + 1 after them so
+    # that index -1 names it
+    labels = np.fromiter((*canon.column_labels, e + 1), np.int64, e + 1)
+    # canonical chord entries are 0 or -1, -1 where the row carries the sink
+    chords = canon.entries[:, m:]
+    size = -chords.sum(axis=1)
 
-    # rows sorted by descending size then branch label
-    size = member.sum(axis=1)
-    order = np.lexsort((branches, -size))
-    member, size, branches = member[order], size[order], np.asarray(branches)[order]
+    # rows sorted by descending size then branch label, as one integer key
+    order = np.argsort(labels[:m] - size * (e + 1))
+    size = size[order]
+    labels[:m] = labels[order]
     if size[0] == 0:
         raise NotArborescence("largest cutset row carries no sink edge")
 
@@ -111,12 +115,16 @@ def realize_topology(canon: CanonicalCutsetMatrix) -> ReconstructionResult:
     # is the last earlier row it meets, the largest last[k, j] over its
     # sinks; as none exceeds it, the parent contains the row when they sum
     # to it times the row's size.  A sink hangs off the last row carrying it
-    marks = member * np.arange(1, m + 1, dtype=np.int32)[:, None]
+    # marks[k, j] is k + 1 where row k carries sink j, else 0
+    marks = chords.take(order, axis=0)
+    marks *= np.arange(-1, -m - 1, -1)[:, None]
     last = np.empty_like(marks)
     last[0] = 0
     np.maximum.accumulate(marks[:-1], axis=0, out=last[1:])
     sink_parent = np.maximum(last[-1], marks[-1]) - 1
-    last *= member
+    # k + 1 exceeds last[k, j], so this keeps last[k, j] where row k
+    # carries sink j and zeroes it elsewhere
+    np.minimum(last, marks, out=last)
     parent = last.max(axis=1)
     # a row without a parent, empty or not, sums to 0 = 0 x size
     nested = last.sum(axis=1) == parent * size
@@ -124,21 +132,21 @@ def realize_topology(canon: CanonicalCutsetMatrix) -> ReconstructionResult:
     if not nested.all():
         k = int(np.argmin(nested))
         raise NotArborescence(
-            f"chord sets of branches {branches[k]} and {branches[parent[k]]} "
+            f"chord sets of branches {labels[k]} and {labels[parent[k]]} "
             "intersect without containment"
         )
     # empty rows sort last, after every row the test above can fail
     if size[-1] == 0:
         k = int(np.argmin(size))
-        raise NotArborescence(f"branch {branches[k]} carries no sink edge")
+        raise NotArborescence(f"branch {labels[k]} carries no sink edge")
     if sink_parent.min() < 0:
         j = int(np.argmin(sink_parent))
-        raise NotArborescence(f"sink edge {chords[j]} appears in no cutset")
+        raise NotArborescence(f"sink edge {labels[m + j]} appears in no cutset")
 
-    # labels in realized column order, branches first; a row meeting no
+    # each edge enters from its parent row's branch; a row meeting no
     # earlier row (parent -1) is a top-level branch out of the source e + 1
-    src = np.concatenate([branches, [e + 1]])[np.concatenate([parent, sink_parent])]
-    edges = tuple(zip(src.tolist(), np.concatenate([branches, chords]).tolist()))
+    src = labels[np.concatenate([parent, sink_parent])]
+    edges = tuple(zip(src.tolist(), labels.tolist()))
 
     # equal-flow chains.  A containing parent of equal size holds the same
     # chord set, so such rows link into runs, each rooted at a first row
@@ -157,13 +165,12 @@ def realize_topology(canon: CanonicalCutsetMatrix) -> ReconstructionResult:
         runs = np.flatnonzero(is_root)
         ends = runs[size[runs] == 1]
         owner = np.concatenate([runs, root[linked], ends])
-        label = np.concatenate(
-            [branches[runs], branches[linked], np.take(chords, member[ends].argmax(axis=1))]
-        )
+        sinks = m + marks[ends].argmax(axis=1)
+        label = labels[np.concatenate([runs, np.flatnonzero(linked), sinks])]
         by_run = np.lexsort((label, owner))
-        labels = label[by_run].tolist()
-        cuts = [0, *(np.flatnonzero(np.diff(owner[by_run])) + 1).tolist(), len(labels)]
-        groups = (tuple(labels[a:b]) for a, b in zip(cuts, cuts[1:]))
+        ordered = label[by_run].tolist()
+        cuts = [0, *(np.flatnonzero(np.diff(owner[by_run])) + 1).tolist(), len(ordered)]
+        groups = (tuple(ordered[a:b]) for a, b in zip(cuts, cuts[1:]))
         chains = tuple(sorted(groups, key=lambda g: g[-1]))
     return ReconstructionResult(edges, {"canonical": canon, "chain_groups": chains})
 

@@ -452,18 +452,21 @@ class TestReconstructNoisy:
         # the shares read off the pivoted Cholesky factor equal -N_B^-1 N_C
         # on the laws N, the null vectors mapped back by L^-T
         seen = {}
-        real_factor, real_snap = nullspace.cutset_from_factor, nullspace.snap_signed_units
+        real_factor, real_solve = nullspace.cutset_from_factor, nullspace.triangular_solve
 
-        def factor(r, piv, rank, *args):
+        def factor(r, piv, rank, totals, *args):
             seen["sinks"], seen["others"] = piv[:rank].copy(), piv[rank:].copy()
-            return real_factor(r, piv, rank, *args)
+            seen["totals"] = totals.copy()
+            return real_factor(r, piv, rank, totals, *args)
 
-        def snap(values, *args):
-            seen["shares"] = np.array(values)
-            return real_snap(values, *args)
+        def solve(*args, **kwargs):
+            # W = R11^-1 R12, copied before the lane scales it in place
+            w = real_solve(*args, **kwargs)
+            seen["w"] = w.copy()
+            return w
 
         monkeypatch.setattr(nullspace, "cutset_from_factor", factor)
-        monkeypatch.setattr(nullspace, "snap_signed_units", snap)
+        monkeypatch.setattr(nullspace, "triangular_solve", solve)
         children = (3, 7) if family == "fat_short" else None
         for seed in (0, 1, 2):
             net = ft.generate_within(family, seed, max_edges=40, children_range=children)
@@ -473,7 +476,10 @@ class TestReconstructNoisy:
             lower = np.linalg.cholesky(model.covariance)
             laws = sla.solve_triangular(lower, report.null_vectors, lower=True, trans="T").T
             want = -np.linalg.solve(laws[:, seen["others"]], laws[:, seen["sinks"]])
-            np.testing.assert_allclose(seen["shares"], want, rtol=0, atol=1e-9)
+            # non-sink j carries s_j W_ij / s_i of sink i's flow
+            totals = seen["totals"]
+            shares = (seen["w"] * totals[seen["others"]] / totals[seen["sinks"], None]).T
+            np.testing.assert_allclose(shares, want, rtol=0, atol=1e-9)
 
     def test_one_pivoted_cholesky_and_no_solve(self, monkeypatch):
         # both lanes pick their sinks by one dpstrf call, with no pivoted QR
@@ -964,13 +970,25 @@ def lane_results(family: str, index: int):
 def test_lanes_match_the_public_realization(family):
     # both lanes realize through the public realize_topology, so what they
     # report is its output: node ids and chain labels as Python ints, and
-    # equal-flow chains where thin_long trees have single-child runs
+    # equal-flow chains where thin_long trees have single-child runs.  The
+    # lanes build their canonical matrix without the public constructor's
+    # checks; the constructor accepts it and rebuilds the same matrix
     results = [r for index in range(6) for r in lane_results(family, index)]
     assert len(results) >= 20
     for result in results:
         labels = [v for edge in result.edges for v in edge]
         labels += [v for group in result.diagnostics["chain_groups"] for v in group]
         assert all(type(v) is int for v in labels)
+        canon = result.diagnostics["canonical"]
+        assert canon.entries.dtype == np.int64 and not canon.entries.flags.writeable
+        assert all(type(v) is int for v in canon.column_labels)
+        rebuilt = ft.CanonicalCutsetMatrix(
+            entries=canon.entries, branch_edges=canon.branch_edges, chord_edges=canon.chord_edges
+        )
+        assert np.array_equal(rebuilt.entries, canon.entries)
+        assert rebuilt.column_labels == canon.column_labels
+        assert rebuilt.branch_edges == canon.branch_edges
+        assert rebuilt.provenance == canon.provenance == ()
     if family == "thin_long":
         assert any(r.diagnostics["chain_groups"] for r in results)
 

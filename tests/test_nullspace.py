@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import linalg as sla
 
@@ -391,6 +391,32 @@ class TestSinkCutset:
         with pytest.raises(ft.NonIntegerCutset, match="band"):
             sink_cutset(ft.FlowDataMatrix(np.vstack([u, v, 0.5 * u + 0.5 * v])))
 
+    def test_share_beyond_the_band_names_edge_and_sink(self):
+        # a non-sink edge's row scaled by 1.12 draws 1.12 of every sink
+        # flow below it, 0.12 off 1: the message names the edge and a sink
+        net = ft.generate_within("binary", 900, max_edges=120)
+        cfg = ft.FlowSamplerConfig(n_s=2 * net.edge_count, seed=900)
+        x = ft.sample_flows(net, cfg).entries.copy()
+        sinks = set(net.sink_edge_labels())
+        edge = max(set(range(1, net.edge_count + 1)) - sinks)
+        below, frontier = set(), [net.edges[edge - 1][1]]
+        while frontier:
+            node = frontier.pop()
+            for k, (s, t) in enumerate(net.edges, start=1):
+                if s == node:
+                    below.add(k)
+                    frontier.append(t)
+        x[edge - 1] *= 1.12
+        with pytest.raises(ft.NonIntegerCutset) as refused:
+            ft.reconstruct(ft.FlowDataMatrix(x))
+        match = re.fullmatch(
+            rf"edge {edge} draws a share \+1\.1200 of sink flow (\d+), which is 0\.1200 from the "
+            r"nearest of -1/0/\+1, beyond the 0\.1 band",
+            str(refused.value),
+        )
+        assert match, str(refused.value)
+        assert int(match.group(1)) in below & sinks
+
     def test_negative_share_raises(self):
         # four rows around a parallelogram: one is a signed sum of the others
         u, v, w = np.random.default_rng(0).uniform(50.0, 60.0, (3, 20)) * [[2.0], [0.5], [2.0]]
@@ -533,6 +559,8 @@ def seat_chains_by_loop(t: np.ndarray, sinks: np.ndarray, others: np.ndarray):
 class TestCutsetFromShares:
     @given(st.integers(1, 8), st.integers(1, 6), st.integers(0, 2**32 - 1))
     @settings(max_examples=60, deadline=None)
+    # two chains end in sinks labelled below them: both seats change hands
+    @example(m=3, k=2, seed=0)
     def test_chain_seating_matches_the_loop(self, m, k, seed):
         # most rows are unit rows, so several chains end in one sink
         rng = np.random.default_rng(seed)
@@ -541,8 +569,11 @@ class TestCutsetFromShares:
         t[unit] = 0
         t[unit, rng.integers(0, k, size=int(unit.sum()))] = 1
         perm = rng.permutation(m + k)
+        given_perm = perm.copy()
         r = np.hstack([np.eye(k), t.T.astype(np.float64)])
         canon = cutset_from_factor(r, perm, k, np.ones(m + k), 0.1, ft.NonIntegerCutset)
+        # the seating swaps labels in arrays of its own, not in the caller's
+        assert np.array_equal(perm, given_perm)
         sinks, others = seat_chains_by_loop(t, perm[:k], perm[k:])
         rows, cols = np.argsort(others), np.argsort(sinks)
         assert canon.branch_edges == tuple((others[rows] + 1).tolist())
