@@ -8,6 +8,7 @@ failures, 5 realization failures.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import re
@@ -293,17 +294,12 @@ def _cmd_bench(args) -> int:
     bench = harness.run_scaling_bench(
         sizes=tuple(args.sizes), repeats=args.repeats, z=args.z, seed=args.seed
     )
-    doc = {
-        "sizes": list(bench.sizes),
-        "m_values": list(bench.m_values),
-        "stage_seconds": {k: list(v) for k, v in bench.stage_seconds.items()},
-        # JSON has no NaN: an undefined slope is written as null
-        **{
-            name: None if math.isnan(getattr(bench, name)) else getattr(bench, name)
-            for name in ("slope_total", "slope_alg2_vs_m", "slope_cutset")
-        },
-    }
     if args.out:
+        # JSON has no NaN: an undefined slope is written as null
+        doc = {
+            name: None if isinstance(value, float) and math.isnan(value) else value
+            for name, value in dataclasses.asdict(bench).items()
+        }
         io.write_json(doc, args.out)
     print(
         f"total slope {bench.slope_total:.2f}, "

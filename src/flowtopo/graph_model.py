@@ -112,19 +112,23 @@ class CutsetMatrix:
     chord_edges: tuple[int, ...]
 
     def __post_init__(self):
-        entries = np.asarray(self.entries, dtype=np.int64)
+        raw = np.asarray(self.entries)
+        entries = raw.astype(np.int64, copy=False)
         entries.setflags(write=False)
         object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "branch_edges", tuple(map(int, self.branch_edges)))
-        object.__setattr__(self, "chord_edges", tuple(map(int, self.chord_edges)))
+        for name in ("branch_edges", "chord_edges"):
+            labels = tuple(_integer(name, v) for v in getattr(self, name))
+            object.__setattr__(self, name, labels)
         m = len(self.branch_edges)
         e = m + len(self.chord_edges)
         if entries.shape != (m, e):
             raise InvalidArgument(f"expected shape {(m, e)}, got {entries.shape}")
         if sorted(self.column_labels) != list(range(1, e + 1)):
             raise InvalidArgument(f"edge labels must be exactly 1..{e}")
-        # the extremes, not abs: np.abs leaves the most negative int64 negative
-        if not (entries.min(initial=0) >= -1 and entries.max(initial=0) <= 1):
+        # the extremes, not abs: np.abs leaves the most negative int64 negative;
+        # an entry the cast changed (-0.7 to 0) is not one of them either
+        in_range = entries.min(initial=0) >= -1 and entries.max(initial=0) <= 1
+        if not (in_range and np.array_equal(entries, raw)):
             raise InvalidArgument("cutset entries must be in {-1, 0, +1}")
         # with entries in {-1, 0, +1}, a unit diagonal and no other nonzero
         # is the identity

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import FlowtopoError, InvalidArgument
 from .graph_model import FlowNetwork, _integer
-from .noise_pipeline import DEFAULT_ALPHA, reconstruct_exact, reconstruct_noisy
+from .noise_pipeline import DEFAULT_ALPHA, _check_alpha, reconstruct_exact, reconstruct_noisy
 from .nullspace import sink_cutset
 from .realize import realize_topology, verify_against_truth
 from .synth import (
@@ -42,12 +42,6 @@ DEFAULT_SNR_LIST = (100.0, 50.0, 30.0, 10.0, 5.0)
 def _seeds(*parts: int, count: int = 2) -> tuple[int, ...]:
     ss = np.random.SeedSequence([int(p) for p in parts])
     return tuple(int(v) for v in ss.generate_state(count, dtype=np.uint64))
-
-
-def _check_alpha(alpha: float) -> None:
-    # a trial counts the lane's refusal of alpha as a miss, so check it first
-    if not 0 < alpha < 1:
-        raise InvalidArgument(f"alpha must lie in (0, 1), got {alpha}")
 
 
 @dataclass(frozen=True)
@@ -119,6 +113,7 @@ def run_trial(
         InvalidArgument: ``alpha`` outside (0, 1); errors of the trial
             itself count as a miss instead.
     """
+    # a trial counts the lane's refusal of alpha as a miss, so check it first
     _check_alpha(alpha)
     if not isinstance(snr, SnrSetting):
         snr = SnrSetting(float(snr))
@@ -176,18 +171,12 @@ def find_min_z(
     alpha: float = DEFAULT_ALPHA,
     base_seed: int = 0,
 ) -> int | None:
-    """Scan z ascending; return the first z whose every trial is exact."""
-    if not z_list:
-        raise InvalidArgument("z_list must be nonempty")
-    z_list = sorted(_integer("z_list", z) for z in z_list)
-    if z_list[0] < 1:
-        raise InvalidArgument(f"z_list values must be >= 1, got {z_list[0]}")
-    if _integer("trials", trials) < 1:
-        raise InvalidArgument(f"trials must be >= 1, got {trials}")
-    _check_seed("base_seed", base_seed)
+    """Scan z ascending; return the first z whose every trial is exact.
+    The settings are checked as ``SweepConfig`` checks them."""
+    config = SweepConfig(z_list=z_list, trials=trials, alpha=alpha, base_seed=base_seed)
     e = network.edge_count
-    for z in z_list:
-        seeds = (_seeds(base_seed, 0, 0, z, trial) for trial in range(trials))
+    for z in sorted(config.z_list):
+        seeds = (_seeds(base_seed, 0, 0, z, trial) for trial in range(config.trials))
         # all() stops at the first inexact trial
         if all(run_trial(network, snr, z * e, fs, ns, alpha)[0] for fs, ns in seeds):
             return z

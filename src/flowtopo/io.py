@@ -160,7 +160,7 @@ def load_noise_model(path: str | Path, edge_count: int | None = None) -> NoiseMo
             sigma2 = float(doc["sigma2"])
             if edge_count is None:
                 raise ParseError(f"{path}: edge count needed to expand sigma2")
-            cov, held = sigma2 * np.eye(edge_count), "data"
+            cov, held = NoiseModel.isotropic(sigma2, edge_count).covariance, "data"
         else:
             cov = np.loadtxt(Path(path).parent / str(doc["cov_csv"]), delimiter=",", ndmin=2)
             held = "covariance grid"

@@ -42,6 +42,7 @@ from .errors import (
     SnapFailure,
     warn,
 )
+from .graph_model import _integer
 from .nullspace import (
     EXACT_ZERO_TOL,
     FlowDataMatrix,
@@ -101,6 +102,8 @@ class NoiseModel:
     def isotropic(cls, sigma2: float, edge_count: int) -> "NoiseModel":
         if sigma2 <= 0:
             raise InvalidArgument("sigma2 must be positive")
+        if _integer("edge_count", edge_count) < 1:
+            raise InvalidArgument(f"edge_count must be >= 1, got {edge_count}")
         return cls(sigma2 * np.eye(edge_count))
 
     @classmethod
@@ -148,6 +151,12 @@ class RankTestReport:
             object.__setattr__(self, "null_vectors", vecs)
             if vecs.ndim != 2 or vecs.shape[1] != self.chosen_m:
                 raise InvalidArgument("null_vectors must have one column per conservation law")
+
+
+def _check_alpha(alpha: float) -> None:
+    """Refuse a test level outside (0, 1), a NaN too."""
+    if not 0 < alpha < 1:
+        raise InvalidArgument(f"alpha must lie in (0, 1), got {alpha}")
 
 
 def _cholesky_lower(noise: NoiseModel) -> np.ndarray:
@@ -224,8 +233,7 @@ def _order_test(
             spectrum's sum is not finite (the samples overflowed them).
         NoStableOrder: every candidate down to k = 2 is rejected.
     """
-    if not 0 < alpha < 1:
-        raise InvalidArgument("alpha must lie in (0, 1)")
+    _check_alpha(alpha)
     e = s_y.shape[0]
     if n_s < UNDERSAMPLE_WARN_FACTOR * e:
         warn(

@@ -9,7 +9,8 @@ needs a null basis: both take one pivoted Cholesky factorization of an
 e x e Gram matrix of the scaled rows (:func:`pivoted_cutset`), whose
 pivots are the sinks, whose diagonal gives the rank, and whose factor
 gives the canonical cutset ``[I | -T]`` (:func:`cutset_from_factor`),
-the one thing the lanes hand on to realization.  The exact lane's Gram matrix is
+the one thing the lanes hand on to realization; a share that does not
+snap is named from the distances the snap test itself takes.  The exact lane's Gram matrix is
 ``G / (s s^T)`` (:func:`sink_cutset`), the noisy lane's the signal part of
 ``G`` whitened (``noise_pipeline``).  The data cannot order the edges of
 an equal-flow chain; where one ends in a sink, the chain's largest label
@@ -49,7 +50,7 @@ from .errors import (
     RankZero,
     warn,
 )
-from .graph_model import CutsetMatrix
+from .graph_model import CutsetMatrix, _integer
 
 DEFAULT_ZERO_TOL = 1e-10
 # The cutoff on |U_kk| / |U_00| of the pivoted Cholesky factor, in both lanes.
@@ -150,8 +151,8 @@ class Partition:
     independent_edges: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "dependent_edges", tuple(int(v) for v in self.dependent_edges))
-        object.__setattr__(self, "independent_edges", tuple(int(v) for v in self.independent_edges))
+        for name in ("dependent_edges", "independent_edges"):
+            object.__setattr__(self, name, tuple(_integer(name, v) for v in getattr(self, name)))
         if set(self.dependent_edges) & set(self.independent_edges):
             raise InvalidArgument("dependent and independent labels overlap")
 
@@ -212,7 +213,7 @@ def sink_cutset(
             (an ``InvalidArgument``).
         RankZero: every pivot clears the cutoff.
         NonIntegerCutset: an entry of T is farther than
-            ``DEFAULT_ROUND_TOL`` from 0 or 1, or snaps to -1.
+            ``DEFAULT_ROUND_TOL`` from 0 or 1, or is not finite.
     """
     if not ZERO_TOL_FLOOR <= zero_tol < 1:
         raise InvalidArgument(
@@ -338,9 +339,9 @@ def cutset_from_factor(
     reports the chains (``realize.realize_topology``).
 
     Raises:
-        error_cls: a share is farther than ``band`` from 0 or 1, is not
-            finite, or snaps to -1; the message names the edge and the
-            sink flow.
+        error_cls: a share is farther than ``band`` from 0 or 1, or is
+            not finite; the message names the share farthest off, a
+            negative one as negative, with its edge and sink flow.
     """
     labels = piv.copy()
     sinks, others = labels[:rank], labels[rank:]
@@ -354,8 +355,19 @@ def cutset_from_factor(
     t = w.T > 0.5
     delta = w.T - t
     np.abs(delta, out=delta)
-    if not delta.max(initial=0.0) <= band:
-        raise _share_failure(w.T, others, sinks, band, error_cls)
+    worst = delta.max(initial=0.0)
+    if not worst <= band:
+        # argmax reaches a NaN first; a non-negative share lies as far from
+        # 0 or 1 as from the nearest of -1/0/+1
+        i, j = np.unravel_index(int(np.argmax(delta)), delta.shape)
+        edge, share, sink = others[i] + 1, w[j, i], sinks[j] + 1
+        if -np.inf < share < 0:
+            raise error_cls(f"edge {edge} draws a negative share {share:.4f} of sink flow {sink}")
+        why = f"{worst:.4f} from the nearest of -1/0/+1, beyond the {band} band"
+        why = why if np.isfinite(share) else "not finite"
+        raise error_cls(
+            f"edge {edge} draws a share {share:+.4f} of sink flow {sink}, which is {why}"
+        )
 
     # an equal-flow chain ending in a sink: a non-sink whose T row is the
     # unit row of sink i carries that sink's flow, and X_j equals X_i; the
@@ -385,23 +397,6 @@ def cutset_from_factor(
     return CanonicalCutsetMatrix._canonical_by_construction(
         entries, tuple(column_labels[:m]), tuple(column_labels[m:])
     )
-
-
-def _share_failure(
-    shares: np.ndarray, others: np.ndarray, sinks: np.ndarray, band: float, error_cls: type
-) -> Exception:
-    """The error for sink shares that do not all snap to 0 or 1, naming
-    the edge and the sink flow: the share :func:`snap_signed_units` would
-    refuse, else the first that snaps to -1."""
-    nearest, off = _snap(shares, band)
-    if off is not None:
-        i, j, why = off
-        return error_cls(
-            f"edge {others[i] + 1} draws a share {shares[i, j]:+.4f} of sink flow "
-            f"{sinks[j] + 1}, which is {why}"
-        )
-    i, j = np.argwhere(nearest < 0)[0]
-    return error_cls(f"edge {others[i] + 1} draws a negative share of sink flow {sinks[j] + 1}")
 
 
 def triangular_solve(a: np.ndarray, b: np.ndarray, lower: bool = True) -> np.ndarray:
@@ -482,31 +477,20 @@ def snap_signed_units(values: np.ndarray, band: float, error_cls: type) -> np.nd
     """Round entries to the nearest of {-1, 0, +1}; any entry farther than
     ``band`` from its target, or not finite, raises ``error_cls``."""
     values = np.asarray(values, dtype=np.float64)
-    nearest, off = _snap(values, band)
-    if off is not None:
-        i, j, why = off
-        raise error_cls(f"entry {values[i, j]:+.4f} at ({i}, {j}) is {why}")
-    return nearest.astype(np.int64)
-
-
-def _snap(values: np.ndarray, band: float) -> tuple[np.ndarray, tuple[int, int, str] | None]:
-    """``values`` rounded to the nearest of -1/0/+1, and the position of
-    the entry farthest from it, with what is wrong with that entry, when
-    it lies beyond ``band`` or is not finite, else None."""
-    # in place where it can be
+    # in place where it can be; np.clip's result, without its wrapper's cost
     nearest = np.rint(values)
-    # np.clip's result, without the cost of its wrapper
     np.maximum(nearest, -1.0, out=nearest)
     np.minimum(nearest, 1.0, out=nearest)
     delta = values - nearest
     np.abs(delta, out=delta)
     worst = float(delta.max(initial=0.0))
     # a NaN fails this test too, and argmax finds it
-    if worst <= band:
-        return nearest, None
-    i, j = np.unravel_index(int(np.argmax(delta)), delta.shape)
-    off = f"{worst:.4f} from the nearest of -1/0/+1, beyond the {band} band"
-    return nearest, (i, j, off if np.isfinite(values[i, j]) else "not finite")
+    if not worst <= band:
+        i, j = np.unravel_index(int(np.argmax(delta)), delta.shape)
+        why = f"{worst:.4f} from the nearest of -1/0/+1, beyond the {band} band"
+        why = why if np.isfinite(values[i, j]) else "not finite"
+        raise error_cls(f"entry {values[i, j]:+.4f} at ({i}, {j}) is {why}")
+    return nearest.astype(np.int64)
 
 
 def rref(matrix: np.ndarray) -> tuple[np.ndarray, tuple[int, ...]]:

@@ -67,7 +67,11 @@ class ArborescenceSpec:
         # would truncate 2.7 to 2 and take True as 1
         for name in ("layer_range", "children_range"):
             pair = getattr(self, name)
-            low, high = _integer(name, pair[0]), _integer(name, pair[1])
+            try:
+                low, high = pair
+            except (TypeError, ValueError):
+                raise InvalidArgument(f"{name} must be a (low, high) pair, got {pair!r}") from None
+            low, high = _integer(name, low), _integer(name, high)
             object.__setattr__(self, name, (low, high))
             if low > high:
                 raise InvalidArgument(f"{name} must satisfy low <= high, got {(low, high)}")
@@ -123,8 +127,8 @@ def family_spec(
     default_layers, default_children = FAMILY_DEFAULTS[family]
     return ArborescenceSpec(
         family=family,
-        layer_range=layer_range or default_layers,
-        children_range=children_range or default_children,
+        layer_range=default_layers if layer_range is None else layer_range,
+        children_range=default_children if children_range is None else children_range,
         seed=seed,
     )
 

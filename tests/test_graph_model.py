@@ -39,6 +39,15 @@ class TestCutsetMatrix:
         with pytest.raises(ValueError):
             ft.CutsetMatrix(entries=bad, branch_edges=(1,), chord_edges=(2, 3))
 
+    @pytest.mark.parametrize("entries, branches, message", [
+        ([[1, 0]], (1.9,), "branch_edges must be an integer, got 1.9"),
+        ([[1, -0.7]], (1,), r"cutset entries must be in \{-1, 0, \+1\}"),
+    ], ids=["fractional-label", "fractional-entry"])
+    def test_values_the_cast_would_change_refused(self, entries, branches, message):
+        # int() took label 1.9 as 1, and the int64 cast entry -0.7 as 0
+        with pytest.raises(ft.InvalidArgument, match=message):
+            ft.CutsetMatrix(entries=entries, branch_edges=branches, chord_edges=(2,))
+
     @pytest.mark.parametrize("branches, chords", [((1,), (5,)), ((3,), (1,)), ((1,), (1,))])
     def test_labels_other_than_one_to_e_refused(self, branches, chords):
         # the type owns the label rule, so no consumer re-checks it

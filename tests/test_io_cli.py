@@ -290,12 +290,15 @@ class TestNoiseModelJson:
     @pytest.mark.parametrize("doc, field", [
         ({"kind": "homo", "sigma2": "1e-2"}, "sigma2"),
         ({"kind": "homo", "sigma2": True}, "sigma2"),
+        ({"kind": "homo", "sigma2": -1}, "sigma2 must be positive"),
+        ({"kind": "homo", "sigma2": 0}, "sigma2 must be positive"),
         ({"kind": "homo", "sigma2": 1.0, "mean": "123"}, "mean"),
         ({"kind": "homo", "sigma2": 1.0, "mean": [True, False, True]}, "mean"),
         ({"kind": "hetero", "cov_csv": "noise.cov.csv", "edges": 5}, "edges"),
         ({"kind": "hetero", "cov_csv": "noise.cov.csv", "sigma2": 1.0}, "sigma2"),
         ({"kind": "homo", "sigma2": 1.0, "cov_csv": "noise.cov.csv"}, "cov_csv"),
-    ], ids=["sigma2-string", "sigma2-bool", "mean-string", "mean-bools",
+    ], ids=["sigma2-string", "sigma2-bool", "sigma2-negative", "sigma2-zero",
+            "mean-string", "mean-bools",
             "hetero-edges-mismatch", "hetero-sigma2", "homo-cov-csv"])
     def test_field_it_cannot_use_refused(self, tmp_path, doc, field):
         # each was accepted, converted ("123" to [1, 2, 3]) or dropped
@@ -667,6 +670,17 @@ class TestCli:
                      "--noise", str(tmp_path / "bad.noise.json")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, err
+
+    @pytest.mark.parametrize("sigma2", [-1, 0])
+    def test_nonpositive_shared_variance_exits_two_naming_it(self, tmp_path, capsys, sigma2):
+        # it reached the Cholesky factor, whose message named neither the field nor the file
+        data = ft.sample_flows(small_net(), ft.FlowSamplerConfig(n_s=60, seed=5))
+        ftio.dump_data_csv(data, tmp_path / "run.csv")
+        noise = tmp_path / "n.json"
+        noise.write_text(json.dumps({"kind": "homoscedastic", "sigma2": sigma2}))
+        assert main(["reconstruct", "--data", str(tmp_path / "run.csv"),
+                     "--noise", str(noise)]) == 2
+        assert capsys.readouterr().err == f"error: {noise}: sigma2 must be positive\n"
 
     @pytest.mark.parametrize("argv", [
         ["generate", "--out", "missing/net.json"],

@@ -245,6 +245,12 @@ class TestNoiseModel:
         with pytest.raises(ValueError):
             ft.NoiseModel.isotropic(0.0, 3)
 
+    @pytest.mark.parametrize("count", [-1, 0, 2.5, True])
+    def test_isotropic_refuses_edge_counts_below_one_or_not_integral(self, count):
+        # -1 raised a bare ValueError, 2.5 a TypeError, and 0 and True built a model
+        with pytest.raises(ft.InvalidArgument, match="edge_count must be"):
+            ft.NoiseModel.isotropic(1.0, count)
+
     def test_per_edge(self):
         model = ft.NoiseModel.per_edge(np.array([1.0, 4.0]))
         assert np.array_equal(model.covariance, np.diag([1.0, 4.0]))

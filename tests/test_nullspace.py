@@ -180,6 +180,12 @@ class TestEstimateNullBasis:
 
 
 class TestPartition:
+    @pytest.mark.parametrize("label", [2.7, "a"])
+    def test_labels_must_be_integers(self, label):
+        # int() took 2.7 as edge 2 and raised a bare ValueError on "a"
+        with pytest.raises(ft.InvalidArgument, match="dependent_edges must be an integer"):
+            ft.Partition((label,), (1,))
+
     def test_demo_partition_is_nonsingular(self, demo_flows):
         basis = ft.estimate_null_basis(demo_flows, zero_tol=DEMO_ZERO_TOL)
         part = ft.find_valid_partition(basis)
@@ -422,6 +428,25 @@ class TestSinkCutset:
         u, v, w = np.random.default_rng(0).uniform(50.0, 60.0, (3, 20)) * [[2.0], [0.5], [2.0]]
         with pytest.raises(ft.NonIntegerCutset, match="negative share"):
             sink_cutset(ft.FlowDataMatrix(np.vstack([u, v, w, u + w - v])))
+
+    @pytest.mark.parametrize("noisy", [False, True], ids=["exact", "noisy"])
+    @pytest.mark.parametrize("scale", [1.0, 0.7])
+    def test_the_share_farthest_from_0_or_1_is_named(self, noisy, scale):
+        # edge 4 draws -1 of sink flow 2, the share farthest from 0 or 1; a
+        # scale of 0.7 on sink flow 1 puts a second share outside the exact
+        # band, the one a rounding to the nearest of -1/0/+1 would name
+        rng = np.random.default_rng(0)
+        u, v, w = rng.uniform(50.0, 60.0, (3, 400)) * [[2.0], [0.5], [2.0]]
+        x = np.vstack([u, v, w, scale * u + w - v, u + v])
+        if noisy:
+            x = x + rng.normal(0.0, 0.01, x.shape)
+        noise = ft.NoiseModel.isotropic(1e-4, 5) if noisy else None
+        with pytest.raises((ft.SnapFailure, ft.NonIntegerCutset)) as refused:
+            ft.reconstruct(ft.FlowDataMatrix(x), noise)
+        match = re.fullmatch(
+            r"edge 4 draws a negative share (\S+) of sink flow 2", str(refused.value)
+        )
+        assert match and abs(float(match.group(1)) + 1.0) < 0.01, str(refused.value)
 
     @pytest.mark.parametrize("row", [np.zeros(8), -np.ones(8)])
     def test_nonpositive_flow_raises(self, row):

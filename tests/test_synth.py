@@ -43,6 +43,15 @@ class TestSpecs:
         with pytest.raises(ft.InvalidArgument, match=f"{field} must be an integer"):
             call()
 
+    @pytest.mark.parametrize("layers", [(1,), 5, (2, 3, 9)])
+    def test_ranges_must_be_pairs(self, layers):
+        # (1,) raised IndexError and 5 TypeError; (2, 3, 9) became (2, 3)
+        message = r"layer_range must be a \(low, high\) pair"
+        with pytest.raises(ft.InvalidArgument, match=message):
+            ft.ArborescenceSpec("thin_long", layers, (1, 2), seed=0)
+        with pytest.raises(ft.InvalidArgument, match=message):
+            ft.generate_within("thin_long", 0, layer_range=layers)
+
     def test_children_floor_validated(self):
         with pytest.raises(ValueError):
             ft.ArborescenceSpec("thin_long", (2, 3), (0, 2), seed=0)
