@@ -58,10 +58,17 @@ class SweepConfig:
     cell_budget_s: float | None = None
 
     def __post_init__(self):
-        # each message names the fields it is about, so the CLI can name flags
+        # each message names the fields it is about, so the CLI can name flags;
+        # a one-shot iterator is kept as a tuple before any check uses it up
         for name in ("families", "snr_list", "z_list"):
-            if not getattr(self, name):
+            value = getattr(self, name)
+            try:
+                value = tuple(value)
+            except TypeError:
+                raise InvalidArgument(f"{name} must be an iterable, got {value!r}") from None
+            if not value:
                 raise InvalidArgument(f"{name} must be nonempty")
+            object.__setattr__(self, name, value)
         for family in self.families:
             if family not in FAMILIES:
                 raise InvalidArgument(f"unknown family {family!r} in families")
@@ -208,10 +215,9 @@ def run_sweep(config: SweepConfig, out_path: str | Path | None = None) -> tuple[
         for fam_i, family, net_i, network in networks:
             for snr_value in config.snr_list:
                 snr = SnrSetting(snr_value)
-                found_min = False
                 for z in sorted(config.z_list):
                     acc, done, med, aborted = _run_cell(network, snr, z, config, (fam_i, net_i))
-                    is_min = not found_min and done == config.trials and acc == 1.0
+                    is_min = done == config.trials and acc == 1.0
                     row = SweepRow(
                         family=family,
                         network_index=net_i,
@@ -232,7 +238,6 @@ def run_sweep(config: SweepConfig, out_path: str | Path | None = None) -> tuple[
                         ])
                         sink.flush()
                     if is_min:
-                        found_min = True
                         break
     finally:
         if sink:

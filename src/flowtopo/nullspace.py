@@ -477,10 +477,7 @@ def snap_signed_units(values: np.ndarray, band: float, error_cls: type) -> np.nd
     """Round entries to the nearest of {-1, 0, +1}; any entry farther than
     ``band`` from its target, or not finite, raises ``error_cls``."""
     values = np.asarray(values, dtype=np.float64)
-    # in place where it can be; np.clip's result, without its wrapper's cost
-    nearest = np.rint(values)
-    np.maximum(nearest, -1.0, out=nearest)
-    np.minimum(nearest, 1.0, out=nearest)
+    nearest = np.clip(np.rint(values), -1.0, 1.0)
     delta = values - nearest
     np.abs(delta, out=delta)
     worst = float(delta.max(initial=0.0))

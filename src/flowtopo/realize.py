@@ -24,8 +24,9 @@ Realization is also the one place that reports equal-flow chains: runs of
 single-child edges carry identical flows, so no data orders them.  Their
 rows hold the same chord set, and each takes the previous one as its
 parent, so the ordered-label convention (the smaller label is the
-shallower edge) settles the run.  Pointer jumping over the parents finds
-the first row of every run.
+shallower edge) settles the run.  A chain is a chord set held by two or
+more rows, or by one row and its one sink; with the sets nested, a set is
+named by its first sink and its size.
 
 Node naming follows the incoming-edge convention: the node entered by edge
 ``i`` is node ``i`` and the source is node ``e + 1``, which makes a
@@ -148,29 +149,21 @@ def realize_topology(canon: CanonicalCutsetMatrix) -> ReconstructionResult:
     src = labels[np.concatenate([parent, sink_parent])]
     edges = tuple(zip(src.tolist(), labels.tolist()))
 
-    # equal-flow chains.  A containing parent of equal size holds the same
-    # chord set, so such rows link into runs, each rooted at a first row
-    # whose parent (if any) is larger; pointer jumping finds every root.
-    # A run holds its root, its linked rows and, when its set is one sink,
-    # that sink, so each run is a chain of two or more labels
+    # equal-flow chains: a chord set held by two or more rows, or by one row
+    # and its one sink.  Only rows with a parent of equal size (which holds
+    # the same set) or of size 1 make them.  The sets are nested, so (first
+    # sink, size) names a row's set; sink j, keyed (j, 1), joins the row
+    # whose set is {j}.  A key held once is no chain
     linked = (parent >= 0) & (size[parent] == size)
-    in_run = linked | (size == 1)
     chains = ()
-    if in_run.any():
-        root = np.where(linked, parent, np.arange(m))
-        while (root[root] != root).any():
-            root = root[root]
-        is_root = np.zeros(m, dtype=bool)
-        is_root[root[in_run]] = True
-        runs = np.flatnonzero(is_root)
-        ends = runs[size[runs] == 1]
-        owner = np.concatenate([runs, root[linked], ends])
-        sinks = m + marks[ends].argmax(axis=1)
-        label = labels[np.concatenate([runs, np.flatnonzero(linked), sinks])]
-        by_run = np.lexsort((label, owner))
-        ordered = label[by_run].tolist()
-        cuts = [0, *(np.flatnonzero(np.diff(owner[by_run])) + 1).tolist(), len(ordered)]
-        groups = (tuple(ordered[a:b]) for a, b in zip(cuts, cuts[1:]))
+    if (linked | (size == 1)).any():
+        c = e - m
+        first = np.concatenate([marks.argmax(axis=1), np.arange(c)])
+        key = first * (c + 1) + np.concatenate([size, np.ones(c, np.int64)])
+        by_set = np.lexsort((labels[:e], key))
+        ordered = labels[by_set].tolist()
+        cuts = [0, *(np.flatnonzero(np.diff(key[by_set])) + 1).tolist(), e]
+        groups = (tuple(ordered[a:b]) for a, b in zip(cuts, cuts[1:]) if b - a > 1)
         chains = tuple(sorted(groups, key=lambda g: g[-1]))
     return ReconstructionResult(edges, {"canonical": canon, "chain_groups": chains})
 

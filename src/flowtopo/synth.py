@@ -201,31 +201,23 @@ def generate_within(
 
 def binary_network_with_edges(e: int) -> FlowNetwork:
     """Deterministic benchmark network with exactly e edges: the deepest
-    full binary tree with at most e edges, padded to the exact count by
-    extra sink children on the last internal node.  Fewer than 6 edges (the
-    smallest full binary tree with a conservation law) give one top edge
-    whose head carries the other e - 1 edges as sinks."""
+    full binary tree with at most e edges, labelled breadth first (edges 1
+    and 2 leave the source, edge t > 2 enters from the head of edge
+    (t - 1) // 2), padded to the exact count by extra sink children on the
+    last internal edge, so every ancestor carries a smaller label.  Fewer
+    than 6 edges (the smallest full binary tree with a conservation law)
+    give one top edge whose head carries the other e - 1 edges as sinks."""
     e = _integer("e", e)
     if e < 2:
         raise InvalidArgument("need at least 2 edges")
     if e < 6:
         return FlowNetwork(e + 1, ((e + 1, 1),) + tuple((1, t) for t in range(2, e + 1)))
-    depth = 2
-    while 2 ** (depth + 2) - 2 <= e:
-        depth += 1
+    depth = (e + 2).bit_length() - 2
     base = 2 ** (depth + 1) - 2
-    spec = ArborescenceSpec("binary", (depth, depth), (2, 2), seed=0)
-    net = generate_arborescence(spec)
-    if base == e:
-        return net
-    # pad: extra leaves under the last internal node keep label order valid
-    last_internal = base - 2 ** depth  # largest non-sink edge label
-    edges = list(net.edges)
-    for extra in range(e - base):
-        edges.append((last_internal, base + extra + 1))
-    # old root id collides with the first new sink label; remap it to e + 1
-    fixed = tuple((e + 1 if s == net.node_count else s, t) for s, t in edges)
-    return FlowNetwork(node_count=e + 1, edges=fixed)
+    # (t - 1) // 2 is 0 for edges 1 and 2, which leave the source e + 1
+    edges = [((t - 1) // 2 or e + 1, t) for t in range(1, base + 1)]
+    edges += [(base - 2 ** depth, t) for t in range(base + 1, e + 1)]
+    return FlowNetwork(e + 1, tuple(edges))
 
 
 def sample_flows(network: FlowNetwork, cfg: FlowSamplerConfig, allow_undersampled: bool = False) -> FlowDataMatrix:

@@ -60,6 +60,11 @@ class TestFindMinZ:
         with pytest.raises(ft.InvalidArgument, match=message):
             harness.find_min_z(net, ft.SnrSetting(0.01), z_list, trials=trials)
 
+    def test_one_shot_empty_iterator_refused(self):
+        # an iterator is truthy, so only its tuple shows it empty
+        with pytest.raises(ft.InvalidArgument, match="z_list must be nonempty"):
+            harness.find_min_z(tiny_net(), ft.SnrSetting(1e9), iter([]), trials=1)
+
     @pytest.mark.parametrize("alpha", [0.0, 1.0, 2.0, float("nan")])
     def test_alpha_outside_unit_interval_refused(self, alpha):
         # run_trial would count every refused trial as a miss and return None
@@ -120,6 +125,24 @@ class TestSweep:
         lines = out.read_text().splitlines()
         assert len(lines) == 2
         assert lines[1].split(",")[4:] == ["1", "1.000000", "2", f"{row.median_seconds:.6g}", "1", "0"]
+
+    @pytest.mark.parametrize("setting", [{"families": None}, {"snr_list": 100.0}, {"z_list": 5}])
+    def test_list_that_is_not_iterable_refused(self, setting):
+        (name,) = setting
+        with pytest.raises(ft.InvalidArgument, match=f"{name} must be an iterable"):
+            harness.SweepConfig(**setting)
+
+    def test_iterators_run_the_same_cells_as_tuples(self):
+        # the checks once used up one-shot iterators, and the sweep ran nothing
+        def cells(**lists):
+            config = harness.SweepConfig(networks_per_family=1, trials=1, max_edges=20, **lists)
+            rows = harness.run_sweep(config)
+            return [(r.family, r.snr, r.z, r.accuracy, r.is_min_z) for r in rows]
+
+        lists = {"families": ["binary"], "snr_list": [1e9, 0.01], "z_list": [1, 2]}
+        expected = cells(**{name: tuple(v) for name, v in lists.items()})
+        assert len(expected) == 3
+        assert cells(**{name: iter(v) for name, v in lists.items()}) == expected
 
     def test_cell_budget_cuts_every_cell_short(self, tmp_path):
         config = harness.SweepConfig(

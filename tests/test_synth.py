@@ -159,6 +159,23 @@ class TestBenchmarkNetwork:
             kids[s] = kids.get(s, 0) + 1
         assert set(kids.values()) == {2}
 
+    def test_padded_edge_list(self):
+        # 14 edges of full binary tree, then three sinks under edge 6
+        assert ft.binary_network_with_edges(17) == ft.FlowNetwork(18, (
+            (18, 1), (18, 2), (1, 3), (1, 4), (2, 5), (2, 6), (3, 7), (3, 8), (4, 9),
+            (4, 10), (5, 11), (5, 12), (6, 13), (6, 14), (6, 15), (6, 16), (6, 17),
+        ))
+
+    def test_breadth_first_labels_and_padding(self):
+        for e in range(6, 301):
+            depth = max(d for d in range(2, 10) if 2 ** (d + 1) - 2 <= e)
+            base = 2 ** (depth + 1) - 2
+            edges = ft.binary_network_with_edges(e).edges
+            assert [t for _, t in edges] == list(range(1, e + 1))
+            assert [s for s, _ in edges[:2]] == [e + 1, e + 1]
+            assert all(s == (t - 1) // 2 for s, t in edges[2:base])
+            assert all(s == base - 2 ** depth for s, _ in edges[base:])
+
     def test_exact_lane_recovers_every_size(self):
         # below 6 edges the padding named node 0 (e = 3-5) or left a star
         # with no conservation law (e = 2)
