@@ -49,9 +49,9 @@ class FullDeficiency(FlowtopoError):
 
 
 class NonPositiveFlow(InvalidArgument):
-    """Some edge's samples do not sum to a positive flow, which the exact
-    lane's l1 scaling needs; no conserved network of positive flows
-    produced the data."""
+    """Some edge's samples do not sum to a positive flow, which both lanes
+    need to scale the edge's row to unit total; no conserved network of
+    positive flows produced the data."""
 
 
 class NoValidPartition(FlowtopoError):
@@ -101,7 +101,10 @@ class NoStableOrder(FlowtopoError):
 
 
 class SnapFailure(FlowtopoError):
-    """A reduced coefficient fell in the ambiguous band between integers."""
+    """The noisy lane could not read a cutset off its signal estimate: a
+    sink share fell outside the snap band, the order test left no signal
+    eigenvalue, the weakest signal eigenvalue did not clear the noise
+    floor, or the pivot cutoff kept other than the order test's count."""
 
 
 # ---------------------------------------------------------------------------

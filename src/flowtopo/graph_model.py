@@ -37,6 +37,34 @@ def _integer(name: str, value: object) -> int:
     raise InvalidArgument(f"{name} must be an integer, got {value!r}")
 
 
+def _real(name: str, value: object) -> float:
+    """``value`` as a float; a bool, a string, an int past the float range
+    or another non-real value raises ``InvalidArgument`` naming ``name``."""
+    if isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool):
+        try:
+            return float(value)
+        except OverflowError:
+            raise InvalidArgument(f"{name} must lie within the float range") from None
+    raise InvalidArgument(f"{name} must be a real number, got {value!r}")
+
+
+def _reals(name: str, value: object) -> np.ndarray:
+    """``value`` as a read-only float64 array, the caller's own if it is one;
+    anything but a regular nesting of finite integers or floats raises
+    ``InvalidArgument`` naming ``name``."""
+    try:
+        array = np.asarray(value)
+    except ValueError:  # a ragged nesting
+        array = None
+    if array is None or array.dtype.kind not in "iuf":
+        raise InvalidArgument(f"{name} must be an array of real numbers")
+    array = array.astype(np.float64, copy=False)
+    if not np.isfinite(array).all():
+        raise InvalidArgument(f"{name} contains non-finite entries")
+    array.setflags(write=False)
+    return array
+
+
 @dataclass(frozen=True)
 class FlowNetwork:
     """Directed network with designated sources and sinks.
@@ -112,8 +140,11 @@ class CutsetMatrix:
     chord_edges: tuple[int, ...]
 
     def __post_init__(self):
-        raw = np.asarray(self.entries)
-        entries = raw.astype(np.int64, copy=False)
+        try:
+            raw = np.asarray(self.entries)
+            entries = raw.astype(np.int64, copy=False)
+        except (TypeError, ValueError, OverflowError):  # "a", None, a ragged list
+            raise InvalidArgument("cutset entries must be in {-1, 0, +1}") from None
         entries.setflags(write=False)
         object.__setattr__(self, "entries", entries)
         for name in ("branch_edges", "chord_edges"):

@@ -16,12 +16,12 @@ import time
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any, Callable, Iterator
 
 import numpy as np
 
 from .errors import FlowtopoError, InvalidArgument
-from .graph_model import FlowNetwork, _integer
+from .graph_model import FlowNetwork, _integer, _real
 from .noise_pipeline import DEFAULT_ALPHA, _check_alpha, reconstruct_exact, reconstruct_noisy
 from .nullspace import sink_cutset
 from .realize import realize_topology, verify_against_truth
@@ -30,6 +30,7 @@ from .synth import (
     FlowSamplerConfig,
     SnrSetting,
     _check_seed,
+    _seeds,
     add_noise,
     binary_network_with_edges,
     generate_within,
@@ -37,11 +38,6 @@ from .synth import (
 )
 
 DEFAULT_SNR_LIST = (100.0, 50.0, 30.0, 10.0, 5.0)
-
-
-def _seeds(*parts: int, count: int = 2) -> tuple[int, ...]:
-    ss = np.random.SeedSequence([int(p) for p in parts])
-    return tuple(int(v) for v in ss.generate_state(count, dtype=np.uint64))
 
 
 @dataclass(frozen=True)
@@ -86,6 +82,7 @@ class SweepConfig:
         _check_alpha(self.alpha)
         _check_seed("base_seed", self.base_seed)
         if self.cell_budget_s is not None:
+            object.__setattr__(self, "cell_budget_s", _real("cell_budget_s", self.cell_budget_s))
             if not (math.isfinite(self.cell_budget_s) and self.cell_budget_s > 0):
                 raise InvalidArgument(
                     f"cell_budget_s must be a finite number > 0, got {self.cell_budget_s}"
@@ -108,7 +105,7 @@ class SweepRow:
 
 def run_trial(
     network: FlowNetwork,
-    snr: SnrSetting,
+    snr: SnrSetting | float,
     n_s: int,
     flow_seed: int,
     noise_seed: int,
@@ -122,8 +119,6 @@ def run_trial(
     """
     # a trial counts the lane's refusal of alpha as a miss, so check it first
     _check_alpha(alpha)
-    if not isinstance(snr, SnrSetting):
-        snr = SnrSetting(float(snr))
     # catch_warnings saves and restores the process-wide filter list, so
     # trials must not overlap in one interpreter
     with warnings.catch_warnings():
@@ -140,6 +135,17 @@ def run_trial(
         return ok, time.perf_counter() - start
 
 
+def _trials(
+    network: FlowNetwork, snr: SnrSetting, z: int, config: SweepConfig, coord: tuple[int, int]
+) -> Iterator[tuple[bool, float]]:
+    """The cell's trials as (exact?, seconds), each run only when asked for;
+    its seeds come from the base seed, ``coord``, z and the trial index."""
+    n_s = z * network.edge_count
+    for trial in range(config.trials):
+        flow_seed, noise_seed = _seeds(config.base_seed, *coord, z, trial)
+        yield run_trial(network, snr, n_s, flow_seed, noise_seed, config.alpha)
+
+
 def _run_cell(
     network: FlowNetwork,
     snr: SnrSetting,
@@ -148,15 +154,11 @@ def _run_cell(
     coord: tuple[int, int],
 ) -> tuple[float, int, float, bool]:
     """Accuracy, completed trials, median seconds, aborted flag."""
-    fam_i, net_i = coord
-    n_s = z * network.edge_count
     timings: list[float] = []
     hits = 0
     aborted = False
     start = time.perf_counter()
-    for trial in range(config.trials):
-        flow_seed, noise_seed = _seeds(config.base_seed, fam_i, net_i, z, trial)
-        ok, secs = run_trial(network, snr, n_s, flow_seed, noise_seed, config.alpha)
+    for ok, secs in _trials(network, snr, z, config, coord):
         hits += ok
         timings.append(secs)
         if (
@@ -181,11 +183,9 @@ def find_min_z(
     """Scan z ascending; return the first z whose every trial is exact.
     The settings are checked as ``SweepConfig`` checks them."""
     config = SweepConfig(z_list=z_list, trials=trials, alpha=alpha, base_seed=base_seed)
-    e = network.edge_count
     for z in sorted(config.z_list):
-        seeds = (_seeds(base_seed, 0, 0, z, trial) for trial in range(config.trials))
         # all() stops at the first inexact trial
-        if all(run_trial(network, snr, z * e, fs, ns, alpha)[0] for fs, ns in seeds):
+        if all(ok for ok, _ in _trials(network, snr, z, config, (0, 0))):
             return z
     return None
 
@@ -304,13 +304,12 @@ def run_scaling_bench(
     m_values: list[int] = []
     for e in sizes:
         network = binary_network_with_edges(e)
-        sinks = set(network.sink_nodes)
-        m_values.append(sum(1 for _, dst in network.edges if dst not in sinks))
+        m_values.append(len(network.internal_nodes))
         cfg = FlowSamplerConfig(n_s=z * e, seed=_seeds(seed, e, count=1)[0])
         data = sample_flows(network, cfg, allow_undersampled=z * e <= e)
+        canon, _ = sink_cutset(data)
         samples = {name: [] for name in stage_names}
         for _ in range(repeats):
-            canon, _ = sink_cutset(data)
             samples["cutset"].append(_timed(lambda: sink_cutset(data)))
             samples["alg2"].append(_timed(lambda: realize_topology(canon)))
             samples["total"].append(_timed(lambda: reconstruct_exact(data)))

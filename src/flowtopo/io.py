@@ -148,19 +148,18 @@ def load_noise_model(path: str | Path, edge_count: int | None = None) -> NoiseMo
     mean = doc.get("mean", [])
     if not isinstance(mean, list):
         raise ParseError(f"{path}: mean must be a number list, got {mean!r}")
-    # a JSON true is a Python int, and float() would take "1e-2"
-    for name, value in [("sigma2", doc.get("sigma2", 0.0)), *(("mean", v) for v in mean)]:
+    # a JSON true is a Python int, and np.array would take it as 1.0 and "1e-2" as 0.01
+    for value in mean:
         if type(value) not in (int, float):
-            raise ParseError(f"{path}: {name} must be a number, got {value!r}")
+            raise ParseError(f"{path}: mean must be a number, got {value!r}")
     try:
         mean = np.array(mean, dtype=np.float64) if "mean" in doc else None
         # "edges": true would equal a count of 1
         edges = _integer("edges", doc["edges"]) if "edges" in doc else None
         if kind == "homoscedastic":
-            sigma2 = float(doc["sigma2"])
             if edge_count is None:
                 raise ParseError(f"{path}: edge count needed to expand sigma2")
-            cov, held = NoiseModel.isotropic(sigma2, edge_count).covariance, "data"
+            cov, held = NoiseModel.isotropic(doc["sigma2"], edge_count).covariance, "data"
         else:
             cov = np.loadtxt(Path(path).parent / str(doc["cov_csv"]), delimiter=",", ndmin=2)
             held = "covariance grid"

@@ -42,7 +42,7 @@ from .errors import (
     SnapFailure,
     warn,
 )
-from .graph_model import _integer
+from .graph_model import _integer, _real, _reals
 from .nullspace import (
     EXACT_ZERO_TOL,
     FlowDataMatrix,
@@ -75,24 +75,18 @@ class NoiseModel:
     mean: np.ndarray | None = None
 
     def __post_init__(self):
-        cov = np.asarray(self.covariance, dtype=np.float64)
-        cov.setflags(write=False)
+        cov = _reals("covariance", self.covariance)
         object.__setattr__(self, "covariance", cov)
         if cov.ndim != 2 or cov.shape[0] != cov.shape[1]:
             raise InvalidArgument("covariance must be a square matrix")
-        if not np.isfinite(cov).all():
-            raise InvalidArgument("covariance contains non-finite entries")
         # np.allclose's rule (rtol 1e-8, atol 1e-12) on the finite entries
         if not (np.abs(cov - cov.T) <= 1e-12 + 1e-8 * np.abs(cov.T)).all():
             raise InvalidArgument("covariance must be symmetric")
         if self.mean is not None:
-            mu = np.asarray(self.mean, dtype=np.float64)
-            mu.setflags(write=False)
+            mu = _reals("mean", self.mean)
             object.__setattr__(self, "mean", mu)
             if mu.shape != (cov.shape[0],):
                 raise InvalidArgument("mean length must match covariance dimension")
-            if not np.isfinite(mu).all():
-                raise InvalidArgument("mean contains non-finite entries")
 
     @property
     def edge_count(self) -> int:
@@ -100,6 +94,9 @@ class NoiseModel:
 
     @classmethod
     def isotropic(cls, sigma2: float, edge_count: int) -> "NoiseModel":
+        sigma2 = _real("sigma2", sigma2)
+        if not math.isfinite(sigma2):
+            raise InvalidArgument(f"sigma2 must be finite, got {sigma2}")
         if sigma2 <= 0:
             raise InvalidArgument("sigma2 must be positive")
         if _integer("edge_count", edge_count) < 1:
@@ -108,7 +105,7 @@ class NoiseModel:
 
     @classmethod
     def per_edge(cls, variances: np.ndarray) -> "NoiseModel":
-        var = np.asarray(variances, dtype=np.float64)
+        var = _reals("variances", variances)
         if var.ndim != 1 or np.any(var <= 0):
             raise InvalidArgument("need a vector of positive per-edge variances")
         return cls(np.diag(var))
@@ -146,8 +143,7 @@ class RankTestReport:
         if self.chosen_m not in self.candidates:
             raise InvalidArgument("chosen_m must be one of the tested candidates")
         if self.null_vectors is not None:
-            vecs = np.asarray(self.null_vectors, dtype=np.float64)
-            vecs.setflags(write=False)
+            vecs = _reals("null_vectors", self.null_vectors)
             object.__setattr__(self, "null_vectors", vecs)
             if vecs.ndim != 2 or vecs.shape[1] != self.chosen_m:
                 raise InvalidArgument("null_vectors must have one column per conservation law")
@@ -155,7 +151,7 @@ class RankTestReport:
 
 def _check_alpha(alpha: float) -> None:
     """Refuse a test level outside (0, 1), a NaN too."""
-    if not 0 < alpha < 1:
+    if not 0 < _real("alpha", alpha) < 1:
         raise InvalidArgument(f"alpha must lie in (0, 1), got {alpha}")
 
 

@@ -3,8 +3,8 @@
 Every edge flow is a 0/1 sum of sink flows, so after scaling each edge's
 samples to unit total, a greedy pivot on the largest residual norm picks
 the sink edges.  Both lanes read the samples once, in one front end
-(:func:`sample_moments`), into the edge totals ``s``, which it checks
-(:func:`check_totals`), and the Gram matrix ``G = X X^T``.  Neither
+(:func:`sample_moments`), into the edge totals ``s``, which it checks,
+and the Gram matrix ``G = X X^T``.  Neither
 needs a null basis: both take one pivoted Cholesky factorization of an
 e x e Gram matrix of the scaled rows (:func:`pivoted_cutset`), whose
 pivots are the sinks, whose diagonal gives the rank, and whose factor
@@ -50,7 +50,7 @@ from .errors import (
     RankZero,
     warn,
 )
-from .graph_model import CutsetMatrix, _integer
+from .graph_model import CutsetMatrix, _integer, _real, _reals
 
 DEFAULT_ZERO_TOL = 1e-10
 # The cutoff on |U_kk| / |U_00| of the pivoted Cholesky factor, in both lanes.
@@ -87,16 +87,13 @@ class FlowDataMatrix:
     allow_undersampled: bool = False
 
     def __post_init__(self):
-        entries = np.asarray(self.entries, dtype=np.float64)
-        entries.setflags(write=False)
+        entries = _reals("data matrix", self.entries)
         object.__setattr__(self, "entries", entries)
         if entries.ndim != 2:
             raise InvalidArgument("data matrix must be two-dimensional")
         e, n_s = entries.shape
         if e == 0:
             raise InvalidArgument("data matrix needs at least one edge row")
-        if not np.isfinite(entries).all():
-            raise InvalidArgument("data matrix contains non-finite entries")
         if n_s <= e:
             if self.allow_undersampled:
                 warn(f"only {n_s} samples for {e} edges")
@@ -126,10 +123,8 @@ class NullBasis:
     singular_values: np.ndarray
 
     def __post_init__(self):
-        basis = np.asarray(self.basis, dtype=np.float64)
-        basis.setflags(write=False)
-        sv = np.asarray(self.singular_values, dtype=np.float64)
-        sv.setflags(write=False)
+        basis = _reals("basis", self.basis)
+        sv = _reals("singular_values", self.singular_values)
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "singular_values", sv)
         if basis.ndim != 2 or basis.shape[0] != self.estimated_rank_deficiency:
@@ -170,7 +165,7 @@ def estimate_null_basis(data: FlowDataMatrix, zero_tol: float = DEFAULT_ZERO_TOL
         RankZero: no singular value qualifies as zero.
         FullDeficiency: the data matrix is identically zero.
     """
-    if zero_tol <= 0:
+    if not _real("zero_tol", zero_tol) > 0:
         raise InvalidArgument("zero_tol must be positive")
     e = data.edge_count
     # X = R^T Q^T, so X's singular values are R's and X's left singular
@@ -215,7 +210,7 @@ def sink_cutset(
         NonIntegerCutset: an entry of T is farther than
             ``DEFAULT_ROUND_TOL`` from 0 or 1, or is not finite.
     """
-    if not ZERO_TOL_FLOOR <= zero_tol < 1:
+    if not ZERO_TOL_FLOOR <= _real("zero_tol", zero_tol) < 1:
         raise InvalidArgument(
             f"zero_tol must lie in [{ZERO_TOL_FLOOR:g}, 1), got {zero_tol:g}; the Gram "
             "matrix resolves pivots only down to about 1e-8 of the first"
@@ -275,8 +270,9 @@ def pivoted_cutset(
 
 def sample_moments(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     """Both lanes' one read of the e x n_s samples ``x``: their row totals
-    ``s``, unscaled and refused by :func:`check_totals` before anything
-    else is computed (an overflow does not warn), and Gram matrix
+    ``s``, unscaled, and refused before anything else is computed unless
+    positive (``NonPositiveFlow``) and finite (``InvalidArgument``; an
+    overflow does not warn), and Gram matrix
     ``G = X X^T`` by one BLAS ``dsyrk`` on the uncopied view ``x.T``:
     Fortran order, upper triangle filled, lower zero.
 
@@ -289,18 +285,7 @@ def sample_moments(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray | 
     """
     with np.errstate(over="ignore"):
         sums = x.sum(axis=1)
-    check_totals(sums)
-    gram = sla.blas.dsyrk(1.0, x.T, trans=1)
-    diag = gram.diagonal()
-    if GRAM_BAND[0] <= diag.min() and diag.max() <= GRAM_BAND[1]:
-        return sums, gram, None
-    shift = -np.frexp(np.abs(x).max(axis=1))[1]
-    return sums, sla.blas.dsyrk(1.0, np.ldexp(x, shift[:, None]).T, trans=1), shift
-
-
-def check_totals(sums: np.ndarray) -> None:
-    """Refuse edge totals that are not positive (``NonPositiveFlow``) or
-    not finite (``InvalidArgument``): both lanes scale rows by them."""
+    # both lanes scale rows by these totals
     if not (sums > 0).all():
         k = int(np.argmin(sums > 0))
         raise NonPositiveFlow(
@@ -310,6 +295,12 @@ def check_totals(sums: np.ndarray) -> None:
         )
     if not np.isfinite(sums).all():
         raise InvalidArgument(f"edge {np.argmin(np.isfinite(sums)) + 1} sums past the float range")
+    gram = sla.blas.dsyrk(1.0, x.T, trans=1)
+    diag = gram.diagonal()
+    if GRAM_BAND[0] <= diag.min() and diag.max() <= GRAM_BAND[1]:
+        return sums, gram, None
+    shift = -np.frexp(np.abs(x).max(axis=1))[1]
+    return sums, sla.blas.dsyrk(1.0, np.ldexp(x, shift[:, None]).T, trans=1), shift
 
 
 def cutset_from_factor(

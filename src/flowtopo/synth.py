@@ -21,11 +21,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptySpec, InvalidArgument, NotArborescence
-from .graph_model import FlowNetwork, _integer, _top_down
+from .graph_model import FlowNetwork, _integer, _real, _top_down
 from .noise_pipeline import NoiseModel
 from .nullspace import FlowDataMatrix
-
-FAMILIES = ("binary", "thin_long", "fat_short")
 
 # (layer range, children-per-layer range) defaults, sized so typical draws
 # stay within a few hundred edges
@@ -34,6 +32,8 @@ FAMILY_DEFAULTS = {
     "thin_long": ((6, 12), (1, 3)),
     "fat_short": ((2, 3), (8, 20)),
 }
+# in this order: callers derive seeds from a family's index
+FAMILIES = tuple(FAMILY_DEFAULTS)
 
 DEFAULT_MEANS = (100.0, 200.0, 300.0)
 DEFAULT_STDS = (10.0, 20.0, 30.0)
@@ -41,15 +41,17 @@ DEFAULT_STDS = (10.0, 20.0, 30.0)
 MAX_DRAW_ATTEMPTS = 200
 
 
-class _EdgeBudgetExceeded(Exception):
-    """Internal: a bounded draw outgrew its edge budget."""
-
-
 def _check_seed(name: str, seed: int) -> None:
     """Refuse a non-integral or negative seed: numpy's seeding rejects
     either untyped, and ``int()`` would truncate a float silently."""
     if _integer(name, seed) < 0:
         raise InvalidArgument(f"{name} must be a non-negative integer, got {seed}")
+
+
+def _seeds(*parts: int, count: int = 2) -> tuple[int, ...]:
+    """``count`` seeds drawn from the integer coordinates ``parts``."""
+    ss = np.random.SeedSequence([int(p) for p in parts])
+    return tuple(int(v) for v in ss.generate_state(count, dtype=np.uint64))
 
 
 @dataclass(frozen=True)
@@ -109,6 +111,7 @@ class SnrSetting:
     kind: str = "homoscedastic"
 
     def __post_init__(self):
+        object.__setattr__(self, "snr", _real("snr", self.snr))
         if not (math.isfinite(self.snr) and self.snr > 0):
             raise InvalidArgument(f"snr must be a finite number > 0, got {self.snr}")
         if self.kind not in ("homoscedastic", "heteroscedastic"):
@@ -122,9 +125,8 @@ def family_spec(
     children_range: tuple[int, int] | None = None,
 ) -> ArborescenceSpec:
     """Spec with family defaults, overridable per range."""
-    if family not in FAMILY_DEFAULTS:
-        raise InvalidArgument(f"unknown family {family!r}")
-    default_layers, default_children = FAMILY_DEFAULTS[family]
+    # an unknown family has no defaults, and the spec refuses it
+    default_layers, default_children = FAMILY_DEFAULTS.get(family, (None, None))
     return ArborescenceSpec(
         family=family,
         layer_range=default_layers if layer_range is None else layer_range,
@@ -133,7 +135,9 @@ def family_spec(
     )
 
 
-def _grow(spec: ArborescenceSpec, rng: np.random.Generator, budget: int | None) -> FlowNetwork:
+def _grow(spec: ArborescenceSpec, budget: int | None) -> FlowNetwork | None:
+    """The spec's draw, or None once a layer would pass ``budget`` edges."""
+    rng = np.random.default_rng(spec.seed)
     lo, hi = spec.layer_range
     layers = int(rng.integers(lo, hi + 1))
     if layers <= 0:
@@ -145,7 +149,7 @@ def _grow(spec: ArborescenceSpec, rng: np.random.Generator, budget: int | None) 
     for _ in range(layers):
         children = int(rng.integers(clo, chi + 1))
         if budget is not None and label + len(frontier) * children > budget:
-            raise _EdgeBudgetExceeded
+            return None
         next_frontier = []
         for parent in frontier:
             for _ in range(children):
@@ -164,7 +168,7 @@ def generate_arborescence(spec: ArborescenceSpec) -> FlowNetwork:
     Raises:
         EmptySpec: the layer range produced zero layers.
     """
-    return _grow(spec, np.random.default_rng(spec.seed), budget=None)
+    return _grow(spec, budget=None)
 
 
 def generate_within(
@@ -182,18 +186,13 @@ def generate_within(
         EmptySpec: no draw fit within ``MAX_DRAW_ATTEMPTS`` attempts.
     """
     _check_seed("seed", seed)
+    max_edges = _integer("max_edges", max_edges)
     for attempt in range(MAX_DRAW_ATTEMPTS):
-        ss = np.random.SeedSequence([int(seed), attempt])
-        spec = family_spec(
-            family,
-            seed=int(ss.generate_state(1, dtype=np.uint64)[0]),
-            layer_range=layer_range,
-            children_range=children_range,
-        )
-        try:
-            return _grow(spec, np.random.default_rng(spec.seed), budget=max_edges)
-        except _EdgeBudgetExceeded:
-            continue
+        (draw_seed,) = _seeds(seed, attempt, count=1)
+        spec = family_spec(family, draw_seed, layer_range, children_range)
+        network = _grow(spec, budget=max_edges)
+        if network is not None:
+            return network
     raise EmptySpec(
         f"no {family} draw within {max_edges} edges after {MAX_DRAW_ATTEMPTS} attempts"
     )
@@ -262,15 +261,18 @@ def sample_flows(network: FlowNetwork, cfg: FlowSamplerConfig, allow_undersample
 
 
 def add_noise(
-    data: FlowDataMatrix, snr: SnrSetting, seed: int
+    data: FlowDataMatrix, snr: SnrSetting | float, seed: int
 ) -> tuple[FlowDataMatrix, NoiseModel]:
     """Add zero-mean Gaussian noise at the requested signal-to-noise ratio.
 
     Homoscedastic mode shares one variance, the mean per-edge signal
     variance divided by snr; heteroscedastic mode scales each edge's own
-    variance.  Returns the exact model used, for downstream whitening.
+    variance.  Returns the exact model used, for downstream whitening.  A
+    bare number is a homoscedastic ``SnrSetting``.
     """
     _check_seed("seed", seed)
+    if not isinstance(snr, SnrSetting):
+        snr = SnrSetting(snr)
     rng = np.random.default_rng(seed)
     # np.var(ddof=1)'s own operations, without its dispatch; the e x n_s
     # deviations are freed before the noise is drawn, as np.var frees them

@@ -42,9 +42,13 @@ class TestCutsetMatrix:
     @pytest.mark.parametrize("entries, branches, message", [
         ([[1, 0]], (1.9,), "branch_edges must be an integer, got 1.9"),
         ([[1, -0.7]], (1,), r"cutset entries must be in \{-1, 0, \+1\}"),
-    ], ids=["fractional-label", "fractional-entry"])
+        ([["a", 0]], (1,), r"cutset entries must be in \{-1, 0, \+1\}"),
+        ([[1, None]], (1,), r"cutset entries must be in \{-1, 0, \+1\}"),
+        ([[1, 0], [1]], (1,), r"cutset entries must be in \{-1, 0, \+1\}"),
+    ], ids=["fractional-label", "fractional-entry", "string-entry", "none-entry", "ragged"])
     def test_values_the_cast_would_change_refused(self, entries, branches, message):
-        # int() took label 1.9 as 1, and the int64 cast entry -0.7 as 0
+        # int() took label 1.9 as 1, and the int64 cast entry -0.7 as 0; it
+        # raised a bare ValueError on "a" or a ragged list, TypeError on None
         with pytest.raises(ft.InvalidArgument, match=message):
             ft.CutsetMatrix(entries=entries, branch_edges=branches, chord_edges=(2,))
 

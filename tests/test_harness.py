@@ -60,6 +60,21 @@ class TestFindMinZ:
         with pytest.raises(ft.InvalidArgument, match=message):
             harness.find_min_z(net, ft.SnrSetting(0.01), z_list, trials=trials)
 
+    def test_stops_at_the_first_miss(self, monkeypatch):
+        # running every cell whole would slow criterion 6's searches with no
+        # other test failing
+        calls = []
+
+        def two_hits_then_misses(*args):
+            calls.append(args)
+            return len(calls) <= 2, 0.0
+
+        monkeypatch.setattr(harness, "run_trial", two_hits_then_misses)
+        assert harness.find_min_z(tiny_net(), ft.SnrSetting(1e9), (1, 2, 4), trials=5) is None
+        # z = 1 stops at its third trial, then z = 2 and z = 4 at their first
+        assert len(calls) == 5
+        assert [args[2] for args in calls] == [6, 6, 6, 12, 24]
+
     def test_one_shot_empty_iterator_refused(self):
         # an iterator is truthy, so only its tuple shows it empty
         with pytest.raises(ft.InvalidArgument, match="z_list must be nonempty"):

@@ -292,12 +292,15 @@ class TestNoiseModelJson:
         ({"kind": "homo", "sigma2": True}, "sigma2"),
         ({"kind": "homo", "sigma2": -1}, "sigma2 must be positive"),
         ({"kind": "homo", "sigma2": 0}, "sigma2 must be positive"),
+        ({"kind": "homo", "sigma2": 10**400}, "sigma2"),
+        ({"kind": "homo", "sigma2": float("nan")}, "sigma2"),
         ({"kind": "homo", "sigma2": 1.0, "mean": "123"}, "mean"),
         ({"kind": "homo", "sigma2": 1.0, "mean": [True, False, True]}, "mean"),
         ({"kind": "hetero", "cov_csv": "noise.cov.csv", "edges": 5}, "edges"),
         ({"kind": "hetero", "cov_csv": "noise.cov.csv", "sigma2": 1.0}, "sigma2"),
         ({"kind": "homo", "sigma2": 1.0, "cov_csv": "noise.cov.csv"}, "cov_csv"),
     ], ids=["sigma2-string", "sigma2-bool", "sigma2-negative", "sigma2-zero",
+            "sigma2-past-float-range", "sigma2-nan",
             "mean-string", "mean-bools",
             "hetero-edges-mismatch", "hetero-sigma2", "homo-cov-csv"])
     def test_field_it_cannot_use_refused(self, tmp_path, doc, field):

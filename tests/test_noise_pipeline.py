@@ -1147,3 +1147,45 @@ def test_argument_errors_are_typed(call):
     assert isinstance(exc.value, ft.FlowtopoError)
     assert isinstance(exc.value, ValueError)
 
+
+
+def binary_data() -> ft.FlowDataMatrix:
+    return ft.sample_flows(binary_net(), ft.FlowSamplerConfig(n_s=60, seed=1))
+
+
+@pytest.mark.parametrize("call, field", [
+    (lambda: ft.FlowDataMatrix([["a"]]), "data matrix"),
+    (lambda: ft.FlowDataMatrix([[1.0, 2.0], [3.0]]), "data matrix"),
+    (lambda: ft.FlowDataMatrix(np.ones((2, 5)) + 1j), "data matrix"),
+    (lambda: ft.NoiseModel(np.eye(2) * (1 + 1j)), "covariance"),
+    (lambda: ft.NoiseModel([["a"]]), "covariance"),
+    (lambda: ft.NoiseModel(np.eye(2), mean=["a", 1.0]), "mean"),
+    (lambda: ft.NoiseModel.per_edge(["a"]), "variances"),
+    (lambda: ft.NullBasis([[np.nan, 1.0]], 1, [1.0, 0.0]), "basis"),
+    (lambda: ft.NullBasis([[0.0, 1.0]], 1, [np.inf, 0.0]), "singular_values"),
+    (lambda: ft.RankTestReport((2,), (0.0,), (1.0,), 1 * 2, 0.05, null_vectors=[[np.nan] * 2]),
+     "null_vectors"),
+    (lambda: ft.reconstruct(
+        binary_data(), ft.NoiseModel.isotropic(1.0, binary_net().edge_count), alpha="0.1"
+    ), "alpha"),
+    (lambda: ft.reconstruct(binary_data(), zero_tol="0.1"), "zero_tol"),
+    (lambda: ft.estimate_null_basis(binary_data(), zero_tol=np.nan), "zero_tol"),
+    (lambda: ft.NoiseModel.isotropic("1", 3), "sigma2"),
+    (lambda: ft.NoiseModel.isotropic(np.nan, 3), "sigma2"),
+    (lambda: ft.NoiseModel.isotropic(np.inf, 3), "sigma2"),
+    (lambda: ft.NoiseModel.isotropic(10**400, 3), "sigma2"),
+    (lambda: ft.SweepConfig(cell_budget_s="1"), "cell_budget_s"),
+    (lambda: ft.generate_within("binary", 0, max_edges="40"), "max_edges"),
+], ids=["data-strings", "data-ragged", "data-complex", "covariance-complex",
+        "covariance-strings", "mean-strings", "variances-strings", "basis-nan",
+        "singular-values-inf", "null-vectors-nan", "alpha-string", "zero-tol-string",
+        "null-basis-zero-tol-nan", "sigma2-string", "sigma2-nan", "sigma2-inf",
+        "sigma2-past-float-range", "cell-budget-string",
+        "max-edges-string"])
+def test_input_it_cannot_use_refused_naming_it(call, field):
+    # each raised a bare ValueError, TypeError or OverflowError, named no
+    # field, or was accepted (a NaN basis, a complex part dropped)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ft.InvalidArgument, match=field):
+            call()

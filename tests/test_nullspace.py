@@ -111,6 +111,16 @@ class TestFlowDataMatrix:
         with pytest.raises(ft.InvalidArgument, match="at least one edge row"):
             ft.FlowDataMatrix(np.ones((0, 5)), allow_undersampled=allow_undersampled)
 
+    def test_float64_array_kept_others_copied(self):
+        # a float64 array is kept and frozen; other real dtypes become a copy
+        samples = np.ones((2, 5))
+        assert ft.FlowDataMatrix(samples).entries is samples
+        assert not samples.flags.writeable
+        counts = np.ones((2, 5), dtype=np.int32)
+        entries = ft.FlowDataMatrix(counts).entries
+        assert entries.dtype == np.float64 and not entries.flags.writeable
+        assert counts.flags.writeable
+
     def test_default_labels(self):
         d = ft.FlowDataMatrix(np.ones((2, 5)))
         assert d.edge_count == 2

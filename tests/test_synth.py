@@ -75,6 +75,21 @@ class TestSpecs:
         with pytest.raises(ft.InvalidArgument, match="snr must be a finite number > 0"):
             ft.SnrSetting(snr)
 
+    @pytest.mark.parametrize("snr", ["5", True, None])
+    def test_snr_must_be_a_real_number(self, snr):
+        # "5" and None raised a bare TypeError, and True was an SNR of 1
+        with pytest.raises(ft.InvalidArgument, match="snr must be a real number"):
+            ft.SnrSetting(snr)
+
+    def test_add_noise_takes_a_bare_number(self):
+        # a bare number raised AttributeError: 'float' object has no attribute 'kind'
+        net = ft.generate_within("binary", 3, max_edges=20)
+        data = ft.sample_flows(net, ft.FlowSamplerConfig(n_s=60, seed=1))
+        bare, bare_model = ft.add_noise(data, 10.0, seed=2)
+        noisy, model = ft.add_noise(data, ft.SnrSetting(10.0), seed=2)
+        assert np.array_equal(bare.entries, noisy.entries)
+        assert np.array_equal(bare_model.covariance, model.covariance)
+
     @pytest.mark.parametrize("n_s", [2.5, 30.0, "30"])
     def test_sampler_n_s_must_be_integral(self, n_s):
         with pytest.raises(ft.InvalidArgument, match="n_s must be an integer"):
