@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidArgument, NotCanonicalizable, NotUnique
-from .graph_model import CutsetMatrix
+from .graph_model import CutsetMatrix, _unchecked
 
 
 @dataclass(frozen=True)
@@ -63,11 +63,9 @@ class CanonicalCutsetMatrix(CutsetMatrix):
         """The matrix from parts its builder makes canonical, without the
         checks: ``entries`` a read-only int64 ``[I | -T]`` with T 0/1, and
         labels, Python ints, that split 1..e.  No interchange history."""
-        canon = object.__new__(cls)
-        vars(canon).update(
-            entries=entries, branch_edges=branch_edges, chord_edges=chord_edges, provenance=()
+        return _unchecked(
+            cls, entries=entries, branch_edges=branch_edges, chord_edges=chord_edges, provenance=()
         )
-        return canon
 
 
 def _swap_and_reduce(entries: np.ndarray, labels: list[int], k: int, l: int) -> None:

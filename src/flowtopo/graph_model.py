@@ -65,6 +65,15 @@ def _reals(name: str, value: object) -> np.ndarray:
     return array
 
 
+def _unchecked(cls: type, **fields: object):
+    """An instance of the frozen dataclass ``cls`` holding ``fields``, all of
+    them, without its ``__post_init__`` checks: for a value whose builder
+    already meets them."""
+    value = object.__new__(cls)
+    vars(value).update(fields)
+    return value
+
+
 @dataclass(frozen=True)
 class FlowNetwork:
     """Directed network with designated sources and sinks.

@@ -42,7 +42,7 @@ from .errors import (
     SnapFailure,
     warn,
 )
-from .graph_model import _integer, _real, _reals
+from .graph_model import _integer, _real, _reals, _unchecked
 from .nullspace import (
     EXACT_ZERO_TOL,
     FlowDataMatrix,
@@ -94,6 +94,12 @@ class NoiseModel:
 
     @classmethod
     def isotropic(cls, sigma2: float, edge_count: int) -> "NoiseModel":
+        """The model ``sigma2 * I`` over ``edge_count`` edges.
+
+        Once ``sigma2`` is checked finite and positive, its ``sigma2 * I``
+        is finite and symmetric by construction, so it is frozen and kept
+        without the constructor's array and symmetry checks, which would
+        pass it unchanged."""
         sigma2 = _real("sigma2", sigma2)
         if not math.isfinite(sigma2):
             raise InvalidArgument(f"sigma2 must be finite, got {sigma2}")
@@ -101,7 +107,9 @@ class NoiseModel:
             raise InvalidArgument("sigma2 must be positive")
         if _integer("edge_count", edge_count) < 1:
             raise InvalidArgument(f"edge_count must be >= 1, got {edge_count}")
-        return cls(sigma2 * np.eye(edge_count))
+        covariance = sigma2 * np.eye(edge_count)
+        covariance.setflags(write=False)
+        return _unchecked(cls, covariance=covariance, mean=None)
 
     @classmethod
     def per_edge(cls, variances: np.ndarray) -> "NoiseModel":
@@ -265,14 +273,20 @@ def _order_test(
         )
     last = int(accepted[0]) + 1
     chosen = int(ks[last - 1])
-    report = RankTestReport(
+    # what the report's checks would make of these: equal-length tuples of
+    # Python numbers, chosen among the candidates, and finite eigenvectors
+    # (of the checked s_y) frozen as a read-only view
+    null_vectors = vecs[:, :chosen]
+    null_vectors.setflags(write=False)
+    report = _unchecked(
+        RankTestReport,
         candidates=tuple(ks[:last].tolist()),
         statistics=tuple(stats[:last].tolist()),
         p_values=tuple(pvals[:last].tolist()),
         chosen_m=chosen,
         alpha=alpha,
         eigenvalues=tuple(lams[::-1].tolist()),
-        null_vectors=vecs[:, :chosen],
+        null_vectors=null_vectors,
     )
     return report, lams, vecs
 

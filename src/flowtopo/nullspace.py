@@ -50,7 +50,7 @@ from .errors import (
     RankZero,
     warn,
 )
-from .graph_model import CutsetMatrix, _integer, _real, _reals
+from .graph_model import CutsetMatrix, _integer, _real, _reals, _unchecked
 
 DEFAULT_ZERO_TOL = 1e-10
 # The cutoff on |U_kk| / |U_00| of the pivoted Cholesky factor, in both lanes.
@@ -91,14 +91,27 @@ class FlowDataMatrix:
         object.__setattr__(self, "entries", entries)
         if entries.ndim != 2:
             raise InvalidArgument("data matrix must be two-dimensional")
-        e, n_s = entries.shape
-        if e == 0:
+        if entries.shape[0] == 0:
             raise InvalidArgument("data matrix needs at least one edge row")
+        self._check_sample_count()
+
+    def _check_sample_count(self) -> None:
+        e, n_s = self.entries.shape
         if n_s <= e:
             if self.allow_undersampled:
                 warn(f"only {n_s} samples for {e} edges")
             else:
                 raise InvalidArgument(f"need more samples than edges, got {n_s} <= {e}")
+
+    @classmethod
+    def _finite_by_construction(cls, entries: np.ndarray, allow_undersampled: bool) -> FlowDataMatrix:
+        """The matrix from samples its builder makes finite, frozen here
+        without the array check: ``entries`` a float64 e x n_s array with
+        e >= 1.  The sample-count rule still holds."""
+        entries.setflags(write=False)
+        data = _unchecked(cls, entries=entries, allow_undersampled=allow_undersampled)
+        data._check_sample_count()
+        return data
 
     @property
     def edge_count(self) -> int:
@@ -162,11 +175,13 @@ def estimate_null_basis(data: FlowDataMatrix, zero_tol: float = DEFAULT_ZERO_TOL
     tolerance matched to their precision.
 
     Raises:
+        InvalidArgument: ``zero_tol`` is outside (0, 1); from 1 up every
+            singular value would count as zero.
         RankZero: no singular value qualifies as zero.
         FullDeficiency: the data matrix is identically zero.
     """
-    if not _real("zero_tol", zero_tol) > 0:
-        raise InvalidArgument("zero_tol must be positive")
+    if not 0 < _real("zero_tol", zero_tol) < 1:
+        raise InvalidArgument(f"zero_tol must lie in (0, 1), got {zero_tol}")
     e = data.edge_count
     # X = R^T Q^T, so X's singular values are R's and X's left singular
     # vectors are R's right ones; neither Q nor an n_s-long factor is formed

@@ -15,6 +15,8 @@ relabeling step.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -183,10 +185,23 @@ def generate_within(
     would overflow the budget.
 
     Raises:
-        EmptySpec: no draw fit within ``MAX_DRAW_ATTEMPTS`` attempts.
+        EmptySpec: ``max_edges`` is below the smallest tree the ranges can
+            draw (refused before any draw), c + c^2 + ... + c^L edges for
+            the least children count c and the least layer count L, 1 at
+            least; or no draw fit within ``MAX_DRAW_ATTEMPTS`` attempts.
     """
     _check_seed("seed", seed)
     max_edges = _integer("max_edges", max_edges)
+    spec = family_spec(family, seed, layer_range, children_range)
+    # c + c^2 + ... + c^L edges, counted to 64 layers at most: past 2^64
+    # edges a lower bound is enough
+    layers, c = max(spec.layer_range[0], 1), spec.children_range[0]
+    smallest = layers if c == 1 else (c ** (min(layers, 64) + 1) - c) // (c - 1)
+    if max_edges < smallest:
+        raise EmptySpec(
+            f"no {family} draw fits within {max_edges} edges: "
+            f"every tree these ranges draw has at least {smallest}"
+        )
     for attempt in range(MAX_DRAW_ATTEMPTS):
         (draw_seed,) = _seeds(seed, attempt, count=1)
         spec = family_spec(family, draw_seed, layer_range, children_range)
@@ -219,6 +234,45 @@ def binary_network_with_edges(e: int) -> FlowNetwork:
     return FlowNetwork(e + 1, tuple(edges))
 
 
+@functools.lru_cache(maxsize=64)
+def _sampling_plan(network: FlowNetwork) -> tuple[np.ndarray, tuple] | None:
+    """The sink edge indices and the bottom-up sums of ``sample_flows``, or
+    None for a non-arborescence.
+
+    The sums come one depth at a time, deepest first, as the indices of the
+    internal edges at that depth, of their first child edges and, for
+    k = 1, 2, ..., of the k-th child edge of each.  The internal edges are
+    sorted by child count, most first, so those with a k-th child are a
+    prefix.  The cache hands the same arrays to every call, so they are
+    read-only.
+    """
+    walk = _top_down(network)
+    if walk is None:
+        return None
+    order, children = walk
+    depth = [0] * network.edge_count
+    by_depth: dict[int, list[list[int]]] = {}
+    for idx in order:  # every edge after the edge above it
+        below = children.get(network.edges[idx][1])
+        if below:
+            for child in below:
+                depth[child] = depth[idx] + 1
+            by_depth.setdefault(depth[idx], []).append([idx, *below])
+
+    def indices(column) -> np.ndarray:
+        array = np.array([i for i in column if i is not None], dtype=np.intp)
+        array.setflags(write=False)
+        return array
+
+    levels = []
+    for d in sorted(by_depth, reverse=True):
+        group = sorted(by_depth[d], key=len, reverse=True)
+        parents, first, *rest = map(indices, itertools.zip_longest(*group))
+        levels.append((parents, first, tuple(rest)))
+    sinks = indices(idx for idx, (_, dst) in enumerate(network.edges) if dst not in children)
+    return sinks, tuple(levels)
+
+
 def sample_flows(network: FlowNetwork, cfg: FlowSamplerConfig, allow_undersampled: bool = False) -> FlowDataMatrix:
     """Synthesize conserved steady-state samples for an arborescence.
 
@@ -226,38 +280,39 @@ def sample_flows(network: FlowNetwork, cfg: FlowSamplerConfig, allow_undersample
     edge is the sum of its child edges' rows, added in label order, so the
     conservation equations hold to float addition error.
 
+    The plan of those sums is a function of the network alone, a frozen
+    value, so it is built once per network and kept in a small cache: a
+    sweep samples each network many times.  The samples are finite by
+    construction, so the matrix skips ``FlowDataMatrix``'s array check;
+    its sample-count rule still applies.
+
     Raises:
         NotArborescence: the network is not an arborescence.
     """
-    walk = _top_down(network)
-    if walk is None:
+    plan = _sampling_plan(network)
+    if plan is None:
         raise NotArborescence("flow sampling requires an arborescence")
-    order, children = walk
+    sinks, levels = plan
     rng = np.random.default_rng(cfg.seed)
-    e = network.edge_count
+    components = rng.integers(0, len(DEFAULT_MEANS), size=len(sinks))
 
-    sink_idx = [idx for idx, (_, dst) in enumerate(network.edges) if dst not in children]
-    components = rng.integers(0, len(DEFAULT_MEANS), size=len(sink_idx))
-
-    data = np.empty((e, cfg.n_s), dtype=np.float64)
+    data = np.empty((network.edge_count, cfg.n_s), dtype=np.float64)
     # what Generator.normal computes per entry, loc + scale * z, from the
     # same stream of standard normals
-    draws = rng.standard_normal((len(sink_idx), cfg.n_s))
+    draws = rng.standard_normal((len(sinks), cfg.n_s))
     draws *= np.asarray(DEFAULT_STDS)[components, None]
     draws += np.asarray(DEFAULT_MEANS)[components, None]
-    data[sink_idx] = draws
+    data[sinks] = draws
 
-    # bottom-up: every edge after all the edges below it, its children's
-    # rows added one at a time in label order
-    for idx in reversed(order):
-        below = children.get(network.edges[idx][1])
-        if below:
-            row = data[idx]
-            row[:] = data[below[0]]
-            for child in below[1:]:
-                row += data[child]
+    # bottom-up, a depth at a time: each internal edge's row is its first
+    # child's, plus each further child's in label order
+    for parents, first, rest in levels:
+        rows = data[first]
+        for kth in rest:
+            rows[: len(kth)] += data[kth]
+        data[parents] = rows
 
-    return FlowDataMatrix(data, allow_undersampled=allow_undersampled)
+    return FlowDataMatrix._finite_by_construction(data, allow_undersampled)
 
 
 def add_noise(
@@ -269,27 +324,35 @@ def add_noise(
     variance divided by snr; heteroscedastic mode scales each edge's own
     variance.  Returns the exact model used, for downstream whitening.  A
     bare number is a homoscedastic ``SnrSetting``.
+
+    One e x n_s buffer holds the deviations behind the signal variance,
+    then the noise, then the noisy samples: the standard normals are drawn
+    into it and scaled and added in place, the bits of
+    ``rng.normal(0, sigma)`` plus the samples.  The caller's samples could
+    be large enough to overflow, so the result keeps ``FlowDataMatrix``'s
+    finiteness check.
     """
     _check_seed("seed", seed)
     if not isinstance(snr, SnrSetting):
         snr = SnrSetting(snr)
     rng = np.random.default_rng(seed)
-    # np.var(ddof=1)'s own operations, without its dispatch; the e x n_s
-    # deviations are freed before the noise is drawn, as np.var frees them
+    # np.var(ddof=1)'s own operations, without its dispatch
     y, n = data.entries, data.sample_count
-    dev = y - y.sum(axis=1, keepdims=True) / n
-    dev *= dev
-    signal_var = dev.sum(axis=1) / (n - 1)
-    del dev
+    buffer = y - y.sum(axis=1, keepdims=True) / n
+    buffer *= buffer
+    signal_var = buffer.sum(axis=1) / (n - 1)
     if np.all(signal_var <= 0):
         raise InvalidArgument("signal variance is zero on every edge")
     if snr.kind == "homoscedastic":
         sigma2 = float(signal_var.mean()) / snr.snr
         model = NoiseModel.isotropic(sigma2, data.edge_count)
-        noise = rng.normal(0.0, np.sqrt(sigma2), size=data.entries.shape)
+        scale = np.sqrt(sigma2)
     else:
         per_edge = np.maximum(signal_var, 1e-12 * signal_var.max()) / snr.snr
         model = NoiseModel.per_edge(per_edge)
-        noise = rng.normal(0.0, 1.0, size=data.entries.shape) * np.sqrt(per_edge)[:, None]
-    noisy = FlowDataMatrix(data.entries + noise, allow_undersampled=data.allow_undersampled)
-    return noisy, model
+        scale = np.sqrt(per_edge)[:, None]
+    # Generator.normal(0, scale) draws 0 + scale * z from the same stream
+    rng.standard_normal(out=buffer)
+    buffer *= scale
+    buffer += y
+    return FlowDataMatrix(buffer, allow_undersampled=data.allow_undersampled), model

@@ -999,6 +999,32 @@ def test_lanes_match_the_public_realization(family):
         assert any(r.diagnostics["chain_groups"] for r in results)
 
 
+@pytest.mark.parametrize("family", ft.synth.FAMILIES)
+def test_rank_test_matches_its_public_twin(family):
+    # the order test builds its report without the constructor's checks;
+    # the constructor accepts the same fields and gives an equal report
+    reports = [r.diagnostics["rank_test"] for index in range(3) for r in lane_results(family, index)
+               if "rank_test" in r.diagnostics]
+    net = ft.generate_within(family, 3, max_edges=40, children_range=(3, 7) if family == "fat_short" else None)
+    noisy, model = noisy_sample(net, 20, 10.0, 3)
+    reports.append(ft.estimate_model_order(ft.whiten(noisy, model)))
+    assert len(reports) >= 3
+    for report in reports:
+        twin = ft.RankTestReport(
+            candidates=report.candidates, statistics=report.statistics,
+            p_values=report.p_values, chosen_m=report.chosen_m, alpha=report.alpha,
+            eigenvalues=report.eigenvalues, null_vectors=report.null_vectors,
+        )
+        assert twin == report and repr(twin) == repr(report)
+        assert twin.null_vectors is report.null_vectors
+        vectors = report.null_vectors
+        assert vectors.dtype == np.float64 and not vectors.flags.writeable
+        assert vectors.shape[1] == report.chosen_m and np.isfinite(vectors).all()
+        assert all(type(k) is int for k in report.candidates) and type(report.chosen_m) is int
+        values = report.statistics + report.p_values + report.eigenvalues
+        assert all(type(v) is float for v in values)
+
+
 def fuzz_samples(kind: str, e: int, n_s: int, rng: np.random.Generator) -> np.ndarray:
     if kind == "tree":
         # a random arborescence, each edge below the source or an earlier edge

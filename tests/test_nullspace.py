@@ -176,6 +176,16 @@ class TestEstimateNullBasis:
         with pytest.raises(ValueError):
             ft.estimate_null_basis(star_data(), zero_tol=0.0)
 
+    @pytest.mark.parametrize("zero_tol", [1.0, 5.0, np.inf])
+    def test_zero_tol_of_one_or_more_refused(self, zero_tol):
+        # every singular value would count as zero: m = e, a "null basis"
+        # spanning the whole edge space
+        net = ft.binary_network_with_edges(14)
+        data = ft.sample_flows(net, ft.FlowSamplerConfig(n_s=28, seed=0))
+        message = rf"zero_tol must lie in \(0, 1\), got {zero_tol}"
+        with pytest.raises(ft.InvalidArgument, match=message):
+            ft.estimate_null_basis(data, zero_tol=zero_tol)
+
     def test_quantized_demo_needs_loose_tol(self, demo_flows):
         # three-decimal data: the strict default sees full rank
         with pytest.raises(ft.RankZero):

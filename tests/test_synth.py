@@ -1,4 +1,5 @@
 import hashlib
+import warnings
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import flowtopo as ft
+from flowtopo.graph_model import _top_down
 from flowtopo.synth import DEFAULT_MEANS, DEFAULT_STDS, FAMILIES, FAMILY_DEFAULTS
 
 from conftest import ancestor_labels, conservation_residual
@@ -158,6 +160,35 @@ class TestGeneration:
         with pytest.raises(ft.EmptySpec):
             ft.generate_within("fat_short", 0, max_edges=4)
 
+    @pytest.mark.parametrize("family, max_edges, smallest", [
+        ("binary", -5, 14), ("binary", 13, 14), ("thin_long", 0, 6), ("thin_long", 5, 6),
+        ("fat_short", 40, 72), ("fat_short", 71, 72),
+    ])
+    def test_budget_below_the_smallest_tree_refused_before_drawing(
+        self, monkeypatch, family, max_edges, smallest
+    ):
+        # c + c^2 + ... + c^L for the least children count and layer count
+        grown = []
+        monkeypatch.setattr(ft.synth, "_grow", lambda *args: grown.append(args))
+        message = f"every tree these ranges draw has at least {smallest}$"
+        with pytest.raises(ft.EmptySpec, match=message):
+            ft.generate_within(family, 0, max_edges=max_edges)
+        assert grown == []
+
+    def test_budget_at_the_smallest_tree_still_draws(self):
+        net = ft.generate_within("binary", 0, max_edges=14)
+        assert net.edge_count == 14 and ft.is_arborescence(net)
+        for layers, children, smallest in (((3, 5), (1, 2), 3), ((2, 4), (3, 3), 12)):
+            net = ft.generate_within("thin_long", 1, max_edges=smallest,
+                                     layer_range=layers, children_range=children)
+            assert net.edge_count == smallest
+
+    def test_smallest_tree_of_many_layers_is_a_lower_bound(self):
+        # counted to 64 layers: 2 + 4 + ... + 2^64, not 2^10001 - 2
+        message = f"at least {2**65 - 2}$"
+        with pytest.raises(ft.EmptySpec, match=message):
+            ft.generate_within("binary", 0, layer_range=(10_000, 10_000))
+
 
 class TestBenchmarkNetwork:
     @pytest.mark.parametrize("e", [2, 3, 4, 5, 6, 7, 14, 30, 31, 100])
@@ -297,6 +328,148 @@ class TestSamplerBits:
         cfg = ft.FlowSamplerConfig(n_s=2 * net.edge_count, seed=seed + 100)
         self.check_bits(net, cfg)
         self.check_bits(relabelled(net, seed), cfg)
+
+
+def reference_sample_flows(net: ft.FlowNetwork, cfg: ft.FlowSamplerConfig) -> np.ndarray:
+    """The sampler as a walk over the edges, one numpy call per child:
+    sink rows from the two draws, then every edge after all the edges below
+    it, its row its first child's plus each further child's in label order."""
+    order, children = _top_down(net)
+    rng = np.random.default_rng(cfg.seed)
+    sink_idx = [idx for idx, (_, dst) in enumerate(net.edges) if dst not in children]
+    components = rng.integers(0, len(DEFAULT_MEANS), size=len(sink_idx))
+    data = np.empty((net.edge_count, cfg.n_s))
+    draws = rng.standard_normal((len(sink_idx), cfg.n_s))
+    draws *= np.asarray(DEFAULT_STDS)[components, None]
+    draws += np.asarray(DEFAULT_MEANS)[components, None]
+    data[sink_idx] = draws
+    for idx in reversed(order):
+        below = children.get(net.edges[idx][1])
+        if below:
+            row = data[idx]
+            row[:] = data[below[0]]
+            for child in below[1:]:
+                row += data[child]
+    return data
+
+
+def random_tree(rng: np.random.Generator) -> ft.FlowNetwork:
+    """A random arborescence of 1-40 edges, each below the source or an
+    earlier edge, then relabelled: permuted node ids and edge order, so a
+    node's children are not contiguous labels."""
+    e = int(rng.integers(1, 41))
+    parents = [e + 1] + [int(rng.choice([e + 1, *range(1, k)])) for k in range(2, e + 1)]
+    net = ft.FlowNetwork(e + 1, tuple((p, k) for k, p in enumerate(parents, start=1)))
+    return relabelled(net, int(rng.integers(2**31)))
+
+
+class TestSamplingPlan:
+    """``sample_flows`` sums a depth at a time from a plan it caches per
+    network; every bit must match the per-edge walk."""
+
+    @pytest.mark.filterwarnings("ignore:only .* samples for")
+    def test_random_relabelled_trees(self):
+        rng = np.random.default_rng(33)
+        for _ in range(400):
+            net = random_tree(rng)
+            cfg = ft.FlowSamplerConfig(n_s=int(rng.integers(1, 3 * net.edge_count + 2)),
+                                       seed=int(rng.integers(2**31)))
+            got = ft.sample_flows(net, cfg, allow_undersampled=True).entries
+            assert got.tobytes() == reference_sample_flows(net, cfg).tobytes()
+
+    def test_one_network_sampled_twice(self):
+        net = relabelled(ft.generate_within("fat_short", 4, max_edges=80, children_range=(3, 7)), 4)
+        cfg = ft.FlowSamplerConfig(n_s=3 * net.edge_count, seed=8)
+        first, second = (ft.sample_flows(net, cfg).entries for _ in range(2))
+        want = reference_sample_flows(net, cfg).tobytes()
+        assert first.tobytes() == second.tobytes() == want
+        assert not np.shares_memory(first, second)
+        sinks, levels = ft.synth._sampling_plan(net)
+        shared = [sinks, *(array for parents, first, rest in levels for array in (parents, first, *rest))]
+        assert not any(array.flags.writeable for array in shared)
+        other = ft.FlowSamplerConfig(n_s=2 * net.edge_count, seed=9)
+        assert ft.sample_flows(net, other).entries.tobytes() == reference_sample_flows(net, other).tobytes()
+
+    def test_equal_but_distinct_networks(self):
+        a = ft.generate_within("thin_long", 6, max_edges=60)
+        b = ft.FlowNetwork(a.node_count, tuple(list(edge) for edge in a.edges))
+        assert a == b and a is not b
+        cfg = ft.FlowSamplerConfig(n_s=2 * a.edge_count, seed=3)
+        want = reference_sample_flows(a, cfg).tobytes()
+        assert ft.sample_flows(a, cfg).entries.tobytes() == want
+        assert ft.sample_flows(b, cfg).entries.tobytes() == want
+
+    def test_non_arborescence_refused_every_time(self, mesh_network):
+        for _ in range(2):
+            with pytest.raises(ft.NotArborescence):
+                ft.sample_flows(mesh_network, ft.FlowSamplerConfig(n_s=20, seed=0))
+
+    def test_sampled_matrix_matches_its_public_twin(self):
+        # built without the array check; the constructor accepts the same
+        # array unchanged, and the sample-count rule still holds
+        net = ft.generate_within("binary", 2, max_edges=40)
+        for n_s, flag in ((3 * net.edge_count, False), (net.edge_count, True)):
+            cfg = ft.FlowSamplerConfig(n_s=n_s, seed=1)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                data = ft.sample_flows(net, cfg, allow_undersampled=flag)
+                twin = ft.FlowDataMatrix(data.entries, allow_undersampled=flag)
+            assert [str(w.message) for w in caught] == [f"only {n_s} samples for {n_s} edges"] * (2 * flag)
+            assert twin == data and twin.entries is data.entries
+            assert data.entries.dtype == np.float64 and not data.entries.flags.writeable
+            assert np.isfinite(data.entries).all()
+        with pytest.raises(ft.InvalidArgument, match="need more samples than edges"):
+            ft.sample_flows(net, ft.FlowSamplerConfig(n_s=net.edge_count, seed=1))
+
+
+def reference_add_noise(data: ft.FlowDataMatrix, snr: ft.SnrSetting, seed: int):
+    """The noisy samples as ``rng.normal`` draws added to a copy, and the
+    covariance, from numpy's own variance."""
+    rng = np.random.default_rng(seed)
+    signal_var = data.entries.var(axis=1, ddof=1)
+    if snr.kind == "homoscedastic":
+        sigma2 = float(signal_var.mean()) / snr.snr
+        noise = rng.normal(0.0, np.sqrt(sigma2), size=data.entries.shape)
+        covariance = sigma2 * np.eye(data.edge_count)
+    else:
+        per_edge = np.maximum(signal_var, 1e-12 * signal_var.max()) / snr.snr
+        noise = rng.normal(0.0, 1.0, size=data.entries.shape) * np.sqrt(per_edge)[:, None]
+        covariance = np.diag(per_edge)
+    return data.entries + noise, covariance
+
+
+class TestNoiseBuffer:
+    """``add_noise`` draws into the buffer its variance pass allocates and
+    scales and adds in place; the bits are ``rng.normal``'s."""
+
+    @pytest.mark.parametrize("kind", ["homoscedastic", "heteroscedastic"])
+    @pytest.mark.parametrize("family, seed", [("binary", 1), ("thin_long", 2), ("fat_short", 3)])
+    def test_matches_rng_normal(self, kind, family, seed):
+        children = (3, 7) if family == "fat_short" else None
+        net = relabelled(ft.generate_within(family, seed, max_edges=80, children_range=children), seed)
+        data = ft.sample_flows(net, ft.FlowSamplerConfig(n_s=4 * net.edge_count, seed=seed))
+        before = data.entries.tobytes()
+        snr = ft.SnrSetting(15.0, kind)
+        noisy, model = ft.add_noise(data, snr, seed=seed + 50)
+        entries, covariance = reference_add_noise(data, snr, seed + 50)
+        assert noisy.entries.tobytes() == entries.tobytes()
+        assert model.covariance.tobytes() == covariance.tobytes()
+        assert not noisy.entries.flags.writeable and not model.covariance.flags.writeable
+        assert model.mean is None
+        assert data.entries.tobytes() == before
+        assert noisy.allow_undersampled == data.allow_undersampled
+
+    def test_isotropic_matches_its_public_twin(self):
+        # sigma2 * I is kept without the constructor's array and symmetry
+        # checks, which would take the same array unchanged
+        for sigma2, e in ((2.5, 4), (1e-300, 1), (1e300, 7)):
+            model = ft.NoiseModel.isotropic(sigma2, e)
+            twin = ft.NoiseModel(sigma2 * np.eye(e))
+            assert model.covariance.tobytes() == twin.covariance.tobytes()
+            assert model.covariance.dtype == np.float64 and not model.covariance.flags.writeable
+            assert model.mean is None and twin.mean is None
+            assert ft.NoiseModel(model.covariance) == model
+            assert model.edge_count == e
 
 
 class TestSamplerDigests:
